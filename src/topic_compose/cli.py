@@ -200,6 +200,7 @@ def cmd_infer(args):
                 threshold_divisor=args.threshold_divisor,
                 tli_solver=args.tli_solver,
                 inverse_magnitude=inverse.magnitude,
+                inverse_bias=inverse.bias,
             )
         elif args.method == "padd":
             pcfg = PaddConfig(

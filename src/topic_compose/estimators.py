@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sparse
 
 from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
@@ -50,15 +49,18 @@ class TliConfig:
 class TliInverse:
     """Approximate left inverse of B with its magnitude bound.
 
-    Bdagger is K x N with |Bdagger @ B - I| <= delta entrywise;
-    magnitude is the largest absolute entry, which controls how much a
-    finite-sample frequency error can be amplified.
+    Bdagger is K x N with |Bdagger @ B - I| <= delta entrywise; bias is
+    the largest entry of |Bdagger @ B - I| actually achieved (nan when the
+    inverse was built by hand); magnitude is the largest absolute entry,
+    which controls how much a finite-sample frequency error can be
+    amplified.
     """
 
     Bdagger: np.ndarray
     delta: float
     magnitude: float
     solver: str
+    bias: float = math.nan
 
     def __post_init__(self):
         Bd = np.array(self.Bdagger, dtype=np.float64, order="C")
@@ -80,59 +82,59 @@ def spi_infer(model, corpus):
     return CompositionMatrix(W)
 
 
-def _row_program(B, k, delta):
+def _row_program(rows, bounds, k, delta):
     """Smallest-magnitude row b with (B^T b)_l within delta of 1{l == k}.
 
-    Variables are (b, t) with t an upper bound on |b_j|; minimize t.
+    Solves "minimize max|b_j|" in its Charnes-Cooper rescaling b = c/s:
+    maximize s over -1 <= c_j <= 1 and s >= 0 (variable bounds, not
+    constraint rows), subject to the K rows B^T c - s e_k = 0 when
+    delta = 0, or the 2K rows +-(B^T c - s e_k) <= delta s otherwise. The
+    optimal s is 1 / max|b_j|. `rows` is [B^T, 0] or
+    [[B^T, -delta], [-B^T, -delta]], shared by all rows of one inverse;
+    the e_k terms go into a copy. Only the magnitude is unique: near-anchor
+    B has many optimal vertices, and which one comes back is up to the
+    solver.
     """
-    N, K = B.shape
-    c = np.zeros(N + 1)
-    c[N] = 1.0
-    # |b_j| <= t  as  b_j - t <= 0  and  -b_j - t <= 0
-    eye = sparse.eye_array(N, format="csr")
-    ones = np.ones((N, 1))
-    bound_rows = sparse.block_array([[eye, -ones], [-eye, -ones]], format="csr")
-    target = np.zeros(K)
-    target[k] = 1.0
-    Bt = sparse.csr_array(B.T)
-    zero_col = sparse.csr_array((K, 1))
+    K = rows.shape[0] if delta == 0.0 else rows.shape[0] // 2
+    N = rows.shape[1] - 1
+    A = rows.copy()
+    A[k, N] -= 1.0
+    objective = np.zeros(N + 1)
+    objective[N] = -1.0
     if delta == 0.0:
-        A_eq = sparse.hstack([Bt, zero_col], format="csr")
         res = scipy.optimize.linprog(
-            c,
-            A_ub=bound_rows,
-            b_ub=np.zeros(2 * N),
-            A_eq=A_eq,
-            b_eq=target,
-            bounds=(None, None),
-            method="highs",
+            objective, A_eq=A, b_eq=np.zeros(K), bounds=bounds, method="highs"
         )
     else:
-        bias_rows = sparse.hstack([Bt, zero_col], format="csr")
-        A_ub = sparse.vstack([bound_rows, bias_rows, -bias_rows], format="csr")
-        b_ub = np.concatenate([np.zeros(2 * N), target + delta, delta - target])
+        A[K + k, N] += 1.0
         res = scipy.optimize.linprog(
-            c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs"
+            objective, A_ub=A, b_ub=np.zeros(2 * K), bounds=bounds, method="highs"
         )
-    if res.status != 0 or res.x is None or not np.isfinite(res.x).all():
-        smin = float(np.linalg.svd(B, compute_uv=False)[-1])
+    s = res.x[N] if res.status == 0 else math.nan
+    # a singular B leaves s = 0 as the only feasible scale, and HiGHS calls that optimal
+    if not (s > 0.0 and np.isfinite(res.x).all()):
+        smin = float(np.linalg.svd(rows[:K, :N], compute_uv=False)[-1])
         raise RuntimeError(
-            f"left-inverse program for topic {k} failed (status {res.status}: "
-            f"{res.message}); smallest singular value of B is {smin:.3e}"
+            f"left-inverse program for topic {k} found no scale s > 0 (s = {s:.3g}, "
+            f"status {res.status}: {res.message}); smallest singular value of B is {smin:.3e}"
         )
-    return res.x[:N]
+    return res.x[:N] / s
 
 
 def tli_compute_inverse(model, config=None, threads=1):
     """Minimum-infinity-norm approximate left inverse of the model's B.
 
-    Solved one row at a time; rows are independent, so they are farmed out
-    to the worker pool. The "pseudoinverse" solver uses (B^T B)^-1 B^T
-    instead, which is cheaper but has no magnitude guarantee.
+    Each row is one bounded linear program (see `_row_program`); rows are
+    independent, so they are farmed out to the worker pool. Every row's
+    magnitude is the optimum, but which optimal row comes back is up to
+    the solver. The "pseudoinverse" solver uses (B^T B)^-1 B^T instead,
+    which is cheaper but has no magnitude guarantee. Either way the
+    achieved bias max|Bdagger B - I| must be within delta (to 1e-6).
     """
     config = config or TliConfig()
     B = model.B
-    K = model.K
+    N, K = B.shape
+    delta = config.delta
     if config.solver == "pseudoinverse":
         BtB = B.T @ B
         try:
@@ -144,25 +146,34 @@ def tli_compute_inverse(model, config=None, threads=1):
             ) from None
         if not np.isfinite(Bd).all():
             raise RuntimeError("pseudoinverse produced non-finite entries")
-        resid = float(np.abs(Bd @ B - np.eye(K)).max())
-        if resid > config.delta + 1e-6:
-            raise RuntimeError(
-                f"pseudoinverse bias {resid:.3e} exceeds delta={config.delta}; "
-                "B is too ill-conditioned for this solver"
-            )
+    elif delta >= 1.0:
+        # b = 0 already meets the bias budget (and the rescaled program is unbounded)
+        Bd = np.zeros((K, N))
     else:
-        Bd = np.empty((K, B.shape[0]))
+        slack = np.full((K, 1), -delta)
+        rows = np.hstack([B.T, slack]) if delta == 0.0 else np.block([[B.T, slack], [-B.T, slack]])
+        bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
+        Bd = np.empty((K, N))
 
         def solve_rows(span):
             for k in range(*span):
-                Bd[k] = _row_program(B, k, config.delta)
+                Bd[k] = _row_program(rows, bounds, k, delta)
 
         map_chunks(K, 1, solve_rows, threads)
+    residual = np.abs(Bd @ B - np.eye(K))
+    bias = float(residual.max())
+    if bias > delta + 1e-6:
+        k = int(residual.max(axis=1).argmax())
+        raise RuntimeError(
+            f"{config.solver} left inverse has bias {bias:.9g} on topic {k}, "
+            f"above delta={delta} + 1e-6; B is too ill-conditioned"
+        )
     return TliInverse(
         Bdagger=Bd,
-        delta=config.delta,
+        delta=delta,
         magnitude=float(np.abs(Bd).max()),
         solver=config.solver,
+        bias=bias,
     )
 
 

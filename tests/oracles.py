@@ -8,6 +8,8 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import scipy.optimize
+import scipy.sparse as sparse
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +97,40 @@ def linf_left_inverse_oracle(B, k, delta=0.0, feas_tol=1e-9):
     if best_b is None:
         raise RuntimeError("oracle found no feasible vertex")
     return best_t, best_b
+
+
+def linf_left_inverse_lp(B, k, delta=0.0):
+    """Minimum-infinity-norm row of an approximate left inverse, solved as
+    the direct LP over (b, t): minimize t subject to |b_j| <= t as 2N
+    constraint rows plus the K bias rows (equalities when delta = 0, else
+    2K inequalities). Reaches sizes vertex enumeration cannot. Uses HiGHS's
+    interior-point method (with crossover): its dual simplex stops with
+    status 4 on some near-anchor rows of this form.
+    """
+    B = np.asarray(B, dtype=np.float64)
+    N, K = B.shape
+    c = np.zeros(N + 1)
+    c[N] = 1.0
+    eye = sparse.eye_array(N, format="csr")
+    ones = np.ones((N, 1))
+    bound_rows = sparse.block_array([[eye, -ones], [-eye, -ones]], format="csr")
+    target = np.zeros(K)
+    target[k] = 1.0
+    bias_rows = sparse.hstack([sparse.csr_array(B.T), sparse.csr_array((K, 1))], format="csr")
+    if delta == 0.0:
+        res = scipy.optimize.linprog(
+            c, A_ub=bound_rows, b_ub=np.zeros(2 * N), A_eq=bias_rows, b_eq=target,
+            bounds=(None, None), method="highs-ipm",
+        )
+    else:
+        A_ub = sparse.vstack([bound_rows, bias_rows, -bias_rows], format="csr")
+        b_ub = np.concatenate([np.zeros(2 * N), target + delta, delta - target])
+        res = scipy.optimize.linprog(
+            c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs-ipm"
+        )
+    if res.status != 0:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    return res.x[N], res.x[:N]
 
 
 def grid_min_quadratic(B, h, step):

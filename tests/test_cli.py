@@ -119,6 +119,7 @@ class TestInfer:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["method"] == "tli"
         assert manifest["config"]["inverse_magnitude"] >= 1.0
+        assert 0.0 <= manifest["config"]["inverse_bias"] <= 1e-6
         W = read_composition_tsv(str(out / "W.tsv"))
         np.testing.assert_allclose(W.W.sum(axis=0), 1.0, atol=1e-9)
 

@@ -14,12 +14,18 @@ from topic_compose import (
     tli_thresholds,
 )
 from conftest import random_corpus, random_model
-from oracles import linf_left_inverse_oracle
+from oracles import linf_left_inverse_lp, linf_left_inverse_oracle
 
 
 def stochastic_matrix(N, K, seed, concentration=0.5):
     rng = np.random.default_rng(seed)
     return rng.dirichlet(np.full(N, concentration), size=K).T
+
+
+# Near-anchor topics have many optimal left-inverse rows, so only magnitudes
+# are compared. On seed 1 the dense (b, t) form defeats HiGHS's dual simplex;
+# seed 4 is ill-conditioned (smallest singular value 0.06).
+NEAR_ANCHOR = [stochastic_matrix(60, 8, seed=s, concentration=0.01) for s in (1, 4)]
 
 
 class TestSpi:
@@ -65,6 +71,17 @@ class TestTliInverse:
         with pytest.raises(RuntimeError, match="singular value"):
             tli_compute_inverse(m, TliConfig(delta=0.0))
 
+    def test_near_singular_errors_name_the_cause(self):
+        # B^T c = s e_k is then met only within solver tolerance: either no
+        # positive scale s is found or the unscaled row misses its bias budget
+        for seed in range(4):
+            col, other = stochastic_matrix(6, 2, seed=seed).T
+            B = np.column_stack([col, (1 - 1e-10) * col + 1e-10 * other])
+            m = TopicModel(B=B, A=np.eye(2) / 2)
+            for delta in (0.0, 0.05):
+                with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
+                    tli_compute_inverse(m, TliConfig(delta=delta))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_vertex_enumeration_oracle(self, seed):
         B = stochastic_matrix(6, 2, seed=seed)
@@ -92,16 +109,27 @@ class TestTliInverse:
             m = TopicModel(B=B, A=m.A)
             inv = tli_compute_inverse(m, TliConfig(delta=0.0))
             assert np.abs(inv.Bdagger @ B - np.eye(8)).max() <= 1e-6
+        for B in NEAR_ANCHOR:
+            m = TopicModel(B=B, A=np.eye(8) / 8)
+            for delta in (0.0, 0.01):
+                inv = tli_compute_inverse(m, TliConfig(delta=delta))
+                residual = np.abs(inv.Bdagger @ B - np.eye(8)).max()
+                assert residual <= delta + 1e-6
+                assert inv.bias == pytest.approx(residual, abs=1e-12)
+                for k in range(8):
+                    t_ref, _ = linf_left_inverse_lp(B, k, delta)
+                    assert np.abs(inv.Bdagger[k]).max() == pytest.approx(t_ref, abs=1e-6)
 
     def test_magnitude_monotone_in_delta(self):
-        for seed in range(3):
-            B = stochastic_matrix(25, 5, seed=seed)
-            m = TopicModel(B=B, A=np.eye(5) / 5)
+        for B in [stochastic_matrix(25, 5, seed=seed) for seed in range(3)] + NEAR_ANCHOR:
+            m = TopicModel(B=B, A=np.eye(B.shape[1]) / B.shape[1])
             mags = [
                 tli_compute_inverse(m, TliConfig(delta=d)).magnitude
                 for d in (0.0, 0.01, 0.05)
             ]
             assert mags[0] + 1e-9 >= mags[1] >= mags[2] - 1e-9
+            # from delta = 1 on, the zero row already meets the bias budget
+            assert tli_compute_inverse(m, TliConfig(delta=1.0)).magnitude == 0.0
 
     def test_magnitude_matches_recomputation(self):
         B = stochastic_matrix(20, 4, seed=7)
