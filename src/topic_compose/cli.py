@@ -7,6 +7,7 @@ failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -196,9 +197,7 @@ def cmd_infer(args):
             inverse = tli_compute_inverse(model, tcfg, threads=threads)
             comp = tli_infer(inverse, model, corpus, tcfg)
             resolved.update(
-                delta=args.delta,
-                threshold_divisor=args.threshold_divisor,
-                tli_solver=args.tli_solver,
+                dataclasses.asdict(tcfg),
                 inverse_magnitude=inverse.magnitude,
                 inverse_bias=inverse.bias,
             )
@@ -220,16 +219,7 @@ def cmd_infer(args):
             diag_path = args.diagnostics or os.path.join(args.out, "diagnostics.tsv")
             diagnostics.write_tsv(diag_path)
             outputs.append(diag_path)
-            resolved.update(
-                gamma=args.gamma,
-                dr_relaxation=args.dr_relaxation,
-                master_iters=args.master_iters,
-                slave_iters=args.slave_iters,
-                tau0=args.tau0,
-                tau_schedule=args.tau_schedule,
-                ridge_eps=args.ridge_eps,
-                warm_start_previous=args.warm_start_previous,
-            )
+            resolved.update(dataclasses.asdict(pcfg))
         else:
             comp = random_baseline(model.K, corpus.M, seed=args.seed)
     except (ValueError, RuntimeError) as exc:

@@ -9,11 +9,7 @@ import numpy as np
 
 
 def project_simplex_columns(V):
-    """Project every column of V (K x M) onto the simplex {w >= 0, sum w = 1}.
-
-    Ties in the sorted order are broken by original index, which makes the
-    output independent of how the sort permutes equal values.
-    """
+    """Project every column of V (K x M) onto the simplex {w >= 0, sum w = 1}."""
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={V.ndim}")
@@ -24,8 +20,7 @@ def project_simplex_columns(V):
         raise ValueError("vectors must have at least one component")
     if K == 1:
         return np.ones_like(V)
-    order = np.argsort(-V, axis=0, kind="stable")
-    U = np.take_along_axis(V, order, axis=0)
+    U = -np.sort(-V, axis=0)  # each column in descending order
     css = np.cumsum(U, axis=0) - 1.0
     ranks = np.arange(1, K + 1, dtype=np.float64)[:, None]
     # rho >= 1 always: the largest component satisfies u_1 > (u_1 - 1) / 1

@@ -38,6 +38,23 @@ def simplex_qp_oracle(v):
     return W[int(np.argmin(dist))]
 
 
+def simplex_argsort_reference(V):
+    """Column-wise simplex projection that orders each column with a stable
+    argsort and gathers the values, the form the library used before it
+    switched to a plain sort; kept to check the two agree bit-for-bit."""
+    V = np.asarray(V, dtype=np.float64)
+    K = V.shape[0]
+    if K == 1:
+        return np.ones_like(V)
+    order = np.argsort(-V, axis=0, kind="stable")
+    U = np.take_along_axis(V, order, axis=0)
+    css = np.cumsum(U, axis=0) - 1.0
+    ranks = np.arange(1, K + 1, dtype=np.float64)[:, None]
+    rho = np.count_nonzero(U * ranks > css, axis=0)
+    theta = css[rho - 1, np.arange(V.shape[1])] / rho
+    return np.maximum(V - theta[None, :], 0.0)
+
+
 def linf_left_inverse_oracle(B, k, delta=0.0, feas_tol=1e-9):
     """Minimum-infinity-norm row of an approximate left inverse, solved by
     enumerating vertices of the feasible polyhedron.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from topic_compose import (
+    PaddConfig,
     normalize_corpus,
     read_composition_tsv,
     read_corpus_tsv,
@@ -129,7 +130,8 @@ class TestInfer:
                    "--corpus", corpus_path, "--out", out,
                    "--master-iters", 3, "--slave-iters", 40) == 0
         diag = (out / "diagnostics.tsv").read_text().splitlines()
-        assert diag[0] == "round\ttau\tconstraint_gap\tmean_loss\tdual_norm\tmean_final_step"
+        assert diag[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
+                           "mean_final_step\tdocs_converged")
         assert len(diag) == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.tsv" in manifest["outputs"]
@@ -141,7 +143,9 @@ class TestInfer:
                    "--corpus", corpus_path, "--out", out, "--lambda", 1.5,
                    "--master-iters", 2, "--slave-iters", 20) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["dr_relaxation"] == 1.5
+        assert manifest["config"]["relaxation"] == 1.5
+        assert manifest["config"]["slave_tol"] == PaddConfig().slave_tol
+        assert manifest["config"]["dual_stop_tol"] == PaddConfig().dual_stop_tol
 
     def test_padd_zero_master_iters_is_usage_error(self, model_dir, corpus_path, tmp_path):
         assert run("infer", "--method", "padd", "--model", model_dir,

@@ -236,6 +236,15 @@ class TestPaddInfer:
         b, _ = padd_infer(m, c, cfg, threads=3)
         npt.assert_array_equal(a.W, b.W)
 
+    @pytest.mark.parametrize("K, M", [(10, 5200), (7, 7400)])
+    def test_thread_count_does_not_change_result_across_blocks(self, K, M):
+        # both corpora span several slave blocks, the last one partial
+        m = random_model(60, K, seed=20)
+        c = random_corpus(60, M, seed=21)
+        cfg = PaddConfig(master_iters=2, slave_iters=20)
+        runs = [padd_infer(m, c, cfg, threads=n)[0].W.tobytes() for n in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_warm_start_variant_runs(self):
         m = random_model(N=20, K=3, seed=16)
         c = random_corpus(N=20, M=25, seed=17)
@@ -250,6 +259,7 @@ class TestPaddInfer:
         path = tmp_path / "diag.tsv"
         diag.write_tsv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "round\ttau\tconstraint_gap\tmean_loss\tdual_norm\tmean_final_step"
+        assert lines[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
+                            "mean_final_step\tdocs_converged")
         assert len(lines) == 1 + len(diag.rounds)
         assert lines[1].split("\t")[0] == "1"

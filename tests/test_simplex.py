@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from topic_compose import project_simplex, project_simplex_columns
-from oracles import simplex_qp_oracle
+from oracles import simplex_argsort_reference, simplex_qp_oracle
 
 
 class TestKnownValues:
@@ -82,3 +82,37 @@ class TestProperties:
         # equal entries must come out equal; stable ordering must not leak
         w = project_simplex([0.7, 0.7, 0.7])
         npt.assert_allclose(w, [1 / 3] * 3, atol=1e-15)
+
+
+class TestMatchesArgsortReference:
+    """The plain sort must give the same bytes as a stable argsort plus
+    gather: tied entries are equal, so the sorted values are too."""
+
+    @staticmethod
+    def assert_same_bytes(V):
+        assert project_simplex_columns(V).tobytes() == simplex_argsort_reference(V).tobytes()
+
+    @pytest.mark.parametrize("K", [2, 10, 50, 200])
+    def test_random(self, K):
+        rng = np.random.default_rng(16 + K)
+        self.assert_same_bytes(rng.uniform(-3.0, 3.0, size=(K, 300)))
+
+    @pytest.mark.parametrize("K", [2, 10, 50, 200])
+    def test_quarter_integer_ties(self, K):
+        rng = np.random.default_rng(17 + K)
+        V = rng.integers(-8, 9, size=(K, 300)) / 4.0
+        assert (np.diff(np.sort(V, axis=0), axis=0) == 0).any()
+        self.assert_same_bytes(V)
+
+    @pytest.mark.parametrize("K", [2, 10, 50, 200])
+    def test_all_equal_columns(self, K):
+        V = np.tile(np.array([-1.5, -0.25, 0.0, 0.3, 7.0]), (K, 1))
+        self.assert_same_bytes(V)
+
+    @pytest.mark.parametrize("K", [2, 10, 50, 200])
+    def test_signed_zeros(self, K):
+        rng = np.random.default_rng(18 + K)
+        V = np.where(rng.random((K, 40)) < 0.5, -0.0, 0.0)
+        V[:, 0] = -0.0
+        V[:, 1] = 0.0
+        self.assert_same_bytes(V)
