@@ -31,9 +31,7 @@ from .estimators import (
 from .padd import (
     PaddConfig,
     PaddDiagnostics,
-    PaddState,
     admm_dr_solve,
-    dual_step,
     padd_infer,
 )
 from .synth import (

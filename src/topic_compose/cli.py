@@ -208,9 +208,6 @@ def cmd_infer(args):
                 master_iters=args.master_iters,
                 slave_iters=args.slave_iters,
                 tau0=args.tau0,
-                tau_schedule=args.tau_schedule,
-                ridge_eps=args.ridge_eps,
-                warm_start_previous=args.warm_start_previous,
             )
             diagnostics = PaddDiagnostics()
             comp, _ = padd_infer(
@@ -304,11 +301,6 @@ def build_parser():
     pi.add_argument("--slave-iters", type=_positive_int, default=150)
     pi.add_argument("--tau0", type=_any_float, default=1.0,
                     help="padd: initial dual step size")
-    pi.add_argument("--tau-schedule", choices=("inv_sqrt", "constant"),
-                    default="inv_sqrt")
-    pi.add_argument("--ridge-eps", type=_any_float, default=1e-8)
-    pi.add_argument("--warm-start-previous", action="store_true",
-                    help="padd: start each round from the previous round's solutions")
     pi.add_argument("--diagnostics", default=None,
                     help="padd: path for the per-round diagnostics TSV")
     pi.set_defaults(func=cmd_infer)

@@ -18,8 +18,6 @@ from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 from .simplex import project_simplex_columns
 
-TAU_SCHEDULES = ("inv_sqrt", "constant")
-
 # Documents are solved in column blocks of a fixed number of entries, so
 # block boundaries depend only on K and M and results do not depend on the
 # worker count. Each Douglas-Rachford iteration makes ~20 NumPy calls per
@@ -35,14 +33,11 @@ class PaddConfig:
 
     loss_weight scales the reconstruction loss against the dual penalty
     (and appears inside the prox operator); relaxation is the
-    Douglas-Rachford mixing factor, in (0, 2); tau0 sets the initial dual
-    step size, decayed per tau_schedule; ridge_eps seeds the escalating
-    ridge used if the prox matrix is near-singular; slave_tol is the
+    Douglas-Rachford mixing factor, in (0, 2); tau0 is the dual step size
+    of master round 1, and round t steps tau0 / sqrt(t); slave_tol is the
     per-document stopping threshold on the infinity norm of successive
     iterates; dual_stop_tol stops the master early once the dual update
-    becomes negligible; warm_start_previous restarts each round's
-    documents from the previous round's solutions instead of the initial
-    posterior estimate.
+    becomes negligible.
     """
 
     loss_weight: float = 3.0
@@ -50,11 +45,8 @@ class PaddConfig:
     master_iters: int = 15
     slave_iters: int = 150
     tau0: float = 1.0
-    tau_schedule: str = "inv_sqrt"
-    ridge_eps: float = 1e-8
     slave_tol: float = 1e-7
     dual_stop_tol: float = 1e-8
-    warm_start_previous: bool = False
 
     def __post_init__(self):
         if not (self.loss_weight > 0.0 and math.isfinite(self.loss_weight)):
@@ -67,25 +59,10 @@ class PaddConfig:
             raise ValueError("slave_iters must be >= 1")
         if not (self.tau0 > 0.0 and math.isfinite(self.tau0)):
             raise ValueError(f"tau0 must be > 0, got {self.tau0!r}")
-        if self.tau_schedule not in TAU_SCHEDULES:
-            raise ValueError(f"tau_schedule must be one of {TAU_SCHEDULES}")
-        if self.ridge_eps < 0.0:
-            raise ValueError("ridge_eps must be >= 0")
         if not (self.slave_tol > 0.0):
             raise ValueError("slave_tol must be > 0")
         if self.dual_stop_tol < 0.0:
             raise ValueError("dual_stop_tol must be >= 0")
-
-
-@dataclass
-class PaddState:
-    """Mutable master-loop state: dual prices, the prox operator built
-    from them, the linear term, and the current compositions."""
-
-    Lambda: np.ndarray
-    G: np.ndarray
-    F: np.ndarray
-    W: np.ndarray
 
 
 @dataclass
@@ -99,8 +76,9 @@ class PaddDiagnostics:
     dual_norm: list = field(default_factory=list)
     mean_final_step: list = field(default_factory=list)
     docs_converged: list = field(default_factory=list)
+    prox_min_eig: list = field(default_factory=list)
 
-    def append(self, round_, tau, gap, loss, dual_norm, step, converged):
+    def append(self, round_, tau, gap, loss, dual_norm, step, converged, min_eig):
         self.rounds.append(int(round_))
         self.tau.append(float(tau))
         self.constraint_gap.append(float(gap))
@@ -108,10 +86,11 @@ class PaddDiagnostics:
         self.dual_norm.append(float(dual_norm))
         self.mean_final_step.append(float(step))
         self.docs_converged.append(int(converged))
+        self.prox_min_eig.append(float(min_eig))
 
     def write_tsv(self, path):
         cols = ("round", "tau", "constraint_gap", "mean_loss", "dual_norm",
-                "mean_final_step", "docs_converged")
+                "mean_final_step", "docs_converged", "prox_min_eig")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\t".join(cols) + "\n")
             for i in range(len(self.rounds)):
@@ -119,50 +98,29 @@ class PaddDiagnostics:
                     f"{self.rounds[i]}\t{self.tau[i]:.17g}\t"
                     f"{self.constraint_gap[i]:.17g}\t{self.mean_loss[i]:.17g}\t"
                     f"{self.dual_norm[i]:.17g}\t{self.mean_final_step[i]:.17g}\t"
-                    f"{self.docs_converged[i]}\n"
+                    f"{self.docs_converged[i]}\t{self.prox_min_eig[i]:.17g}\n"
                 )
-
-
-def dual_step(tau0, schedule, round_):
-    """Dual step size at 1-based master round `round_`."""
-    if round_ < 1:
-        raise ValueError("rounds are 1-based")
-    if schedule == "constant":
-        return float(tau0)
-    if schedule == "inv_sqrt":
-        return float(tau0) / math.sqrt(round_)
-    raise ValueError(f"unknown schedule {schedule!r}")
 
 
 def _symmetrize(X):
     return (X + X.T) / 2.0
 
 
-def _invert_with_ridge(S, ridge_eps):
-    """Invert the prox matrix, escalating a ridge up to 1000x if it is
-    ill-conditioned; the result is symmetrized to kill rounding skew."""
-    K = S.shape[0]
-    eye = np.eye(K)
-    last_cond = np.inf
-    ridges = [0.0]
-    if ridge_eps > 0.0:
-        ridges += [ridge_eps, 10.0 * ridge_eps, 100.0 * ridge_eps, 1000.0 * ridge_eps]
-    for r in ridges:
-        Sr = S + r * eye if r > 0.0 else S
-        last_cond = float(np.linalg.cond(Sr))
-        if not (last_cond <= 1e12):
-            continue
-        try:
-            G = np.linalg.inv(Sr)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(G).all():
-            continue
-        return _symmetrize(G)
-    raise RuntimeError(
-        f"prox matrix is numerically singular (condition {last_cond:.3e} "
-        f"after ridge escalation up to {ridges[-1]:.1e})"
-    )
+def _prox_inverse(S, round_):
+    """Invert the symmetric prox matrix S of master round `round_`.
+
+    S must be positive definite with condition number at most 1e12, or
+    Douglas-Rachford diverges; returns the symmetrized inverse and the
+    smallest eigenvalue of S.
+    """
+    eig = np.linalg.eigvalsh(S)
+    lo, hi = float(eig[0]), float(eig[-1])
+    if not (lo > 0.0 and hi <= 1e12 * lo):
+        raise RuntimeError(
+            f"prox matrix at master round {round_} is not positive definite "
+            f"with condition <= 1e12: eigenvalues span [{lo:.3e}, {hi:.3e}]"
+        )
+    return _symmetrize(np.linalg.inv(S)), lo
 
 
 def _dr_block(G, F, W0, relaxation, max_iters, tol):
@@ -251,10 +209,12 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     """Infer all compositions under the second-moment prior constraint.
 
     Every master round rebuilds the prox operator from the current dual
-    prices, re-solves each document from the initial posterior estimate
-    (unless warm_start_previous is set), and moves the dual against the
-    gap between A and the solutions' empirical second moment. Returns the
-    compositions; per-round numbers go into `diagnostics` if given.
+    prices, re-solves each document starting from its previous round's
+    solution (round 1 starts from the posterior estimate), and moves the
+    dual against the gap between A and the solutions' empirical second
+    moment with step tau0 / sqrt(round). Raises RuntimeError when a round's
+    prox matrix is not positive definite. Returns the compositions;
+    per-round numbers go into `diagnostics` if given.
     """
     config = config or PaddConfig()
     if corpus.N != model.N:
@@ -263,7 +223,7 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
         diagnostics = PaddDiagnostics()
     K, M = model.K, corpus.M
     Ht = normalize_corpus(corpus)
-    W0 = word_topic_posterior(model).Bbreve @ Ht
+    W = word_topic_posterior(model).Bbreve @ Ht
     if K == 1:
         return CompositionMatrix(np.ones((1, M))), diagnostics
 
@@ -271,28 +231,27 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     F = config.loss_weight * (B.T @ Ht)  # dense (K, M)
     BtB = B.T @ B
     eye = np.eye(K)
-    state = PaddState(Lambda=np.zeros((K, K)), G=eye, F=F, W=W0.copy())
+    Lambda = np.zeros((K, K))
 
     for t in range(1, config.master_iters + 1):
-        S = config.loss_weight * (BtB + state.Lambda / M) + eye
-        state.G = _invert_with_ridge(S, config.ridge_eps)
-        Winit = state.W if (config.warm_start_previous and t > 1) else W0
-        state.W, steps = _solve_slaves(state.G, F, Winit, config, threads)
-        if not np.isfinite(state.W).all():
+        S = config.loss_weight * (BtB + Lambda / M) + eye
+        G, min_eig = _prox_inverse(S, t)
+        W, steps = _solve_slaves(G, F, W, config, threads)
+        if not np.isfinite(W).all():
             raise RuntimeError(f"solver diverged at master round {t}")
-        moment = _symmetrize(state.W @ state.W.T) / M
+        moment = _symmetrize(W @ W.T) / M
         gap_mat = model.A - moment
         gap = float(np.linalg.norm(gap_mat))
-        tau = dual_step(config.tau0, config.tau_schedule, t)
-        state.Lambda = state.Lambda - tau * gap_mat
-        skew = float(np.abs(state.Lambda - state.Lambda.T).max())
+        tau = config.tau0 / math.sqrt(t)
+        Lambda = Lambda - tau * gap_mat
+        skew = float(np.abs(Lambda - Lambda.T).max())
         if skew > 1e-10:
             raise RuntimeError(f"dual matrix lost symmetry: skew {skew:.3e}")
         diagnostics.append(
-            t, tau, gap, _mean_loss(B, state.W, Ht),
-            float(np.linalg.norm(state.Lambda)), float(steps.mean()),
-            np.count_nonzero(steps <= config.slave_tol),
+            t, tau, gap, _mean_loss(B, W, Ht),
+            float(np.linalg.norm(Lambda)), float(steps.mean()),
+            np.count_nonzero(steps <= config.slave_tol), min_eig,
         )
         if tau * gap < config.dual_stop_tol:
             break
-    return CompositionMatrix(state.W), diagnostics
+    return CompositionMatrix(W), diagnostics

@@ -131,7 +131,7 @@ class TestInfer:
                    "--master-iters", 3, "--slave-iters", 40) == 0
         diag = (out / "diagnostics.tsv").read_text().splitlines()
         assert diag[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
-                           "mean_final_step\tdocs_converged")
+                           "mean_final_step\tdocs_converged\tprox_min_eig")
         assert len(diag) == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.tsv" in manifest["outputs"]
@@ -151,6 +151,22 @@ class TestInfer:
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", tmp_path / "o",
                    "--master-iters", 0) == 2
+
+    @pytest.mark.parametrize("flag", [("--tau-schedule", "constant"),
+                                      ("--ridge-eps", "1e-8"),
+                                      ("--warm-start-previous",)])
+    def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
+                                                 tmp_path, flag):
+        assert run("infer", "--method", "padd", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o", *flag) == 2
+
+    def test_padd_indefinite_prox_is_runtime_error(self, model_dir, corpus_path,
+                                                   tmp_path, capsys):
+        code = run("infer", "--method", "padd", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o",
+                   "--tau0", "1e4", "--master-iters", 6)
+        assert code == 1
+        assert "positive definite" in capsys.readouterr().err
 
     def test_rand_is_seeded(self, model_dir, corpus_path, tmp_path):
         for name in ("a", "b"):

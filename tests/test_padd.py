@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,13 +14,12 @@ from topic_compose import (
     SynthConfig,
     TopicModel,
     admm_dr_solve,
-    dual_step,
     padd_infer,
     synthesize,
     word_topic_posterior,
     normalize_corpus,
 )
-from topic_compose.padd import _invert_with_ridge
+from topic_compose.padd import _prox_inverse, _symmetrize
 from conftest import random_corpus, random_model
 from oracles import grid_min_quadratic
 
@@ -42,16 +44,14 @@ def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
 
 
 class TestDualStep:
-    def test_constant(self):
-        assert dual_step(0.1, "constant", 7) == 0.1
-
     def test_inv_sqrt(self):
-        assert dual_step(0.1, "inv_sqrt", 4) == pytest.approx(0.05, abs=1e-15)
-        assert dual_step(0.1, "inv_sqrt", 1) == 0.1
-
-    def test_rejects_bad_round(self):
-        with pytest.raises(ValueError):
-            dual_step(0.1, "constant", 0)
+        m = random_model(N=20, K=3, seed=3)
+        c = random_corpus(N=20, M=30, seed=4)
+        cfg = PaddConfig(master_iters=4, slave_iters=10, tau0=0.1, dual_stop_tol=0.0)
+        _, diag = padd_infer(m, c, cfg)
+        assert diag.rounds == [1, 2, 3, 4]
+        assert diag.tau[0] == 0.1
+        assert diag.tau[3] == pytest.approx(0.05, abs=1e-15)
 
 
 class TestPaddConfig:
@@ -69,8 +69,8 @@ class TestPaddConfig:
             {"master_iters": 0},
             {"slave_iters": 0},
             {"tau0": 0.0},
-            {"tau_schedule": "linear"},
-            {"ridge_eps": -1.0},
+            {"slave_tol": 0.0},
+            {"dual_stop_tol": -1.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -131,22 +131,18 @@ class TestAdmmDrSolve:
             admm_dr_solve(np.eye(2), [np.nan, 0.0], [0.5, 0.5])
 
 
-class TestRidgeInversion:
+class TestProxInverse:
     def test_plain_inverse_when_well_conditioned(self):
         S = np.array([[2.0, 0.5], [0.5, 1.5]])
-        G = _invert_with_ridge(S, 1e-8)
-        npt.assert_allclose(G, np.linalg.inv(S), atol=1e-12)
+        G, min_eig = _prox_inverse(S, 1)
+        assert G.tobytes() == _symmetrize(np.linalg.inv(S)).tobytes()
         npt.assert_array_equal(G, G.T)
+        assert min_eig == np.linalg.eigvalsh(S)[0]
 
-    def test_singular_matrix_recovered_by_ridge(self):
+    def test_singular_matrix_raises(self):
         S = np.ones((3, 3))  # rank one
-        G = _invert_with_ridge(S, 1e-8)
-        assert np.isfinite(G).all()
-
-    def test_error_after_escalation_exhausted(self):
-        S = np.ones((3, 3))
-        with pytest.raises(RuntimeError, match="condition"):
-            _invert_with_ridge(S, 0.0)
+        with pytest.raises(RuntimeError, match="round 4 is not positive definite"):
+            _prox_inverse(S, 4)
 
 
 class TestPaddInfer:
@@ -207,13 +203,16 @@ class TestPaddInfer:
         m = random_model(N=25, K=4, seed=10)
         c = random_corpus(N=25, M=50, seed=11)
         diag = PaddDiagnostics()
-        comp, diag = padd_infer(m, c, PaddConfig(master_iters=4), diagnostics=diag)
+        cfg = PaddConfig(master_iters=4)
+        comp, diag = padd_infer(m, c, cfg, diagnostics=diag)
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-6)
         assert comp.W.min() >= 0.0
         assert len(diag.rounds) <= 4
         for field in (diag.tau, diag.constraint_gap, diag.mean_loss,
-                      diag.dual_norm, diag.mean_final_step):
+                      diag.dual_norm, diag.mean_final_step, diag.prox_min_eig):
             assert np.isfinite(field).all()
+        assert diag.tau == [cfg.tau0 / math.sqrt(t) for t in diag.rounds]
+        assert min(diag.prox_min_eig) > 0.0
 
     def test_constraint_gap_not_worse_than_round_one(self):
         rng = np.random.default_rng(12)
@@ -228,29 +227,22 @@ class TestPaddInfer:
         _, diag = padd_infer(model, synth.corpus, PaddConfig(master_iters=8))
         assert diag.constraint_gap[-1] <= diag.constraint_gap[0] + 1e-12
 
-    def test_thread_count_does_not_change_result(self):
-        m = random_model(N=20, K=4, seed=14)
-        c = random_corpus(N=20, M=1200, seed=15, mean_len=25)
-        cfg = PaddConfig(master_iters=3, slave_iters=60)
-        a, _ = padd_infer(m, c, cfg, threads=1)
-        b, _ = padd_infer(m, c, cfg, threads=3)
-        npt.assert_array_equal(a.W, b.W)
-
-    @pytest.mark.parametrize("K, M", [(10, 5200), (7, 7400)])
+    @pytest.mark.parametrize("K, M", [(10, 5200), (7, 7400), (4, 6500)])
     def test_thread_count_does_not_change_result_across_blocks(self, K, M):
-        # both corpora span several slave blocks, the last one partial
+        # every corpus spans several slave blocks, the last one partial
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21)
         cfg = PaddConfig(master_iters=2, slave_iters=20)
         runs = [padd_infer(m, c, cfg, threads=n)[0].W.tobytes() for n in (1, 2, 3)]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    def test_warm_start_variant_runs(self):
-        m = random_model(N=20, K=3, seed=16)
-        c = random_corpus(N=20, M=25, seed=17)
-        cfg = PaddConfig(master_iters=3, warm_start_previous=True)
-        comp, _ = padd_infer(m, c, cfg)
-        npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-6)
+    def test_indefinite_prox_raises_without_warning(self):
+        m = random_model(N=20, K=3, seed=1)
+        c = random_corpus(N=20, M=40, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="positive definite"):
+                padd_infer(m, c, PaddConfig(tau0=1e4, master_iters=6))
 
     def test_diagnostics_tsv(self, tmp_path):
         m = random_model(N=15, K=3, seed=18)
@@ -260,6 +252,6 @@ class TestPaddInfer:
         diag.write_tsv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
-                            "mean_final_step\tdocs_converged")
+                            "mean_final_step\tdocs_converged\tprox_min_eig")
         assert len(lines) == 1 + len(diag.rounds)
         assert lines[1].split("\t")[0] == "1"
