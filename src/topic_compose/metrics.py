@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompositionMatrix
+from .model import CompositionMatrix, write_rows
 
 KL_EPS = 1e-10  # smoothing applied to predictions so KL stays finite
 
@@ -155,8 +155,36 @@ class EvalReport:
         return float(self.per_doc[name].std())
 
 
+def _prominent_masks(X, mass):
+    """Boolean (M, K) mask of each row's prominent topics, as
+    `prominent_topics` finds them, for the rows of X."""
+    K = X.shape[1]
+    order = np.argsort(-X, axis=1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(X, order, axis=1), axis=1)
+    head = np.minimum(np.count_nonzero(csum < mass, axis=1), K - 1)
+    mask = np.empty(X.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(K)[None, :] <= head[:, None], axis=1)
+    return mask
+
+
+def _masked_row_sums(X, mask):
+    """Per-row sums of X over the entries where mask holds, each summed as
+    the compressed 1-D array `X[m][mask[m]]` would be: rows are grouped by
+    their count of entries so every row is reduced in the same order."""
+    sums = np.zeros(X.shape[0])
+    n = np.count_nonzero(mask, axis=1)
+    for size in np.unique(n[n > 0]):
+        rows = np.flatnonzero(n == size)
+        sums[rows] = X[rows][mask[rows]].reshape(rows.size, size).sum(axis=1)
+    return sums
+
+
 def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
     """Compare predicted compositions against the truth, column by column.
+
+    Every metric is computed for all documents at once, on the (M, K)
+    transposes, and equals what the single-document functions above
+    return for each column.
 
     `prior`, if given, is the target second moment used for the
     corpus-level prior_dist number.
@@ -164,22 +192,32 @@ def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
     Wt, Wp = truth.W, pred.W
     if Wt.shape != Wp.shape:
         raise ValueError(f"truth is {Wt.shape}, prediction is {Wp.shape}")
-    M = Wt.shape[1]
-    per_doc = {name: np.empty(M) for name in METRIC_ORDER}
-    for m in range(M):
-        wt, wp = Wt[:, m], Wp[:, m]
-        ts = prominent_topics(wt, prominent_mass)
-        ps = prominent_topics(wp, prominent_mass)
-        p, r, f = set_prf(ts, ps)
-        per_doc["precision"][m] = p
-        per_doc["recall"][m] = r
-        per_doc["f1"][m] = f
-        l1, linf, h, kl = distribution_metrics(wt, wp)
-        per_doc["l1_error"][m] = l1
-        per_doc["linf_error"][m] = linf
-        per_doc["hellinger"][m] = h
-        per_doc["kl"][m] = kl
-        per_doc["nonsupp_mass"][m] = nonsupport_mass(wt, wp, prominent_mass)
+    if not (0.0 < prominent_mass <= 1.0):
+        raise ValueError(f"mass must lie in (0, 1], got {prominent_mass!r}")
+    K = Wt.shape[0]
+    T, P = np.ascontiguousarray(Wt.T), np.ascontiguousarray(Wp.T)
+    ts, ps = _prominent_masks(T, prominent_mass), _prominent_masks(P, prominent_mass)
+    hits = np.count_nonzero(ts & ps, axis=1)
+    precision = hits / np.count_nonzero(ps, axis=1)
+    recall = hits / np.count_nonzero(ts, axis=1)
+    f1 = np.zeros(hits.size)
+    np.divide(2.0 * precision * recall, precision + recall, out=f1, where=hits > 0)
+    D = np.abs(T - P)
+    bc = np.sqrt(T * P).sum(axis=1)
+    Q = (P + KL_EPS) / (1.0 + K * KL_EPS)
+    support = T > 0.0
+    terms = np.zeros(T.shape)
+    terms[support] = T[support] * np.log(T[support] / Q[support])
+    per_doc = {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "l1_error": D.sum(axis=1),
+        "linf_error": D.max(axis=1),
+        "hellinger": np.sqrt(np.maximum(1.0 - bc, 0.0)),
+        "kl": _masked_row_sums(terms, support),
+        "nonsupp_mass": _masked_row_sums(P, ~ts),
+    }
     prior_dist = None if prior is None else prior_distance(prior, pred)
     return EvalReport(per_doc=per_doc, prior_dist=prior_dist,
                       prominent_mass=prominent_mass)
@@ -200,6 +238,5 @@ def write_per_doc_tsv(report, path):
     """One row per document with every metric column, in corpus order."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("doc\t" + "\t".join(METRIC_ORDER) + "\n")
-        for m in range(report.M):
-            vals = "\t".join(f"{report.per_doc[name][m]:.17g}" for name in METRIC_ORDER)
-            fh.write(f"{m + 1}\t{vals}\n")
+        write_rows(fh, "%d" + "\t%.17g" * len(METRIC_ORDER) + "\n",
+                   np.arange(1, report.M + 1), *(report.per_doc[n] for n in METRIC_ORDER))

@@ -6,6 +6,7 @@ Corpora are bags of word counts. Everything is 0-based in memory; the TSV
 formats use 1-based document and word ids.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -18,6 +19,10 @@ SYM_TOL = 1e-10        # tolerance on symmetry of topic-topic matrices
 COMP_SUM_TOL = 1e-6    # looser sum tolerance for inferred composition columns
 
 _FLOAT_FMT = "%.17g"   # round-trips float64 exactly
+# Rows per formatted write: one %-format over a block of rows is several
+# times faster than a write per row, and bounding the block keeps the
+# temporary tuple of Python numbers (and so peak memory) small.
+WRITE_BLOCK = 8192
 
 
 def _clean_nonnegative(X, name):
@@ -249,13 +254,23 @@ def read_dense_tsv(path):
     return X
 
 
+def write_rows(fh, row_fmt, *columns):
+    """Write one line per row of the equal-length 1-D `columns`, formatted
+    by `row_fmt` (one %-field per column, newline included), with one
+    %-format per block of WRITE_BLOCK rows."""
+    total = len(columns[0])
+    for start in range(0, total, WRITE_BLOCK):
+        stop = min(start + WRITE_BLOCK, total)
+        rows = zip(*(c[start:stop].tolist() for c in columns))
+        fh.write((row_fmt * (stop - start)) % tuple(itertools.chain.from_iterable(rows)))
+
+
 def write_corpus_tsv(path, corpus):
     """Write sparse counts: `M<TAB>N<TAB>NNZ` header, then 1-based
     `doc<TAB>word<TAB>count` triplets sorted by document then word."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{corpus.M}\t{corpus.N}\t{corpus.docs.size}\n")
-        body = np.column_stack((corpus.docs + 1, corpus.words + 1, corpus.counts))
-        np.savetxt(fh, body, fmt="%d", delimiter="\t")
+        write_rows(fh, "%d\t%d\t%d\n", corpus.docs + 1, corpus.words + 1, corpus.counts)
 
 
 def read_corpus_tsv(path):

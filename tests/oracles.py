@@ -11,6 +11,14 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sparse
 
+from topic_compose.metrics import (
+    METRIC_ORDER,
+    distribution_metrics,
+    nonsupport_mass,
+    prominent_topics,
+    set_prf,
+)
+
 
 @lru_cache(maxsize=None)
 def _support_masks(K):
@@ -205,3 +213,45 @@ def kl_reference(p, q, eps=1e-10):
         if pk > 0.0:
             total += pk * np.log(pk / ((qk + eps) / (1.0 + K * eps)))
     return total
+
+
+def evaluate_loop_reference(Wt, Wp, prominent_mass=0.8):
+    """Per-document metric arrays from a loop over the columns, calling the
+    single-document metric functions; the form evaluate_compositions took
+    before it was column-batched, kept to check the two agree bit-for-bit."""
+    Wt = np.asarray(Wt, dtype=np.float64)
+    Wp = np.asarray(Wp, dtype=np.float64)
+    M = Wt.shape[1]
+    per_doc = {name: np.empty(M) for name in METRIC_ORDER}
+    for m in range(M):
+        wt, wp = Wt[:, m], Wp[:, m]
+        ts = prominent_topics(wt, prominent_mass)
+        ps = prominent_topics(wp, prominent_mass)
+        p, r, f = set_prf(ts, ps)
+        per_doc["precision"][m] = p
+        per_doc["recall"][m] = r
+        per_doc["f1"][m] = f
+        l1, linf, h, kl = distribution_metrics(wt, wp)
+        per_doc["l1_error"][m] = l1
+        per_doc["linf_error"][m] = linf
+        per_doc["hellinger"][m] = h
+        per_doc["kl"][m] = kl
+        per_doc["nonsupp_mass"][m] = nonsupport_mass(wt, wp, prominent_mass)
+    return per_doc
+
+
+def savetxt_corpus_reference(path, corpus):
+    """The corpus file as np.savetxt wrote it before the block writer."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{corpus.M}\t{corpus.N}\t{corpus.docs.size}\n")
+        body = np.column_stack((corpus.docs + 1, corpus.words + 1, corpus.counts))
+        np.savetxt(fh, body, fmt="%d", delimiter="\t")
+
+
+def per_doc_format_reference(report, path):
+    """per_doc.tsv as the row-by-row f-string writer produced it."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("doc\t" + "\t".join(METRIC_ORDER) + "\n")
+        for m in range(report.M):
+            vals = "\t".join(f"{report.per_doc[name][m]:.17g}" for name in METRIC_ORDER)
+            fh.write(f"{m + 1}\t{vals}\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,13 @@ from topic_compose import (
     write_per_doc_tsv,
     write_report_tsv,
 )
-from oracles import kl_reference, prominent_prefix_oracle
+from oracles import (
+    evaluate_loop_reference,
+    kl_reference,
+    per_doc_format_reference,
+    prominent_prefix_oracle,
+)
+from topic_compose.model import WRITE_BLOCK
 
 
 def random_simplex_pair(rng, K):
@@ -233,3 +240,61 @@ class TestEvaluateCompositions:
         v = r.per_doc["hellinger"]
         assert r.mean("hellinger") == v.mean()
         assert r.std("hellinger") == v.std()
+
+
+def _awkward_columns(rng, K, M, concentration):
+    """Dirichlet columns, then some replaced by one-hot, uniform, tied and
+    zero-padded columns (the cases where sort order and masks matter)."""
+    W = rng.dirichlet(np.full(K, concentration), size=M).T
+    W[:, 0::7] = np.eye(K)[:, rng.integers(0, K, size=W[:, 0::7].shape[1])]
+    W[:, 1::7] = 1.0 / K
+    ties = np.round(W[:, 2::7] * 4.0)
+    ties[0] += 1.0
+    W[:, 2::7] = ties / ties.sum(axis=0)
+    W[: K // 2, 3::7] = 0.0
+    W[-1, 3::7] += 1.0 - W[:, 3::7].sum(axis=0)
+    return CompositionMatrix(W)
+
+
+class TestBatchedMatchesLoop:
+    """evaluate_compositions against the per-document loop it replaced,
+    compared bit-for-bit on every per_doc column."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 25, 60])
+    @pytest.mark.parametrize("mass", [0.05, 0.8, 1.0, "random"])
+    def test_every_column_identical(self, K, mass):
+        rng = np.random.default_rng(K * 1000 + (7 if mass == "random" else int(mass * 100)))
+        if mass == "random":
+            mass = float(rng.uniform(0.01, 1.0))
+        M = 300
+        cases = [
+            (CompositionMatrix(rng.dirichlet(np.ones(K), size=M).T),
+             CompositionMatrix(rng.dirichlet(np.ones(K), size=M).T)),
+            (_awkward_columns(rng, K, M, 0.1), _awkward_columns(rng, K, M, 0.5)),
+            (_awkward_columns(rng, K, M, 0.3), CompositionMatrix(rng.dirichlet(np.full(K, 0.05), size=M).T)),
+        ]
+        assert K == 1 or (cases[1][0].W == 0.0).any()  # KL drops zero truth terms
+        for truth, pred in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = evaluate_compositions(truth, pred, prominent_mass=mass)
+            ref = evaluate_loop_reference(truth.W, pred.W, mass)
+            for name in METRIC_ORDER:
+                assert report.per_doc[name].tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("mass", [0.0, -0.5, 1.5, float("nan")])
+    def test_invalid_mass_rejected(self, mass):
+        W = CompositionMatrix(np.full((3, 4), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="mass"):
+            evaluate_compositions(W, W, prominent_mass=mass)
+
+    def test_per_doc_file_matches_row_writer(self, tmp_path):
+        # more documents than one write block, with a partial last block
+        rng = np.random.default_rng(13)
+        M = WRITE_BLOCK + 123
+        t = CompositionMatrix(rng.dirichlet(np.full(5, 0.3), size=M).T)
+        p = CompositionMatrix(rng.dirichlet(np.full(5, 0.3), size=M).T)
+        report = evaluate_compositions(t, p)
+        write_per_doc_tsv(report, tmp_path / "new.tsv")
+        per_doc_format_reference(report, tmp_path / "ref.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()

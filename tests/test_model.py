@@ -18,6 +18,8 @@ from topic_compose import (
     write_dense_tsv,
 )
 from conftest import random_corpus, random_model
+from oracles import savetxt_corpus_reference
+from topic_compose.model import WRITE_BLOCK
 
 
 class TestTopicModel:
@@ -200,6 +202,21 @@ class TestFileFormats:
         path = tmp_path / "corpus.tsv"
         write_corpus_tsv(path, c)
         assert path.read_text().splitlines()[1] == "1\t1\t2"
+
+    @pytest.mark.parametrize("blocks", [0.5, 2.3])
+    def test_corpus_file_matches_savetxt(self, tmp_path, blocks):
+        # within one write block, and across blocks with a partial last one;
+        # counts reach past 2**32 so wide integers are formatted too
+        rng = np.random.default_rng(11)
+        nnz = int(blocks * WRITE_BLOCK)
+        M, N = nnz // 40, 5_000  # ~40 entries per document, none empty
+        keys = np.unique(rng.integers(0, M * N, size=nnz))
+        c = Corpus(docs=keys // N, words=keys % N,
+                   counts=rng.integers(1, 2**40, size=keys.size), M=M, N=N)
+        assert keys.size % WRITE_BLOCK != 0
+        write_corpus_tsv(tmp_path / "new.tsv", c)
+        savetxt_corpus_reference(tmp_path / "ref.tsv", c)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
     def test_zero_based_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"

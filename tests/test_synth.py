@@ -17,6 +17,8 @@ from topic_compose import (
     synthesize,
     write_corpus_tsv,
 )
+import topic_compose.synth as synth_module
+from topic_compose.parallel import map_chunks
 from conftest import random_model
 from oracles import dirichlet_second_moment
 
@@ -172,15 +174,28 @@ class TestSynthesize:
         assert pa.read_bytes() == pb.read_bytes()
         npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
 
-    def test_threads_do_not_change_output(self):
-        m = random_model(N=20, K=4, seed=27)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(4, 5.0), docs=700,
-                          doc_length=PoissonLength(20.0), seed=28)
-        a = synthesize(m, cfg, threads=1)
-        b = synthesize(m, cfg, threads=4)
-        npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
-        npt.assert_array_equal(a.corpus.counts, b.corpus.counts)
-        npt.assert_array_equal(a.corpus.words, b.corpus.words)
+    def test_threads_do_not_change_output(self, monkeypatch):
+        # below the vocabulary cutoff every thread count runs on the calling
+        # thread; at the cutoff the pool runs several document chunks
+        pool_threads = []
+
+        def spy(total, chunk, fn, threads):
+            pool_threads.append(threads)
+            return map_chunks(total, chunk, fn, threads)
+
+        monkeypatch.setattr(synth_module, "map_chunks", spy)
+        for N, docs in ((20, 700), (synth_module._POOL_MIN_VOCAB, 3 * synth_module._DOC_CHUNK + 50)):
+            m = random_model(N=N, K=4, seed=27)
+            cfg = SynthConfig(prior=DirichletPrior.symmetric(4, 5.0), docs=docs,
+                              doc_length=PoissonLength(20.0), seed=28)
+            pool_threads.clear()
+            a = synthesize(m, cfg, threads=1)
+            b = synthesize(m, cfg, threads=4)
+            assert pool_threads == [1, 1 if N < synth_module._POOL_MIN_VOCAB else 4]
+            npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
+            npt.assert_array_equal(a.corpus.docs, b.corpus.docs)
+            npt.assert_array_equal(a.corpus.counts, b.corpus.counts)
+            npt.assert_array_equal(a.corpus.words, b.corpus.words)
 
     def test_logistic_normal_end_to_end(self):
         m = random_model(N=20, K=4, seed=29)
