@@ -203,7 +203,6 @@ def cmd_infer(args):
             )
         elif args.method == "padd":
             pcfg = PaddConfig(
-                loss_weight=args.gamma,
                 relaxation=args.dr_relaxation,
                 master_iters=args.master_iters,
                 slave_iters=args.slave_iters,
@@ -293,8 +292,6 @@ def build_parser():
     pi.add_argument("--threshold-divisor", type=_any_float, default=4.5,
                     help="tli: scales down the worst-case noise threshold")
     pi.add_argument("--tli-solver", choices=("lp", "pseudoinverse"), default="lp")
-    pi.add_argument("--gamma", type=_any_float, default=3.0,
-                    help="padd: reconstruction loss weight")
     pi.add_argument("--lambda", dest="dr_relaxation", type=_any_float, default=1.9,
                     help="padd: Douglas-Rachford relaxation, in (0, 2)")
     pi.add_argument("--master-iters", type=_positive_int, default=15)

@@ -151,9 +151,10 @@ class Corpus:
     lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        docs = np.asarray(self.docs, dtype=np.int64).ravel()
-        words = np.asarray(self.words, dtype=np.int64).ravel()
-        counts = np.asarray(self.counts, dtype=np.int64).ravel()
+        # copies: the arrays are frozen below, and the caller's stay theirs
+        docs = np.array(self.docs, dtype=np.int64).ravel()
+        words = np.array(self.words, dtype=np.int64).ravel()
+        counts = np.array(self.counts, dtype=np.int64).ravel()
         if not (docs.size == words.size == counts.size):
             raise ValueError("docs, words and counts must have equal lengths")
         if self.M < 1 or self.N < 1:
@@ -166,14 +167,16 @@ class Corpus:
         if (counts < 1).any():
             i = int(np.argmax(counts < 1))
             raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
-        order = np.lexsort((words, docs))
-        docs, words, counts = docs[order], words[order], counts[order]
         key = docs * self.N + words
-        if key.size and (np.diff(key) == 0).any():
-            i = int(np.argmax(np.diff(key) == 0))
-            raise ValueError(
-                f"duplicate entry for document {docs[i]}, word {words[i]}"
-            )
+        if not (np.diff(key) > 0).all():  # sorted input skips the lexsort
+            order = np.lexsort((words, docs))
+            docs, words, counts = docs[order], words[order], counts[order]
+            dup = np.diff(key[order]) == 0
+            if dup.any():
+                i = int(np.argmax(dup))
+                raise ValueError(
+                    f"duplicate entry for document {docs[i]}, word {words[i]}"
+                )
         lengths = np.bincount(docs, weights=counts, minlength=self.M).astype(np.int64)
         if (lengths == 0).any():
             m = int(np.argmax(lengths == 0))

@@ -31,16 +31,15 @@ SLAVE_ENTRIES = 25_600
 class PaddConfig:
     """Solver settings.
 
-    loss_weight scales the reconstruction loss against the dual penalty
-    (and appears inside the prox operator); relaxation is the
-    Douglas-Rachford mixing factor, in (0, 2); tau0 is the dual step size
-    of master round 1, and round t steps tau0 / sqrt(t); slave_tol is the
-    per-document stopping threshold on the infinity norm of successive
-    iterates; dual_stop_tol stops the master early once the dual update
-    becomes negligible.
+    relaxation is the Douglas-Rachford mixing factor, in (0, 2); tau0 is
+    the dual step size of master round 1, and round t steps tau0 / sqrt(t);
+    slave_tol is the per-document stopping threshold on the infinity norm
+    of successive iterates; dual_stop_tol stops the master early once the
+    dual update becomes negligible. The Douglas-Rachford step is not a
+    setting: every round derives it from the spectrum of its slave
+    quadratic.
     """
 
-    loss_weight: float = 3.0
     relaxation: float = 1.9
     master_iters: int = 15
     slave_iters: int = 150
@@ -49,8 +48,6 @@ class PaddConfig:
     dual_stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.loss_weight > 0.0 and math.isfinite(self.loss_weight)):
-            raise ValueError(f"loss_weight must be > 0, got {self.loss_weight!r}")
         if not (0.0 < self.relaxation < 2.0):
             raise ValueError(f"relaxation must lie in (0, 2), got {self.relaxation!r}")
         if self.master_iters < 1:
@@ -106,26 +103,30 @@ def _symmetrize(X):
     return (X + X.T) / 2.0
 
 
-def _prox_inverse(S, round_):
-    """Invert the symmetric prox matrix S of master round `round_`.
+def _prox_inverse(Q, what):
+    """Douglas-Rachford prox operator for the slave quadratic Q.
 
-    S must be positive definite with condition number at most 1e12, or
-    Douglas-Rachford diverges; returns the symmetrized inverse and the
-    smallest eigenvalue of S.
+    Q must be positive definite with condition at most 1e12 for the slave
+    to be strongly convex, or a RuntimeError naming `what` is raised. The
+    step rho = sqrt(lo * hi) over Q's extreme eigenvalues is the classical
+    choice for a strongly convex quadratic (Giselsson & Boyd, IEEE TAC
+    2017). Returns the symmetrized inverse of Q + rho I, rho and lo.
     """
-    eig = np.linalg.eigvalsh(S)
+    eig = np.linalg.eigvalsh(Q)
     lo, hi = float(eig[0]), float(eig[-1])
     if not (lo > 0.0 and hi <= 1e12 * lo):
         raise RuntimeError(
-            f"prox matrix at master round {round_} is not positive definite "
-            f"with condition <= 1e12: eigenvalues span [{lo:.3e}, {hi:.3e}]"
+            f"{what} is not positive definite with condition <= 1e12: "
+            f"eigenvalues span [{lo:.3e}, {hi:.3e}]"
         )
-    return _symmetrize(np.linalg.inv(S)), lo
+    rho = math.sqrt(lo * hi)
+    return _symmetrize(np.linalg.inv(Q + rho * np.eye(Q.shape[0]))), rho, lo
 
 
-def _dr_block(G, F, W0, relaxation, max_iters, tol):
+def _dr_block(P, C, W0, relaxation, max_iters, tol):
     """Relaxed Douglas-Rachford on a block of columns.
 
+    The quadratic's prox step is the affine map p = P (2w - q) + C.
     Iterates the whole block until every column's step falls below tol or
     the cap is reached, but freezes each column's output at its first
     converged iterate so the block result matches column-by-column runs.
@@ -139,7 +140,7 @@ def _dr_block(G, F, W0, relaxation, max_iters, tol):
     final_step = np.zeros(m)
     step = np.zeros(m)
     for _ in range(max_iters):
-        p = G @ (2.0 * w - q + F)
+        p = P @ (2.0 * w - q) + C
         q += relaxation * (p - w)
         w_new = project_simplex_columns(q)
         step = np.abs(w_new - w).max(axis=0)
@@ -157,34 +158,38 @@ def _dr_block(G, F, W0, relaxation, max_iters, tol):
     return out, final_step
 
 
-def admm_dr_solve(G, f, w0, relaxation=1.9, max_iters=150, tol=1e-7):
-    """Solve one document: minimize the quadratic with prox operator G and
-    linear term f over the simplex, starting from w0."""
-    G = np.asarray(G, dtype=np.float64)
+def admm_dr_solve(Q, f, w0, relaxation=1.9, max_iters=150, tol=1e-7):
+    """Solve one document: minimize w^T Q w / 2 - f^T w over the simplex,
+    starting from w0. The Douglas-Rachford step comes from Q's spectrum;
+    raises RuntimeError unless Q is positive definite with condition at
+    most 1e12, the check every PADD master round applies."""
+    Q = np.asarray(Q, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64).ravel()
     w0 = np.asarray(w0, dtype=np.float64).ravel()
     K = f.size
-    if G.shape != (K, K) or w0.size != K:
-        raise ValueError(f"shape mismatch: G {G.shape}, f {f.shape}, w0 {w0.shape}")
+    if Q.shape != (K, K) or w0.size != K:
+        raise ValueError(f"shape mismatch: Q {Q.shape}, f {f.shape}, w0 {w0.shape}")
     if not (0.0 < relaxation < 2.0):
         raise ValueError(f"relaxation must lie in (0, 2), got {relaxation!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not (np.isfinite(G).all() and np.isfinite(f).all() and np.isfinite(w0).all()):
+    if not (np.isfinite(Q).all() and np.isfinite(f).all() and np.isfinite(w0).all()):
         raise ValueError("non-finite input")
-    w, _ = _dr_block(G, f[:, None], w0[:, None], relaxation, max_iters, tol)
+    # only the symmetric part of Q enters the objective
+    G, rho, _ = _prox_inverse(_symmetrize(Q), "Q")
+    w, _ = _dr_block(rho * G, G @ f[:, None], w0[:, None], relaxation, max_iters, tol)
     return w[:, 0]
 
 
-def _solve_slaves(G, F, Winit, config, threads):
-    K, M = F.shape
+def _solve_slaves(P, C, Winit, config, threads):
+    K, M = C.shape
     out = np.empty((K, M))
     steps = np.empty(M)
 
     def run(span):
         s, e = span
         w, fs = _dr_block(
-            G, F[:, s:e], Winit[:, s:e],
+            P, C[:, s:e], Winit[:, s:e],
             config.relaxation, config.slave_iters, config.slave_tol,
         )
         out[:, s:e] = w
@@ -194,27 +199,18 @@ def _solve_slaves(G, F, Winit, config, threads):
     return out, steps
 
 
-def _mean_loss(B, W, Ht, block=2048):
-    """Mean squared reconstruction error ||B w_m - h_m||^2 over documents."""
-    M = W.shape[1]
-    total = 0.0
-    for s in range(0, M, block):
-        e = min(s + block, M)
-        D = B @ W[:, s:e] - Ht[:, s:e].toarray()
-        total += float(np.einsum("ij,ij->", D, D))
-    return total / M
-
-
 def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     """Infer all compositions under the second-moment prior constraint.
 
-    Every master round rebuilds the prox operator from the current dual
-    prices, re-solves each document starting from its previous round's
-    solution (round 1 starts from the posterior estimate), and moves the
-    dual against the gap between A and the solutions' empirical second
-    moment with step tau0 / sqrt(round). Raises RuntimeError when a round's
-    prox matrix is not positive definite. Returns the compositions;
-    per-round numbers go into `diagnostics` if given.
+    Document m's slave problem at dual price Lambda minimizes
+    ||B w - h_m||^2 / 2 + w^T (Lambda / M) w / 2 over the simplex, the
+    quadratic form of Q = B^T B + Lambda / M. Every master round rebuilds
+    the prox operator from Q, re-solves each document starting from its
+    previous round's solution (round 1 starts from the posterior estimate),
+    and moves the dual against the gap between A and the solutions'
+    empirical second moment with step tau0 / sqrt(round). Raises
+    RuntimeError when a round's Q is not positive definite. Returns the
+    compositions; per-round numbers go into `diagnostics` if given.
     """
     config = config or PaddConfig()
     if corpus.N != model.N:
@@ -228,17 +224,20 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
         return CompositionMatrix(np.ones((1, M))), diagnostics
 
     B = model.B
-    F = config.loss_weight * (B.T @ Ht)  # dense (K, M)
+    F = B.T @ Ht  # dense (K, M)
     BtB = B.T @ B
-    eye = np.eye(K)
+    h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
     Lambda = np.zeros((K, K))
 
     for t in range(1, config.master_iters + 1):
-        S = config.loss_weight * (BtB + Lambda / M) + eye
-        G, min_eig = _prox_inverse(S, t)
-        W, steps = _solve_slaves(G, F, W, config, threads)
+        Q = BtB + Lambda / M
+        G, rho, min_eig = _prox_inverse(Q, f"slave quadratic Q at master round {t}")
+        W, steps = _solve_slaves(rho * G, G @ F, W, config, threads)
         if not np.isfinite(W).all():
             raise RuntimeError(f"solver diverged at master round {t}")
+        # mean ||B w_m - h_m||^2, expanded so Ht is never densified
+        loss = (np.einsum("ij,ij->", BtB @ W, W)
+                - 2.0 * np.einsum("ij,ij->", W, F) + h_sq) / M
         moment = _symmetrize(W @ W.T) / M
         gap_mat = model.A - moment
         gap = float(np.linalg.norm(gap_mat))
@@ -248,7 +247,7 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
         if skew > 1e-10:
             raise RuntimeError(f"dual matrix lost symmetry: skew {skew:.3e}")
         diagnostics.append(
-            t, tau, gap, _mean_loss(B, W, Ht),
+            t, tau, gap, loss,
             float(np.linalg.norm(Lambda)), float(steps.mean()),
             np.count_nonzero(steps <= config.slave_tol), min_eig,
         )

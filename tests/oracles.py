@@ -11,6 +11,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sparse
 
+from topic_compose import normalize_corpus
 from topic_compose.metrics import (
     METRIC_ORDER,
     distribution_metrics,
@@ -182,6 +183,15 @@ def grid_min_quadratic(B, h, step):
     obj = ((B @ W - h[:, None]) ** 2).sum(axis=0)
     j = int(np.argmin(obj))
     return W[:, j], float(obj[j])
+
+
+def mean_reconstruction_loss(B, W, corpus):
+    """Mean over documents of ||B w_m - h_m||^2, with h_m the document's
+    word frequencies, formed densely one document at a time."""
+    H = normalize_corpus(corpus).toarray()
+    B = np.asarray(B, dtype=np.float64)
+    return float(np.mean([np.sum((B @ W[:, m] - H[:, m]) ** 2)
+                          for m in range(W.shape[1])]))
 
 
 def prominent_prefix_oracle(w, mass):

@@ -154,7 +154,8 @@ class TestInfer:
 
     @pytest.mark.parametrize("flag", [("--tau-schedule", "constant"),
                                       ("--ridge-eps", "1e-8"),
-                                      ("--warm-start-previous",)])
+                                      ("--warm-start-previous",),
+                                      ("--gamma", "3.0")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -167,6 +168,15 @@ class TestInfer:
                    "--tau0", "1e4", "--master-iters", 6)
         assert code == 1
         assert "positive definite" in capsys.readouterr().err
+
+    def test_padd_indefinite_slave_quadratic_is_runtime_error(
+            self, model_dir, corpus_path, tmp_path, capsys):
+        # Q turns indefinite at round 2 while Q + I stays positive definite
+        code = run("infer", "--method", "padd", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o",
+                   "--tau0", "30", "--master-iters", 6)
+        assert code == 1
+        assert "Q at master round 2 is not positive definite" in capsys.readouterr().err
 
     def test_rand_is_seeded(self, model_dir, corpus_path, tmp_path):
         for name in ("a", "b"):

@@ -85,6 +85,24 @@ class TestCorpus:
         npt.assert_array_equal(c.words, [2, 0, 2])
         npt.assert_array_equal(c.lengths, [1, 6])
 
+    def test_shuffled_input_matches_sorted(self):
+        ref = random_corpus(N=30, M=40, seed=3)
+        perm = np.random.default_rng(4).permutation(ref.docs.size)
+        docs, words, counts = ref.docs[perm], ref.words[perm], ref.counts[perm]
+        c = Corpus(docs=docs, words=words, counts=counts, M=ref.M, N=ref.N)
+        for name in ("docs", "words", "counts", "lengths"):
+            assert getattr(c, name).tobytes() == getattr(ref, name).tobytes()
+        # sorted input is copied, not frozen in the caller's hands
+        sorted_docs = np.array(ref.docs)
+        Corpus(docs=sorted_docs, words=ref.words, counts=ref.counts, M=ref.M, N=ref.N)
+        assert sorted_docs.flags.writeable
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]])
+    def test_duplicate_message_same_sorted_or_not(self, order):
+        docs, words, counts = np.array([0, 1, 1]), np.array([2, 0, 0]), np.array([1, 2, 3])
+        with pytest.raises(ValueError, match="^duplicate entry for document 1, word 0$"):
+            Corpus(docs=docs[order], words=words[order], counts=counts[order], M=2, N=3)
+
     def test_to_sparse_shape(self):
         c = Corpus(docs=[0, 1], words=[3, 1], counts=[2, 5], M=2, N=5)
         H = c.to_sparse()
