@@ -198,13 +198,15 @@ class Corpus:
 
 
 def normalize_corpus(corpus):
-    """Column-normalize the count matrix: word frequencies per document."""
-    H = corpus.to_sparse()
-    inv = sparse.dia_array(
-        (1.0 / corpus.lengths.astype(np.float64)[None, :], [0]),
-        shape=(corpus.M, corpus.M),
-    )
-    return (H @ inv).tocsc()
+    """Column-normalize the count matrix: word frequencies per document.
+
+    A Corpus keeps its entries sorted by document then word, which is CSC
+    order with sorted indices, so the arrays are used as they stand.
+    """
+    indptr = np.zeros(corpus.M + 1, dtype=np.int64)
+    np.cumsum(np.bincount(corpus.docs, minlength=corpus.M), out=indptr[1:])
+    data = corpus.counts * (1.0 / corpus.lengths)[corpus.docs]
+    return sparse.csc_array((data, corpus.words, indptr), shape=(corpus.N, corpus.M))
 
 
 def topic_marginals(model):

@@ -33,11 +33,12 @@ class PaddConfig:
 
     relaxation is the Douglas-Rachford mixing factor, in (0, 2); tau0 is
     the dual step size of master round 1, and round t steps tau0 / sqrt(t);
-    slave_tol is the per-document stopping threshold on the infinity norm
-    of successive iterates; dual_stop_tol stops the master early once the
-    dual update becomes negligible. The Douglas-Rachford step is not a
-    setting: every round derives it from the spectrum of its slave
-    quadratic.
+    slave_tol is the per-document stopping threshold on a Douglas-Rachford
+    step, the larger of the infinity norms of the change in the iterate
+    and of the gap between the prox point and the iterate; dual_stop_tol
+    stops the master early once the dual update becomes negligible. The
+    Douglas-Rachford step is not a setting: every round derives it from
+    the spectrum of its slave quadratic.
     """
 
     relaxation: float = 1.9
@@ -123,39 +124,43 @@ def _prox_inverse(Q, what):
     return _symmetrize(np.linalg.inv(Q + rho * np.eye(Q.shape[0]))), rho, lo
 
 
-def _dr_block(P, C, W0, relaxation, max_iters, tol):
-    """Relaxed Douglas-Rachford on a block of columns.
+def _dr_block(P, C, W0, Q0, relaxation, max_iters, tol):
+    """Relaxed Douglas-Rachford on a block of columns, from the start pair
+    w = W0 (on the simplex) and auxiliary q = Q0.
 
-    The quadratic's prox step is the affine map p = P (2w - q) + C.
+    The quadratic's prox step is the affine map p = P (2w - q) + C. A
+    column's step is the larger of |w_new - w| and |p - w| (infinity
+    norms), so it converges only once the projection and the prox agree.
     Iterates the whole block until every column's step falls below tol or
-    the cap is reached, but freezes each column's output at its first
+    the cap is reached, but freezes each column's w and q at its first
     converged iterate so the block result matches column-by-column runs.
-    Returns (solutions, final step sizes).
+    Returns (w, q, final step sizes).
     """
-    w = project_simplex_columns(W0)  # iterate lives on the simplex
-    q = w.copy()
-    out = w.copy()
+    w, q = W0, Q0.copy()  # q is updated in place
+    out, out_q = w.copy(), q.copy()
     m = w.shape[1]
     done = np.zeros(m, dtype=bool)
     final_step = np.zeros(m)
     step = np.zeros(m)
     for _ in range(max_iters):
-        p = P @ (2.0 * w - q) + C
-        q += relaxation * (p - w)
+        d = P @ (2.0 * w - q) + C - w  # p - w
+        q += relaxation * d
         w_new = project_simplex_columns(q)
-        step = np.abs(w_new - w).max(axis=0)
+        step = np.maximum(np.abs(w_new - w).max(axis=0), np.abs(d).max(axis=0))
         w = w_new
         newly = ~done & (step <= tol)
         if newly.any():
             out[:, newly] = w[:, newly]
+            out_q[:, newly] = q[:, newly]
             final_step[newly] = step[newly]
             done[newly] = True
         if done.all():
-            return out, final_step
+            return out, out_q, final_step
     active = ~done
     out[:, active] = w[:, active]
+    out_q[:, active] = q[:, active]
     final_step[active] = step[active]
-    return out, final_step
+    return out, out_q, final_step
 
 
 def admm_dr_solve(Q, f, w0, relaxation=1.9, max_iters=150, tol=1e-7):
@@ -177,26 +182,25 @@ def admm_dr_solve(Q, f, w0, relaxation=1.9, max_iters=150, tol=1e-7):
         raise ValueError("non-finite input")
     # only the symmetric part of Q enters the objective
     G, rho, _ = _prox_inverse(_symmetrize(Q), "Q")
-    w, _ = _dr_block(rho * G, G @ f[:, None], w0[:, None], relaxation, max_iters, tol)
+    w0 = project_simplex_columns(w0[:, None])
+    w, _, _ = _dr_block(rho * G, G @ f[:, None], w0, w0, relaxation, max_iters, tol)
     return w[:, 0]
 
 
-def _solve_slaves(P, C, Winit, config, threads):
+def _solve_slaves(P, C, W0, Q0, config, threads):
     K, M = C.shape
-    out = np.empty((K, M))
+    out, out_q = np.empty((K, M)), np.empty((K, M))
     steps = np.empty(M)
 
     def run(span):
         s, e = span
-        w, fs = _dr_block(
-            P, C[:, s:e], Winit[:, s:e],
+        out[:, s:e], out_q[:, s:e], steps[s:e] = _dr_block(
+            P, C[:, s:e], W0[:, s:e], Q0[:, s:e],
             config.relaxation, config.slave_iters, config.slave_tol,
         )
-        out[:, s:e] = w
-        steps[s:e] = fs
 
     map_chunks(M, max(1, SLAVE_ENTRIES // K), run, threads)
-    return out, steps
+    return out, out_q, steps
 
 
 def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
@@ -205,12 +209,12 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     Document m's slave problem at dual price Lambda minimizes
     ||B w - h_m||^2 / 2 + w^T (Lambda / M) w / 2 over the simplex, the
     quadratic form of Q = B^T B + Lambda / M. Every master round rebuilds
-    the prox operator from Q, re-solves each document starting from its
-    previous round's solution (round 1 starts from the posterior estimate),
-    and moves the dual against the gap between A and the solutions'
-    empirical second moment with step tau0 / sqrt(round). Raises
-    RuntimeError when a round's Q is not positive definite. Returns the
-    compositions; per-round numbers go into `diagnostics` if given.
+    the prox operator from Q, re-solves each document resuming its
+    previous round's Douglas-Rachford state (round 1 starts from the
+    posterior estimate), and moves the dual against the gap between A and
+    the solutions' empirical second moment with step tau0 / sqrt(round).
+    Raises RuntimeError when a round's Q is not positive definite. Returns
+    the compositions; per-round numbers go into `diagnostics` if given.
     """
     config = config or PaddConfig()
     if corpus.N != model.N:
@@ -219,7 +223,6 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
         diagnostics = PaddDiagnostics()
     K, M = model.K, corpus.M
     Ht = normalize_corpus(corpus)
-    W = word_topic_posterior(model).Bbreve @ Ht
     if K == 1:
         return CompositionMatrix(np.ones((1, M))), diagnostics
 
@@ -228,11 +231,16 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     BtB = B.T @ B
     h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
     Lambda = np.zeros((K, K))
+    W = project_simplex_columns(word_topic_posterior(model).Bbreve @ Ht)
+    Qaux, rho_prev = W, 1.0  # round 1 starts at q = w
 
     for t in range(1, config.master_iters + 1):
         Q = BtB + Lambda / M
         G, rho, min_eig = _prox_inverse(Q, f"slave quadratic Q at master round {t}")
-        W, steps = _solve_slaves(rho * G, G @ F, W, config, threads)
+        # at a fixed point q - w = (F - Qw) / rho; keep that gradient
+        Qaux = W + (rho_prev / rho) * (Qaux - W)
+        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W, Qaux, config, threads)
+        rho_prev = rho
         if not np.isfinite(W).all():
             raise RuntimeError(f"solver diverged at master round {t}")
         # mean ||B w_m - h_m||^2, expanded so Ht is never densified

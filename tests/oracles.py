@@ -265,3 +265,17 @@ def per_doc_format_reference(report, path):
         for m in range(report.M):
             vals = "\t".join(f"{report.per_doc[name][m]:.17g}" for name in METRIC_ORDER)
             fh.write(f"{m + 1}\t{vals}\n")
+
+
+def normalize_corpus_reference(corpus):
+    """Word frequencies per document by the general route: the COO count
+    matrix converted to CSC, times the diagonal of inverse lengths."""
+    H = sparse.csc_array(
+        (corpus.counts.astype(np.float64), (corpus.words, corpus.docs)),
+        shape=(corpus.N, corpus.M),
+    )
+    inv = sparse.dia_array(
+        (1.0 / corpus.lengths.astype(np.float64)[None, :], [0]),
+        shape=(corpus.M, corpus.M),
+    )
+    return (H @ inv).tocsc()

@@ -18,7 +18,7 @@ from topic_compose import (
     write_dense_tsv,
 )
 from conftest import random_corpus, random_model
-from oracles import savetxt_corpus_reference
+from oracles import normalize_corpus_reference, savetxt_corpus_reference
 from topic_compose.model import WRITE_BLOCK
 
 
@@ -131,6 +131,29 @@ class TestNormalizeCorpus:
         H = normalize_corpus(c).toarray()
         npt.assert_allclose(H.sum(axis=0), 1.0, atol=1e-12)
         assert (H >= 0.0).all()
+
+    @staticmethod
+    def _shuffled(seed):
+        ref = random_corpus(N=60, M=80, seed=seed, mean_len=25)
+        perm = np.random.default_rng(seed + 1).permutation(ref.docs.size)
+        return Corpus(docs=ref.docs[perm], words=ref.words[perm],
+                      counts=ref.counts[perm], M=ref.M, N=ref.N)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_corpus(N=500, M=1024, seed=12, mean_len=300),  # bench-sized
+        lambda: TestNormalizeCorpus._shuffled(13),
+        lambda: Corpus(docs=[0, 0, 0], words=[5, 1, 3], counts=[7, 2, 2**40], M=1, N=6),
+    ], ids=["bench-sized", "shuffled-input", "one-document"])
+    def test_matches_reference_construction(self, make):
+        c = make()
+        H = normalize_corpus(c)
+        ref = normalize_corpus_reference(c)
+        ref.sort_indices()
+        assert H.shape == ref.shape
+        npt.assert_array_equal(H.indptr, ref.indptr)
+        npt.assert_array_equal(H.indices, ref.indices)
+        assert H.has_sorted_indices
+        assert H.data.tobytes() == ref.data.tobytes()
 
 
 class TestTopicMarginals:

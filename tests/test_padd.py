@@ -15,6 +15,7 @@ from topic_compose import (
     TopicModel,
     admm_dr_solve,
     padd_infer,
+    project_simplex,
     synthesize,
     word_topic_posterior,
     normalize_corpus,
@@ -116,6 +117,21 @@ class TestAdmmDrSolve:
             f = rng.standard_normal(K)
             w = admm_dr_solve(Q, f, np.full(K, 1.0 / K), max_iters=80)
             assert abs(w.sum() - 1.0) <= 1e-9 and w.min() >= 0.0
+
+    @pytest.mark.parametrize("seed", [5819, 2577])
+    def test_stops_only_where_prox_agrees(self, seed):
+        # on these instances the projection pins w to a face for an
+        # iteration while q still moves; a stop on |w_new - w| alone ends
+        # ~7e-4 away from the optimum
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 6))
+        N = int(rng.integers(K, 9))
+        B = rng.dirichlet(np.full(N, 0.5), size=K).T
+        h = rng.dirichlet(np.full(N, 0.5))
+        Q, f = B.T @ B, B.T @ h
+        w = admm_dr_solve(Q, f, np.full(K, 1.0 / K))
+        kkt = np.abs(w - project_simplex(w - (Q @ w - f))).max()
+        assert kkt <= 1e-6
 
     def test_rejects_singular_quadratic(self):
         with pytest.raises(RuntimeError, match=r"Q is not positive definite"):
@@ -269,8 +285,8 @@ class TestPaddInfer:
 
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
         comp, diag = padd_infer(m, c)
-        # the spectral step takes ~300 projections over 15 rounds here; a
-        # unit step (rho = 1) takes ~1,900
+        # the spectral step with resumed Douglas-Rachford state takes 205
+        # projections over 15 rounds here; a unit step (rho = 1) takes ~1,900
         assert len(diag.rounds) == 15
         assert len(calls) <= 450
         npt.assert_allclose(diag.mean_loss[-1],
@@ -278,6 +294,34 @@ class TestPaddInfer:
                             rtol=1e-10, atol=0.0)
         # round 1 prices nothing, so Q = B^T B
         assert diag.prox_min_eig[0] == np.linalg.eigvalsh(m.B.T @ m.B)[0]
+
+    def test_unchanged_problem_resumes_in_place(self, monkeypatch):
+        # a negligible dual step leaves every round's problem as it was, so
+        # a round that resumes the Douglas-Rachford state stops at once
+        m = random_model(N=200, K=10, seed=3)
+        c = random_corpus(N=200, M=500, seed=4)
+        cfg = dict(tau0=1e-12, dual_stop_tol=0.0)
+        W1 = padd_infer(m, c, PaddConfig(master_iters=1, **cfg))[0].W
+        calls, per_round = [], []
+        project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
+
+        def spy(V):
+            calls.append(V.shape[1])
+            return project(V)
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            out = solve(*args, **kwargs)
+            per_round.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
+        monkeypatch.setattr(padd_module, "_solve_slaves", counted)
+        config = PaddConfig(master_iters=4, **cfg)
+        comp, _ = padd_infer(m, c, config)
+        assert len(per_round) == 4
+        assert max(per_round[1:]) <= 2
+        assert np.abs(comp.W - W1).max() <= 2 * config.slave_tol
 
     def test_diagnostics_tsv(self, tmp_path):
         m = random_model(N=15, K=3, seed=18)
