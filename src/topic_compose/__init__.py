@@ -49,17 +49,9 @@ from .synth import (
 from .metrics import (
     METRIC_ORDER,
     EvalReport,
-    distribution_metrics,
     evaluate_compositions,
-    hellinger,
-    kl_divergence,
-    l1_error,
-    linf_error,
-    nonsupport_mass,
     prior_distance,
-    prominent_topics,
     random_baseline,
-    set_prf,
     write_per_doc_tsv,
     write_report_tsv,
 )

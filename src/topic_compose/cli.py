@@ -192,7 +192,6 @@ def cmd_infer(args):
             tcfg = TliConfig(
                 delta=args.delta,
                 threshold_divisor=args.threshold_divisor,
-                solver=args.tli_solver,
             )
             inverse = tli_compute_inverse(model, tcfg, threads=threads)
             comp = tli_infer(inverse, model, corpus, tcfg)
@@ -291,7 +290,6 @@ def build_parser():
                     help="tli: allowed bias of the left inverse")
     pi.add_argument("--threshold-divisor", type=_any_float, default=4.5,
                     help="tli: scales down the worst-case noise threshold")
-    pi.add_argument("--tli-solver", choices=("lp", "pseudoinverse"), default="lp")
     pi.add_argument("--lambda", dest="dr_relaxation", type=_any_float, default=1.9,
                     help="padd: Douglas-Rachford relaxation, in (0, 2)")
     pi.add_argument("--master-iters", type=_positive_int, default=15)

@@ -18,8 +18,6 @@ import scipy.optimize
 from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 
-LP_SOLVERS = ("lp", "pseudoinverse")
-
 
 @dataclass(frozen=True)
 class TliConfig:
@@ -27,22 +25,17 @@ class TliConfig:
 
     delta bounds the worst-case bias |B_dagger B - I| allowed when
     minimizing the inverse's magnitude; threshold_divisor scales down the
-    worst-case noise level to reach a usable threshold; solver picks how
-    the inverse is computed ("lp" exact row programs, "pseudoinverse"
-    least-squares surrogate).
+    worst-case noise level to reach a usable threshold.
     """
 
     delta: float = 0.0
     threshold_divisor: float = 4.5
-    solver: str = "lp"
 
     def __post_init__(self):
         if not (self.delta >= 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be >= 0, got {self.delta!r}")
         if not (self.threshold_divisor > 0.0 and math.isfinite(self.threshold_divisor)):
             raise ValueError(f"threshold_divisor must be > 0, got {self.threshold_divisor!r}")
-        if self.solver not in LP_SOLVERS:
-            raise ValueError(f"solver must be one of {LP_SOLVERS}, got {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,6 @@ class TliInverse:
     Bdagger: np.ndarray
     delta: float
     magnitude: float
-    solver: str
     bias: float = math.nan
 
     def __post_init__(self):
@@ -127,26 +119,14 @@ def tli_compute_inverse(model, config=None, threads=1):
     Each row is one bounded linear program (see `_row_program`); rows are
     independent, so they are farmed out to the worker pool. Every row's
     magnitude is the optimum, but which optimal row comes back is up to
-    the solver. The "pseudoinverse" solver uses (B^T B)^-1 B^T instead,
-    which is cheaper but has no magnitude guarantee. Either way the
-    achieved bias max|Bdagger B - I| must be within delta (to 1e-6).
+    the solver. The achieved bias max|Bdagger B - I| must be within delta
+    (to 1e-6).
     """
     config = config or TliConfig()
     B = model.B
     N, K = B.shape
     delta = config.delta
-    if config.solver == "pseudoinverse":
-        BtB = B.T @ B
-        try:
-            Bd = np.linalg.solve(BtB, B.T)
-        except np.linalg.LinAlgError:
-            raise RuntimeError(
-                f"B^T B is singular (condition {np.linalg.cond(BtB):.3e}); "
-                "the pseudoinverse left inverse does not exist"
-            ) from None
-        if not np.isfinite(Bd).all():
-            raise RuntimeError("pseudoinverse produced non-finite entries")
-    elif delta >= 1.0:
+    if delta >= 1.0:
         # b = 0 already meets the bias budget (and the rescaled program is unbounded)
         Bd = np.zeros((K, N))
     else:
@@ -165,14 +145,13 @@ def tli_compute_inverse(model, config=None, threads=1):
     if bias > delta + 1e-6:
         k = int(residual.max(axis=1).argmax())
         raise RuntimeError(
-            f"{config.solver} left inverse has bias {bias:.9g} on topic {k}, "
+            f"left inverse has bias {bias:.9g} on topic {k}, "
             f"above delta={delta} + 1e-6; B is too ill-conditioned"
         )
     return TliInverse(
         Bdagger=Bd,
         delta=delta,
         magnitude=float(np.abs(Bd).max()),
-        solver=config.solver,
         bias=bias,
     )
 

@@ -6,7 +6,6 @@ the full distributions; corpus-level metrics check consistency with the
 prior's second moment.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,70 +24,6 @@ METRIC_ORDER = (
     "kl",
     "nonsupp_mass",
 )
-
-
-def prominent_topics(w, mass=0.8):
-    """Indices of the smallest prefix of topics, sorted by decreasing
-    weight (ties broken by index), whose cumulative weight reaches `mass`.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("expected a nonempty vector")
-    if not (0.0 < mass <= 1.0):
-        raise ValueError(f"mass must lie in (0, 1], got {mass!r}")
-    order = np.argsort(-w, kind="stable")
-    csum = np.cumsum(w[order])
-    # first index whose cumulative sum reaches the mass; rounding may keep
-    # the total just under it, in which case all topics are prominent
-    head = min(int(np.searchsorted(csum, mass, side="left")), w.size - 1)
-    return set(int(k) for k in order[: head + 1])
-
-
-def set_prf(truth, pred):
-    """Precision, recall and F1 of a predicted topic set against the truth."""
-    truth, pred = set(truth), set(pred)
-    if not truth:
-        raise ValueError("truth set must be nonempty")
-    hits = len(truth & pred)
-    precision = hits / len(pred) if pred else 0.0
-    recall = hits / len(truth)
-    f1 = 0.0 if hits == 0 else 2.0 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def l1_error(wt, wp):
-    return float(np.abs(wt - wp).sum())
-
-
-def linf_error(wt, wp):
-    return float(np.abs(wt - wp).max())
-
-
-def hellinger(wt, wp):
-    bc = float(np.sqrt(wt * wp).sum())
-    return math.sqrt(max(1.0 - bc, 0.0))
-
-
-def kl_divergence(wt, wp):
-    """KL(truth || smoothed prediction); zero-weight truth terms drop out."""
-    K = wt.size
-    q = (wp + KL_EPS) / (1.0 + K * KL_EPS)
-    mask = wt > 0.0
-    return float(np.sum(wt[mask] * np.log(wt[mask] / q[mask])))
-
-
-def distribution_metrics(wt, wp):
-    """(l1, linf, hellinger, kl) between a truth and a predicted composition."""
-    wt = np.asarray(wt, dtype=np.float64)
-    wp = np.asarray(wp, dtype=np.float64)
-    return l1_error(wt, wp), linf_error(wt, wp), hellinger(wt, wp), kl_divergence(wt, wp)
-
-
-def nonsupport_mass(wt, wp, mass=0.8):
-    """Predicted weight landing outside the truth's prominent topic set."""
-    keep = np.ones(wt.size, dtype=bool)
-    keep[list(prominent_topics(wt, mass))] = False
-    return float(wp[keep].sum())
 
 
 def prior_distance(A0, comp):
@@ -156,8 +91,9 @@ class EvalReport:
 
 
 def _prominent_masks(X, mass):
-    """Boolean (M, K) mask of each row's prominent topics, as
-    `prominent_topics` finds them, for the rows of X."""
+    """Boolean (M, K) mask of each row's prominent topics (the smallest
+    head of the row sorted by decreasing weight, ties broken by index,
+    whose cumulative weight reaches `mass`), for the rows of X."""
     K = X.shape[1]
     order = np.argsort(-X, axis=1, kind="stable")
     csum = np.cumsum(np.take_along_axis(X, order, axis=1), axis=1)
@@ -183,8 +119,7 @@ def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
     """Compare predicted compositions against the truth, column by column.
 
     Every metric is computed for all documents at once, on the (M, K)
-    transposes, and equals what the single-document functions above
-    return for each column.
+    transposes.
 
     `prior`, if given, is the target second moment used for the
     corpus-level prior_dist number.

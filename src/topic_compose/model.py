@@ -140,7 +140,8 @@ class Corpus:
 
     Stored as parallel (docs, words, counts) arrays sorted by document
     then word, with at most one entry per (document, word) pair. Every
-    document must contain at least one word.
+    document must contain at least one word. Document m's entries are
+    indptr[m]:indptr[m + 1], the CSC column pointer of the count matrix.
     """
 
     docs: np.ndarray
@@ -149,6 +150,7 @@ class Corpus:
     M: int
     N: int
     lengths: np.ndarray = field(init=False)
+    indptr: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # copies: the arrays are frozen below, and the caller's stay theirs
@@ -177,24 +179,23 @@ class Corpus:
                 raise ValueError(
                     f"duplicate entry for document {docs[i]}, word {words[i]}"
                 )
-        lengths = np.bincount(docs, weights=counts, minlength=self.M).astype(np.int64)
-        if (lengths == 0).any():
-            m = int(np.argmax(lengths == 0))
-            raise ValueError(f"document {m} is empty")
-        for arr in (docs, words, counts, lengths):
+        indptr = np.searchsorted(docs, np.arange(self.M + 1))
+        empty = indptr[:-1] == indptr[1:]
+        if empty.any():
+            raise ValueError(f"document {int(np.argmax(empty))} is empty")
+        lengths = np.add.reduceat(counts, indptr[:-1])
+        for arr in (docs, words, counts, lengths, indptr):
             arr.setflags(write=False)
         object.__setattr__(self, "docs", docs)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "indptr", indptr)
 
     def to_sparse(self):
         """Word-document count matrix (N x M) in CSC form."""
-        H = sparse.csc_array(
-            (self.counts.astype(np.float64), (self.words, self.docs)),
-            shape=(self.N, self.M),
-        )
-        return H
+        return sparse.csc_array((self.counts.astype(np.float64), self.words, self.indptr),
+                                shape=(self.N, self.M))
 
 
 def normalize_corpus(corpus):
@@ -203,10 +204,9 @@ def normalize_corpus(corpus):
     A Corpus keeps its entries sorted by document then word, which is CSC
     order with sorted indices, so the arrays are used as they stand.
     """
-    indptr = np.zeros(corpus.M + 1, dtype=np.int64)
-    np.cumsum(np.bincount(corpus.docs, minlength=corpus.M), out=indptr[1:])
-    data = corpus.counts * (1.0 / corpus.lengths)[corpus.docs]
-    return sparse.csc_array((data, corpus.words, indptr), shape=(corpus.N, corpus.M))
+    data = corpus.counts * np.repeat(1.0 / corpus.lengths, np.diff(corpus.indptr))
+    return sparse.csc_array((data, corpus.words, corpus.indptr),
+                            shape=(corpus.N, corpus.M))
 
 
 def topic_marginals(model):

@@ -20,10 +20,11 @@ from .simplex import project_simplex_columns
 
 # Documents are solved in column blocks of a fixed number of entries, so
 # block boundaries depend only on K and M and results do not depend on the
-# worker count. Each Douglas-Rachford iteration makes ~20 NumPy calls per
-# block; 25,600 entries (512 documents at K=50, 2,560 at K=10) give every
-# call enough work with the GIL released to outweigh handing it between
-# threads, which smaller blocks at small K do not.
+# worker count. Each Douglas-Rachford iteration makes about 40 NumPy calls
+# per block, plus one per topic for the projection's prefix sums; 25,600
+# entries (512 documents at K=50, 2,560 at K=10) give every call enough
+# work with the GIL released to outweigh handing it between threads, which
+# smaller blocks at small K do not.
 SLAVE_ENTRIES = 25_600
 
 
@@ -124,7 +125,7 @@ def _prox_inverse(Q, what):
     return _symmetrize(np.linalg.inv(Q + rho * np.eye(Q.shape[0]))), rho, lo
 
 
-def _dr_block(P, C, W0, Q0, relaxation, max_iters, tol):
+def _dr_block(P, C, W0, Q0, order, relaxation, max_iters, tol):
     """Relaxed Douglas-Rachford on a block of columns, from the start pair
     w = W0 (on the simplex) and auxiliary q = Q0.
 
@@ -134,32 +135,41 @@ def _dr_block(P, C, W0, Q0, relaxation, max_iters, tol):
     Iterates the whole block until every column's step falls below tol or
     the cap is reached, but freezes each column's w and q at its first
     converged iterate so the block result matches column-by-column runs.
-    Returns (w, q, final step sizes).
+    `order` holds each column's sort order for the projection and is
+    updated in place. Returns (w, q, final step sizes).
     """
     w, q = W0, Q0.copy()  # q is updated in place
     out, out_q = w.copy(), q.copy()
     m = w.shape[1]
+    work = np.empty_like(q)  # holds 2w - q, then relaxation * d, then |w_new - w|
     done = np.zeros(m, dtype=bool)
+    converged = 0
     final_step = np.zeros(m)
     step = np.zeros(m)
     for _ in range(max_iters):
-        d = P @ (2.0 * w - q) + C - w  # p - w
-        q += relaxation * d
-        w_new = project_simplex_columns(q)
-        step = np.maximum(np.abs(w_new - w).max(axis=0), np.abs(d).max(axis=0))
+        np.subtract(np.multiply(w, 2.0, out=work), q, out=work)
+        d = P @ work
+        d += C
+        d -= w  # p - w
+        q += np.multiply(d, relaxation, out=work)
+        w_new = project_simplex_columns(q, order=order)
+        np.abs(np.subtract(w_new, w, out=work), out=work)
+        step = np.maximum(work.max(axis=0), np.abs(d, out=d).max(axis=0))
         w = w_new
         newly = ~done & (step <= tol)
-        if newly.any():
-            out[:, newly] = w[:, newly]
-            out_q[:, newly] = q[:, newly]
-            final_step[newly] = step[newly]
-            done[newly] = True
-        if done.all():
-            return out, out_q, final_step
+        count = np.count_nonzero(newly)
+        if count:
+            np.copyto(out, w, where=newly)
+            np.copyto(out_q, q, where=newly)
+            np.copyto(final_step, step, where=newly)
+            done |= newly
+            converged += count
+            if converged == m:
+                return out, out_q, final_step
     active = ~done
-    out[:, active] = w[:, active]
-    out_q[:, active] = q[:, active]
-    final_step[active] = step[active]
+    np.copyto(out, w, where=active)
+    np.copyto(out_q, q, where=active)
+    np.copyto(final_step, step, where=active)
     return out, out_q, final_step
 
 
@@ -182,12 +192,14 @@ def admm_dr_solve(Q, f, w0, relaxation=1.9, max_iters=150, tol=1e-7):
         raise ValueError("non-finite input")
     # only the symmetric part of Q enters the objective
     G, rho, _ = _prox_inverse(_symmetrize(Q), "Q")
-    w0 = project_simplex_columns(w0[:, None])
-    w, _, _ = _dr_block(rho * G, G @ f[:, None], w0, w0, relaxation, max_iters, tol)
+    order = np.arange(K)[:, None]
+    w0 = project_simplex_columns(w0[:, None], order=order)
+    w, _, _ = _dr_block(rho * G, G @ f[:, None], w0, w0, order,
+                        relaxation, max_iters, tol)
     return w[:, 0]
 
 
-def _solve_slaves(P, C, W0, Q0, config, threads):
+def _solve_slaves(P, C, W0, Q0, order, config, threads):
     K, M = C.shape
     out, out_q = np.empty((K, M)), np.empty((K, M))
     steps = np.empty(M)
@@ -195,7 +207,7 @@ def _solve_slaves(P, C, W0, Q0, config, threads):
     def run(span):
         s, e = span
         out[:, s:e], out_q[:, s:e], steps[s:e] = _dr_block(
-            P, C[:, s:e], W0[:, s:e], Q0[:, s:e],
+            P, C[:, s:e], W0[:, s:e], Q0[:, s:e], order[:, s:e],
             config.relaxation, config.slave_iters, config.slave_tol,
         )
 
@@ -231,7 +243,9 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     BtB = B.T @ B
     h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
     Lambda = np.zeros((K, K))
-    W = project_simplex_columns(word_topic_posterior(model).Bbreve @ Ht)
+    # each column's sort order, carried from projection to projection
+    order = np.repeat(np.arange(K)[:, None], M, axis=1)
+    W = project_simplex_columns(word_topic_posterior(model).Bbreve @ Ht, order=order)
     Qaux, rho_prev = W, 1.0  # round 1 starts at q = w
 
     for t in range(1, config.master_iters + 1):
@@ -239,7 +253,7 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
         G, rho, min_eig = _prox_inverse(Q, f"slave quadratic Q at master round {t}")
         # at a fixed point q - w = (F - Qw) / rho; keep that gradient
         Qaux = W + (rho_prev / rho) * (Qaux - W)
-        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W, Qaux, config, threads)
+        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W, Qaux, order, config, threads)
         rho_prev = rho
         if not np.isfinite(W).all():
             raise RuntimeError(f"solver diverged at master round {t}")

@@ -5,6 +5,7 @@ checked against them on small instances.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -12,13 +13,7 @@ import scipy.optimize
 import scipy.sparse as sparse
 
 from topic_compose import normalize_corpus
-from topic_compose.metrics import (
-    METRIC_ORDER,
-    distribution_metrics,
-    nonsupport_mass,
-    prominent_topics,
-    set_prf,
-)
+from topic_compose.metrics import KL_EPS, METRIC_ORDER
 
 
 @lru_cache(maxsize=None)
@@ -223,6 +218,74 @@ def kl_reference(p, q, eps=1e-10):
         if pk > 0.0:
             total += pk * np.log(pk / ((qk + eps) / (1.0 + K * eps)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# single-document metrics: the definitions evaluate_compositions batches
+
+
+def prominent_topics(w, mass=0.8):
+    """Indices of the smallest prefix of topics, sorted by decreasing
+    weight (ties broken by index), whose cumulative weight reaches `mass`.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("expected a nonempty vector")
+    if not (0.0 < mass <= 1.0):
+        raise ValueError(f"mass must lie in (0, 1], got {mass!r}")
+    order = np.argsort(-w, kind="stable")
+    csum = np.cumsum(w[order])
+    # first index whose cumulative sum reaches the mass; rounding may keep
+    # the total just under it, in which case all topics are prominent
+    head = min(int(np.searchsorted(csum, mass, side="left")), w.size - 1)
+    return set(int(k) for k in order[: head + 1])
+
+
+def set_prf(truth, pred):
+    """Precision, recall and F1 of a predicted topic set against the truth."""
+    truth, pred = set(truth), set(pred)
+    if not truth:
+        raise ValueError("truth set must be nonempty")
+    hits = len(truth & pred)
+    precision = hits / len(pred) if pred else 0.0
+    recall = hits / len(truth)
+    f1 = 0.0 if hits == 0 else 2.0 * precision * recall / (precision + recall)
+    return precision, recall, f1
+
+
+def l1_error(wt, wp):
+    return float(np.abs(wt - wp).sum())
+
+
+def linf_error(wt, wp):
+    return float(np.abs(wt - wp).max())
+
+
+def hellinger(wt, wp):
+    bc = float(np.sqrt(wt * wp).sum())
+    return math.sqrt(max(1.0 - bc, 0.0))
+
+
+def kl_divergence(wt, wp):
+    """KL(truth || smoothed prediction); zero-weight truth terms drop out."""
+    K = wt.size
+    q = (wp + KL_EPS) / (1.0 + K * KL_EPS)
+    mask = wt > 0.0
+    return float(np.sum(wt[mask] * np.log(wt[mask] / q[mask])))
+
+
+def distribution_metrics(wt, wp):
+    """(l1, linf, hellinger, kl) between a truth and a predicted composition."""
+    wt = np.asarray(wt, dtype=np.float64)
+    wp = np.asarray(wp, dtype=np.float64)
+    return l1_error(wt, wp), linf_error(wt, wp), hellinger(wt, wp), kl_divergence(wt, wp)
+
+
+def nonsupport_mass(wt, wp, mass=0.8):
+    """Predicted weight landing outside the truth's prominent topic set."""
+    keep = np.ones(wt.size, dtype=bool)
+    keep[list(prominent_topics(wt, mass))] = False
+    return float(wp[keep].sum())
 
 
 def evaluate_loop_reference(Wt, Wp, prominent_mass=0.8):

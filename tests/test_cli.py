@@ -161,6 +161,10 @@ class TestInfer:
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", tmp_path / "o", *flag) == 2
 
+    def test_tli_removed_solver_flag_is_usage_error(self, model_dir, corpus_path, tmp_path):
+        assert run("infer", "--method", "tli", "--model", model_dir, "--corpus", corpus_path,
+                   "--out", tmp_path / "o", "--tli-solver", "lp") == 2
+
     def test_padd_indefinite_prox_is_runtime_error(self, model_dir, corpus_path,
                                                    tmp_path, capsys):
         code = run("infer", "--method", "padd", "--model", model_dir,

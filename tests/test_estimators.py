@@ -144,22 +144,14 @@ class TestTliInverse:
         b = tli_compute_inverse(m, TliConfig(), threads=4)
         npt.assert_array_equal(a.Bdagger, b.Bdagger)
 
-    def test_pseudoinverse_mode(self):
+    def test_lp_magnitude_at_most_least_squares_inverse(self):
         B = stochastic_matrix(20, 4, seed=3)
         m = TopicModel(B=B, A=np.eye(4) / 4)
-        inv = tli_compute_inverse(m, TliConfig(solver="pseudoinverse"))
-        assert inv.solver == "pseudoinverse"
-        npt.assert_allclose(inv.Bdagger @ B, np.eye(4), atol=1e-8)
-        # exact unbiased inverse can never have a smaller max entry than the LP
-        lp = tli_compute_inverse(m, TliConfig(solver="lp"))
-        assert inv.magnitude >= lp.magnitude - 1e-9
-
-    def test_pseudoinverse_rank_deficient_errors(self):
-        col = stochastic_matrix(6, 1, seed=4)
-        B = np.hstack([col, col])
-        m = TopicModel(B=B, A=np.eye(2) / 2)
-        with pytest.raises(RuntimeError):
-            tli_compute_inverse(m, TliConfig(solver="pseudoinverse"))
+        ls = np.linalg.solve(B.T @ B, B.T)  # (B^T B)^-1 B^T, also unbiased
+        npt.assert_allclose(ls @ B, np.eye(4), atol=1e-8)
+        # an exact unbiased inverse can never have a smaller max entry than the LP
+        lp = tli_compute_inverse(m, TliConfig())
+        assert np.abs(ls).max() >= lp.magnitude - 1e-9
 
 
 class TestTliConfig:
@@ -168,8 +160,9 @@ class TestTliConfig:
             TliConfig(delta=-0.1)
         with pytest.raises(ValueError, match="divisor"):
             TliConfig(threshold_divisor=0.0)
-        with pytest.raises(ValueError, match="solver"):
-            TliConfig(solver="qr")
+        # the left inverse is always the LP; there is no solver to pick
+        with pytest.raises(TypeError, match="solver"):
+            TliConfig(solver="lp")
 
 
 class TestTliInfer:
@@ -225,7 +218,7 @@ class TestTliInfer:
 
         m = identity_model(2)
         Bd = np.array([[1.05, 0.0], [0.0, -0.05]])
-        inv = TliInverse(Bdagger=Bd, delta=0.0, magnitude=1.05, solver="lp")
+        inv = TliInverse(Bdagger=Bd, delta=0.0, magnitude=1.05)
         c = Corpus(docs=[0, 0], words=[0, 1], counts=[999, 1], M=1, N=2)
         W = tli_infer(inv, m, c, TliConfig()).W
         assert W[1, 0] == 0.0 and W[0, 0] == 1.0

@@ -8,22 +8,22 @@ import pytest
 from topic_compose import (
     METRIC_ORDER,
     CompositionMatrix,
-    distribution_metrics,
     evaluate_compositions,
-    hellinger,
-    nonsupport_mass,
     prior_distance,
-    prominent_topics,
     random_baseline,
-    set_prf,
     write_per_doc_tsv,
     write_report_tsv,
 )
 from oracles import (
+    distribution_metrics,
     evaluate_loop_reference,
+    hellinger,
     kl_reference,
+    nonsupport_mass,
     per_doc_format_reference,
     prominent_prefix_oracle,
+    prominent_topics,
+    set_prf,
 )
 from topic_compose.model import WRITE_BLOCK
 

@@ -21,6 +21,7 @@ from topic_compose import (
     normalize_corpus,
 )
 import topic_compose.padd as padd_module
+import topic_compose.simplex as simplex_module
 from topic_compose.padd import _prox_inverse, _symmetrize
 from conftest import random_corpus, random_model
 from oracles import grid_min_quadratic, mean_reconstruction_loss
@@ -279,9 +280,9 @@ class TestPaddInfer:
         calls = []
         project = padd_module.project_simplex_columns
 
-        def spy(V):
+        def spy(V, **kwargs):
             calls.append(V.shape[1])
-            return project(V)
+            return project(V, **kwargs)
 
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
         comp, diag = padd_infer(m, c)
@@ -305,9 +306,9 @@ class TestPaddInfer:
         calls, per_round = [], []
         project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
 
-        def spy(V):
+        def spy(V, **kwargs):
             calls.append(V.shape[1])
-            return project(V)
+            return project(V, **kwargs)
 
         def counted(*args, **kwargs):
             before = len(calls)
@@ -322,6 +323,32 @@ class TestPaddInfer:
         assert len(per_round) == 4
         assert max(per_round[1:]) <= 2
         assert np.abs(comp.W - W1).max() <= 2 * config.slave_tol
+
+    def test_sort_orders_carry_across_rounds(self, monkeypatch):
+        # every round starts its projections from the sort orders the
+        # previous round left, so only columns whose order changed are
+        # sorted again; a round from a fresh order re-sorts about all 500
+        m = random_model(N=200, K=10, seed=3)
+        c = random_corpus(N=200, M=500, seed=4)
+        resorted, per_round = [], []
+        argsort, solve = np.argsort, padd_module._solve_slaves
+
+        def spy(a, *args, **kwargs):
+            resorted.append(a.shape[1])
+            return argsort(a, *args, **kwargs)
+
+        def counted(*args, **kwargs):
+            before = sum(resorted)
+            out = solve(*args, **kwargs)
+            per_round.append(sum(resorted) - before)
+            return out
+
+        monkeypatch.setattr(simplex_module.np, "argsort", spy)
+        monkeypatch.setattr(padd_module, "_solve_slaves", counted)
+        _, diag = padd_infer(m, c)
+        assert len(per_round) == len(diag.rounds) == 15
+        assert per_round[0] > 0
+        assert max(per_round[1:]) < 100
 
     def test_diagnostics_tsv(self, tmp_path):
         m = random_model(N=15, K=3, seed=18)

@@ -84,13 +84,40 @@ class TestProperties:
         npt.assert_allclose(w, [1 / 3] * 3, atol=1e-15)
 
 
+def stale_orders(V, seed=0):
+    """Sort orders a caller may hand over: identity, reversed, a random
+    permutation per column, and the exact descending order."""
+    K, M = V.shape
+    rng = np.random.default_rng(seed)
+    rows = np.arange(K)[:, None]
+    return {
+        "identity": np.repeat(rows, M, axis=1),
+        "reversed": np.repeat(rows[::-1], M, axis=1),
+        "random": rng.permuted(np.repeat(rows, M, axis=1), axis=0),
+        "exact": np.argsort(-V, axis=0, kind="stable"),
+    }
+
+
+def assert_descending_permutation(V, order):
+    K = V.shape[0]
+    assert (np.sort(order, axis=0) == np.arange(K)[:, None]).all()
+    U = np.take_along_axis(V, order, axis=0)
+    assert (U[:-1] >= U[1:]).all()
+
+
 class TestMatchesArgsortReference:
     """The plain sort must give the same bytes as a stable argsort plus
-    gather: tied entries are equal, so the sorted values are too."""
+    gather: tied entries are equal, so the sorted values are too. So must
+    a call that starts from any stale sort order, and the order it leaves
+    behind must sort every column descending."""
 
     @staticmethod
     def assert_same_bytes(V):
-        assert project_simplex_columns(V).tobytes() == simplex_argsort_reference(V).tobytes()
+        ref = simplex_argsort_reference(V).tobytes()
+        assert project_simplex_columns(V).tobytes() == ref
+        for name, order in stale_orders(V).items():
+            assert project_simplex_columns(V, order=order).tobytes() == ref, name
+            assert_descending_permutation(V, order)
 
     @pytest.mark.parametrize("K", [2, 10, 50, 200])
     def test_random(self, K):
@@ -116,3 +143,58 @@ class TestMatchesArgsortReference:
         V[:, 0] = -0.0
         V[:, 1] = 0.0
         self.assert_same_bytes(V)
+
+
+class TestOrderArgument:
+    @pytest.mark.parametrize("K", [2, 10, 50])
+    def test_column_slice_of_wider_order(self, K):
+        # PADD hands each block its column slice of one request-wide order
+        rng = np.random.default_rng(19 + K)
+        V = rng.uniform(-3.0, 3.0, size=(K, 120))
+        wide = stale_orders(rng.uniform(size=(K, 300)), seed=K)["random"]
+        before = wide.copy()
+        view = wide[:, 100:220]
+        W = project_simplex_columns(V, order=view)
+        assert W.tobytes() == simplex_argsort_reference(V).tobytes()
+        assert_descending_permutation(V, wide[:, 100:220])
+        npt.assert_array_equal(wide[:, :100], before[:, :100])
+        npt.assert_array_equal(wide[:, 220:], before[:, 220:])
+
+    def test_repeat_call_keeps_exact_order(self):
+        rng = np.random.default_rng(20)
+        V = rng.uniform(-3.0, 3.0, size=(10, 200))
+        order = stale_orders(V)["reversed"]
+        first = project_simplex_columns(V, order=order)
+        kept = order.copy()
+        assert project_simplex_columns(V, order=order).tobytes() == first.tobytes()
+        npt.assert_array_equal(order, kept)
+
+    def test_repeated_row_index_sorted_again(self):
+        V = np.array([[5.0], [1.0]])
+        order = np.array([[0], [0]])
+        W = project_simplex_columns(V, order=order)
+        assert W.tobytes() == simplex_argsort_reference(V).tobytes()
+        assert_descending_permutation(V, order)
+
+    def test_any_index_array_in_range_gives_reference_bytes(self):
+        rng = np.random.default_rng(22)
+        K, M = 6, 400
+        V = rng.uniform(-3.0, 3.0, size=(K, M))
+        order = rng.integers(-K, K, size=(K, M))  # repeats and negatives
+        order[:, :50] = np.argsort(-V[:, :50], axis=0) - K  # exact, wrapped
+        W = project_simplex_columns(V, order=order)
+        assert W.tobytes() == simplex_argsort_reference(V).tobytes()
+        assert_descending_permutation(V, order % K)
+
+    @pytest.mark.parametrize("bad", [2, -3])
+    def test_index_out_of_range_rejected(self, bad):
+        V = np.array([[5.0, 2.0], [1.0, 3.0]])
+        order = np.array([[0, 1], [1, bad]])
+        with pytest.raises(IndexError):
+            project_simplex_columns(V, order=order)
+
+    @pytest.mark.parametrize("shape", [(4, 11), (3, 10), (4, 10, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        V = np.random.default_rng(21).uniform(size=(4, 10))
+        with pytest.raises(ValueError, match="order has shape"):
+            project_simplex_columns(V, order=np.zeros(shape, dtype=np.intp))
