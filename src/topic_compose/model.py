@@ -166,11 +166,11 @@ class Corpus:
                 raise ValueError(f"document index out of range [0, {self.M})")
             if words.min() < 0 or words.max() >= self.N:
                 raise ValueError(f"word index out of range [0, {self.N})")
-        if (counts < 1).any():
-            i = int(np.argmax(counts < 1))
-            raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
+            if counts.min() < 1:
+                i = int(np.argmax(counts < 1))
+                raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
         key = docs * self.N + words
-        if not (np.diff(key) > 0).all():  # sorted input skips the lexsort
+        if not (key[1:] > key[:-1]).all():  # sorted input skips the lexsort
             order = np.lexsort((words, docs))
             docs, words, counts = docs[order], words[order], counts[order]
             dup = np.diff(key[order]) == 0

@@ -127,7 +127,8 @@ def _prox_inverse(Q, what):
 
 def _dr_block(P, C, W0, Q0, order, relaxation, max_iters, tol):
     """Relaxed Douglas-Rachford on a block of columns, from the start pair
-    w = W0 (on the simplex) and auxiliary q = Q0.
+    w = W0 and auxiliary q = Q0. W0 need not lie on the simplex: it enters
+    only the first prox point and step, and every returned w is projected.
 
     The quadratic's prox step is the affine map p = P (2w - q) + C. A
     column's step is the larger of |w_new - w| and |p - w| (infinity
@@ -225,6 +226,8 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     previous round's Douglas-Rachford state (round 1 starts from the
     posterior estimate), and moves the dual against the gap between A and
     the solutions' empirical second moment with step tau0 / sqrt(round).
+    From round 3 on that state is first extrapolated along the path by
+    the last round's change times the ratio of the last two dual moves.
     Raises RuntimeError when a round's Q is not positive definite. Returns
     the compositions; per-round numbers go into `diagnostics` if given.
     """
@@ -247,13 +250,22 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
     W = project_simplex_columns(word_topic_posterior(model).Bbreve @ Ht, order=order)
     Qaux, rho_prev = W, 1.0  # round 1 starts at q = w
+    move_prev = move = 0.0  # sizes tau * gap of the last two dual steps
 
     for t in range(1, config.master_iters + 1):
         Q = BtB + Lambda / M
         G, rho, min_eig = _prox_inverse(Q, f"slave quadratic Q at master round {t}")
         # at a fixed point q - w = (F - Qw) / rho; keep that gradient
-        Qaux = W + (rho_prev / rho) * (Qaux - W)
-        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W, Qaux, order, config, threads)
+        W0, Q0 = W, W + (rho_prev / rho) * (Qaux - W)
+        # from round 3 on, extrapolate the last round's solutions along the
+        # path by the ratio of the last two dual moves (round 1's move came
+        # from the posterior start, not from a dual step: move_prev is 0)
+        r = move / move_prev if move_prev > 0.0 else math.nan
+        if math.isfinite(r):
+            W0 = W + r * (W - W_prev)
+            Q0 += r * (Qaux - Qaux_prev)
+        W_prev, Qaux_prev = W, Qaux
+        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W0, Q0, order, config, threads)
         rho_prev = rho
         if not np.isfinite(W).all():
             raise RuntimeError(f"solver diverged at master round {t}")
@@ -273,6 +285,7 @@ def padd_infer(model, corpus, config=None, threads=1, diagnostics=None):
             float(np.linalg.norm(Lambda)), float(steps.mean()),
             np.count_nonzero(steps <= config.slave_tol), min_eig,
         )
-        if tau * gap < config.dual_stop_tol:
+        move_prev, move = move, tau * gap
+        if move < config.dual_stop_tol:
             break
     return CompositionMatrix(W), diagnostics

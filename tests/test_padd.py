@@ -189,6 +189,15 @@ class TestPaddInfer:
         assert diag.constraint_gap[0] <= 1e-9
         assert diag.dual_norm[0] <= 1e-9
         npt.assert_allclose(comp2.W, comp1.W, atol=1e-9)
+        # the smallest tau0 makes every dual move underflow to exactly zero;
+        # with no early stop that zero reaches round 3, whose start
+        # prediction would divide by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp4, diag4 = padd_infer(m, c, PaddConfig(
+                master_iters=4, tau0=5e-324, dual_stop_tol=0.0, **tight))
+        assert diag4.dual_norm == [0.0] * 4
+        npt.assert_allclose(comp4.W, comp1.W, atol=1e-9)
 
     def test_noiseless_grid_instance_recovered(self):
         model, corpus, Wstar = grid_truth_instance(K=3, M=40, seed=7)
@@ -248,7 +257,7 @@ class TestPaddInfer:
         # every corpus spans several slave blocks, the last one partial
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21)
-        cfg = PaddConfig(master_iters=2, slave_iters=20)
+        cfg = PaddConfig(master_iters=4, slave_iters=20)  # rounds 3-4 predict
         runs = [padd_infer(m, c, cfg, threads=n)[0].W.tobytes() for n in (1, 2, 3)]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -277,19 +286,30 @@ class TestPaddInfer:
     def test_iteration_budget_loss_and_round_one_eigenvalue(self, monkeypatch):
         m = random_model(N=200, K=10, seed=3)
         c = random_corpus(N=200, M=500, seed=4)
-        calls = []
-        project = padd_module.project_simplex_columns
+        calls, per_round = [], []
+        project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
 
         def spy(V, **kwargs):
             calls.append(V.shape[1])
             return project(V, **kwargs)
 
+        def counted(*args, **kwargs):
+            before = len(calls)
+            out = solve(*args, **kwargs)
+            per_round.append(len(calls) - before)
+            return out
+
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
+        monkeypatch.setattr(padd_module, "_solve_slaves", counted)
         comp, diag = padd_infer(m, c)
-        # the spectral step with resumed Douglas-Rachford state takes 205
-        # projections over 15 rounds here; a unit step (rho = 1) takes ~1,900
+        # the spectral step with resumed Douglas-Rachford state and predicted
+        # starts takes 173 projections over 15 rounds here; a unit step
+        # (rho = 1) takes ~1,900
         assert len(diag.rounds) == 15
         assert len(calls) <= 450
+        # rounds 3-15 take 170 of them when each starts from the previous
+        # round's solutions, 138 from the secant prediction
+        assert sum(per_round[2:]) <= 154
         npt.assert_allclose(diag.mean_loss[-1],
                             mean_reconstruction_loss(m.B, comp.W, c),
                             rtol=1e-10, atol=0.0)
