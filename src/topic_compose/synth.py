@@ -1,13 +1,15 @@
 """Corpus synthesis with retained ground-truth compositions.
 
-Documents are generated independently: draw a composition from a prior
-(Dirichlet, or logistic-normal for correlated topics), mix the topics'
-word distributions, and sample a bag of words of the requested length.
-Each document gets its own RNG stream derived from (seed, document index),
-so output is reproducible and independent of the worker count.
+Each document draws a composition from a prior (Dirichlet, or logistic-
+normal for correlated topics), mixes the topics' word distributions, and
+samples a bag of words. Documents come in fixed chunks of _DOC_CHUNK, and
+chunk c has one RNG stream, from (seed, c), that draws all the chunk's
+compositions, then their lengths, then the kept documents' bags in order.
+So output is reproducible, the same for any worker count, and prefix-stable
+(fewer documents give the start of the longer corpus); the chunk size is
+part of the streams' definition.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +20,8 @@ from .parallel import map_chunks
 EIG_CLAMP = -1e-10  # eigenvalues this far below zero mean a broken covariance
 
 _DOC_CHUNK = 256
-# Vocabulary size from which a second thread pays off. Each document is a
-# few short NumPy calls that hold the GIL, plus one multinomial draw over N
-# words that dominates only for large N; below that, threads mostly hand
-# the GIL back and forth. Median seconds on 1 / 2 threads, 1,000 documents
-# of mean length 150, K=25, 2-core x86-64: N=500 0.12 / 0.23, N=2,000
-# 0.25 / 0.31, N=3,000 0.28-0.35 / 0.32-0.39, N=3,500 0.41 / 0.42,
-# N=4,096 0.42-0.45 / 0.36-0.40, N=8,000 0.74 / 0.50, N=20,000 1.78 / 1.01.
-_POOL_MIN_VOCAB = 4096
+_BLOCK_ENTRIES = 1 << 12  # documents x words per multinomial draw; small keeps RSS low
+_MAX_LENGTH = 2**31 - 1  # word counts are held as int32
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,8 @@ class FixedLength:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("document length must be >= 1")
+        if not 1 <= self.n <= _MAX_LENGTH:
+            raise ValueError(f"document length must be in [1, {_MAX_LENGTH}], got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,8 @@ class PoissonLength:
     mean: float
 
     def __post_init__(self):
-        if not (self.mean >= 1.0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean length must be >= 1, got {self.mean!r}")
+        if not 1.0 <= self.mean <= _MAX_LENGTH / 2:
+            raise ValueError(f"mean length must be in [1, {_MAX_LENGTH // 2}], got {self.mean!r}")
 
 
 @dataclass(frozen=True)
@@ -139,21 +135,23 @@ class SynthOutput:
         object.__setattr__(self, "Astar", A)
 
 
+def _dirichlet_rows(alpha, rows, rng):
+    """`rows` draws from Dirichlet(alpha), one per row, via normalized
+    Gamma variates. A row whose variates all underflow to 0 is redrawn."""
+    g, redraw = np.empty((rows, alpha.size)), slice(None)
+    for _ in range(100):
+        g[redraw] = rng.standard_gamma(alpha, size=g[redraw].shape)
+        s = g.sum(axis=1, keepdims=True)
+        if s.all():
+            return g / s
+        redraw = np.flatnonzero(s == 0.0)
+    # reachable only for tiny alpha where every variate underflows to 0
+    raise RuntimeError(f"Dirichlet sampling underflowed for alpha={alpha!r}")
+
+
 def sample_dirichlet(alpha, rng):
     """One draw from Dirichlet(alpha) via normalized Gamma variates."""
-    a = np.asarray(alpha, dtype=np.float64)
-    for _ in range(100):
-        g = rng.standard_gamma(a)
-        s = g.sum()
-        if s > 0.0:
-            return g / s
-    # reachable only for tiny alpha where every variate underflows to 0
-    raise RuntimeError(f"Dirichlet sampling underflowed for alpha={a!r}")
-
-
-def _softmax(x):
-    z = np.exp(x - x.max())
-    return z / z.sum()
+    return _dirichlet_rows(np.asarray(alpha, dtype=np.float64), 1, rng)[0]
 
 
 def _covariance_factor(sigma):
@@ -171,72 +169,74 @@ def _covariance_factor(sigma):
     return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
 
 
+def _logistic_normal_rows(mu, L, rows, rng):
+    """`rows` draws of softmax(mu + L z) with z standard normal, one per row."""
+    x = mu + rng.standard_normal((rows, mu.size)) @ L.T
+    z = np.exp(x - x.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
+
+
 def sample_logistic_normal(mu, sigma, rng):
     """One draw: softmax(mu + L z) with z standard normal."""
     L = _covariance_factor(np.asarray(sigma, dtype=np.float64))
-    z = rng.standard_normal(len(mu))
-    return _softmax(np.asarray(mu, dtype=np.float64) + L @ z)
+    return _logistic_normal_rows(np.asarray(mu, dtype=np.float64), L, 1, rng)[0]
+
+
+def _bags(B, W, lengths, rng):
+    """Bags of lengths[m] words from the mixture B w_m for the first len(lengths)
+    rows w_m of W: each bag's number of distinct words, then (word, count) of
+    each nonzero count by row and word. Every row's mixture is computed, so
+    its rounding does not depend on how many rows are drawn."""
+    P = W @ B.T
+    np.maximum(P, 0.0, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    counts = rng.multinomial(lengths, P[:len(lengths)])
+    rows, words = np.nonzero(counts)
+    # int32 halves what a synthesized corpus holds until it is built
+    return (np.bincount(rows, minlength=len(lengths)), words.astype(np.int32),
+            counts[rows, words].astype(np.int32))
 
 
 def sample_document(B, w, length, rng):
-    """Sample a bag of `length` words from the mixture B @ w.
-
-    Returns (word indices, counts) of the nonzero entries, indices
-    ascending.
-    """
-    if length < 1:
-        raise ValueError("document length must be >= 1")
-    p = B @ w
-    p = np.clip(p, 0.0, None)
-    p /= p.sum()
-    counts = rng.multinomial(length, p)
-    idx = np.nonzero(counts)[0]
-    return idx, counts[idx]
-
-
-def _doc_rng(seed, m):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+    """Sample a bag of `length` words from the mixture B @ w. Returns
+    (word indices, counts) of the nonzero entries, indices ascending."""
+    if not 1 <= length <= _MAX_LENGTH:
+        raise ValueError(f"document length must be in [1, {_MAX_LENGTH}]")
+    return _bags(B, np.asarray(w, dtype=np.float64)[None, :], [length], rng)[1:]
 
 
 def synthesize(model, config, threads=1):
-    """Generate a corpus of config.docs documents from the model's topics
-    and the configured composition prior.
-
-    `threads` workers are used only when the vocabulary has at least
-    _POOL_MIN_VOCAB words; smaller models are synthesized on the calling
-    thread. The output is the same for any thread count."""
-    K = model.K
-    if config.prior.K != K:
-        raise ValueError(f"prior is over {config.prior.K} topics, model has {K}")
-    M = config.docs
-    B = model.B
+    """Generate a corpus of config.docs documents from the model's topics and
+    the configured composition prior; the same for any thread count."""
+    K, N, M = model.K, model.N, config.docs
+    prior, length = config.prior, config.doc_length
+    if prior.K != K:
+        raise ValueError(f"prior is over {prior.K} topics, model has {K}")
+    if isinstance(prior, LogisticNormalPrior):
+        L = _covariance_factor(prior.sigma)
+    step = max(1, _BLOCK_ENTRIES // N)  # documents per multinomial draw
     W = np.empty((K, M))
-    per_doc = [None] * M
-
-    if isinstance(config.prior, LogisticNormalPrior):
-        _covariance_factor(config.prior.sigma)  # fail fast on a bad covariance
+    parts = [None] * len(range(0, M, _DOC_CHUNK))
 
     def run(span):
-        for m in range(*span):
-            rng = _doc_rng(config.seed, m)
-            if isinstance(config.prior, DirichletPrior):
-                w = sample_dirichlet(config.prior.alpha, rng)
-            else:
-                w = sample_logistic_normal(config.prior.mu, config.prior.sigma, rng)
-            if isinstance(config.doc_length, FixedLength):
-                n = config.doc_length.n
-            else:
-                n = 1 + int(rng.poisson(config.doc_length.mean - 1.0))
-            idx, cnt = sample_document(B, w, n, rng)
-            W[:, m] = w
-            per_doc[m] = (idx, cnt)
+        start, kept = span[0], span[1] - span[0]
+        c = start // _DOC_CHUNK
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(c,)))
+        # all the chunk's compositions and lengths, however many are kept
+        Wc = (_dirichlet_rows(prior.alpha, _DOC_CHUNK, rng) if isinstance(prior, DirichletPrior)
+              else _logistic_normal_rows(prior.mu, L, _DOC_CHUNK, rng))
+        n = (np.full(_DOC_CHUNK, length.n) if isinstance(length, FixedLength)
+             else 1 + rng.poisson(length.mean - 1.0, size=_DOC_CHUNK))
+        W[:, start:start + kept] = Wc[:kept].T
+        parts[c] = [_bags(model.B, Wc[s:s + step], n[s:min(s + step, kept)], rng)
+                    for s in range(0, kept, step)]
 
-    map_chunks(M, _DOC_CHUNK, run, threads if model.N >= _POOL_MIN_VOCAB else 1)
+    map_chunks(M, _DOC_CHUNK, run, threads)
 
-    docs = np.repeat(np.arange(M, dtype=np.int64), [idx.size for idx, _ in per_doc])
-    words = np.concatenate([idx for idx, _ in per_doc])
-    counts = np.concatenate([cnt for _, cnt in per_doc])
-    corpus = Corpus(docs=docs, words=words, counts=counts, M=M, N=model.N)
+    # blocks come in document order, each one sorted, so Corpus skips its lexsort
+    distinct, words, counts = (np.concatenate(a) for a in zip(*(t for b in parts for t in b)))
+    docs = np.repeat(np.arange(M, dtype=np.int32), distinct)
+    corpus = Corpus(docs=docs, words=words, counts=counts, M=M, N=N)
     P = W @ W.T
     Astar = (P + P.T) / (2.0 * M)
     return SynthOutput(corpus=corpus, Wstar=CompositionMatrix(W), Astar=Astar)

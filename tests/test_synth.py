@@ -49,6 +49,13 @@ class TestPriors:
             FixedLength(0)
         with pytest.raises(ValueError):
             PoissonLength(0.5)
+        # word counts are held as int32
+        with pytest.raises(ValueError):
+            FixedLength(2**31)
+        with pytest.raises(ValueError):
+            PoissonLength(2.0**31)
+        with pytest.raises(ValueError):
+            sample_document(np.eye(2), np.array([1.0, 0.0]), 2**31, np.random.default_rng(0))
 
 
 class TestSampleDirichlet:
@@ -174,9 +181,13 @@ class TestSynthesize:
         assert pa.read_bytes() == pb.read_bytes()
         npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
 
+    @staticmethod
+    def _priors(K):
+        return (DirichletPrior.symmetric(K, 5.0),
+                LogisticNormalPrior(mu=np.zeros(K), sigma=0.5 * np.eye(K) + 0.1))
+
     def test_threads_do_not_change_output(self, monkeypatch):
-        # below the vocabulary cutoff every thread count runs on the calling
-        # thread; at the cutoff the pool runs several document chunks
+        # several document chunks, the last one partial, on the pool
         pool_threads = []
 
         def spy(total, chunk, fn, threads):
@@ -184,18 +195,50 @@ class TestSynthesize:
             return map_chunks(total, chunk, fn, threads)
 
         monkeypatch.setattr(synth_module, "map_chunks", spy)
-        for N, docs in ((20, 700), (synth_module._POOL_MIN_VOCAB, 3 * synth_module._DOC_CHUNK + 50)):
-            m = random_model(N=N, K=4, seed=27)
-            cfg = SynthConfig(prior=DirichletPrior.symmetric(4, 5.0), docs=docs,
-                              doc_length=PoissonLength(20.0), seed=28)
+        m = random_model(N=20, K=4, seed=27)
+        docs = 3 * synth_module._DOC_CHUNK + 50
+        for prior in self._priors(4):
+            cfg = SynthConfig(prior=prior, docs=docs, doc_length=PoissonLength(20.0), seed=28)
             pool_threads.clear()
             a = synthesize(m, cfg, threads=1)
-            b = synthesize(m, cfg, threads=4)
-            assert pool_threads == [1, 1 if N < synth_module._POOL_MIN_VOCAB else 4]
-            npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
-            npt.assert_array_equal(a.corpus.docs, b.corpus.docs)
-            npt.assert_array_equal(a.corpus.counts, b.corpus.counts)
-            npt.assert_array_equal(a.corpus.words, b.corpus.words)
+            for threads in (2, 4):
+                b = synthesize(m, cfg, threads=threads)
+                npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
+                npt.assert_array_equal(a.corpus.docs, b.corpus.docs)
+                npt.assert_array_equal(a.corpus.counts, b.corpus.counts)
+                npt.assert_array_equal(a.corpus.words, b.corpus.words)
+            assert pool_threads == [1, 2, 4]
+
+    @pytest.mark.parametrize("length", [FixedLength(15), PoissonLength(20.0)],
+                             ids=["fixed", "poisson"])
+    def test_prefix_stable(self, monkeypatch, length):
+        # a shorter corpus is the first documents of a longer one, also when
+        # it ends inside a chunk
+        monkeypatch.setattr(synth_module, "_DOC_CHUNK", 256)
+        m = random_model(N=20, K=4, seed=32)
+        for prior in self._priors(4):
+            short, long = (
+                synthesize(m, SynthConfig(prior=prior, docs=docs, doc_length=length, seed=33))
+                for docs in (300, 700)
+            )
+            npt.assert_array_equal(short.Wstar.W, long.Wstar.W[:, :300])
+            keep = long.corpus.docs < 300
+            npt.assert_array_equal(short.corpus.docs, long.corpus.docs[keep])
+            npt.assert_array_equal(short.corpus.words, long.corpus.words[keep])
+            npt.assert_array_equal(short.corpus.counts, long.corpus.counts[keep])
+
+    def test_underflowed_rows_redrawn_and_tiny_alpha_raises(self):
+        m = random_model(N=20, K=2, seed=34)
+        # about a fifth of Dirichlet(1e-3, 1e-3) draws underflow to all zeros
+        cfg = SynthConfig(prior=DirichletPrior([1e-3, 1e-3]), docs=300,
+                          doc_length=FixedLength(5), seed=35)
+        npt.assert_allclose(synthesize(m, cfg).Wstar.W.sum(axis=0), 1.0, atol=1e-12)
+        cfg = SynthConfig(prior=DirichletPrior([1e-300, 1e-300]), docs=300,
+                          doc_length=FixedLength(5), seed=35)
+        with pytest.raises(RuntimeError, match="underflowed"):
+            synthesize(m, cfg)
+        with pytest.raises(RuntimeError, match="underflowed"):
+            sample_dirichlet([1e-300, 1e-300], np.random.default_rng(36))
 
     def test_logistic_normal_end_to_end(self):
         m = random_model(N=20, K=4, seed=29)
