@@ -33,7 +33,7 @@ from .model import (
     write_corpus_tsv,
     write_dense_tsv,
 )
-from .padd import PaddConfig, PaddDiagnostics, padd_infer
+from .padd import PaddConfig, padd_infer
 from .parallel import resolve_threads
 from .synth import (
     DirichletPrior,
@@ -55,20 +55,6 @@ def _positive_int(text):
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
-
-
-def _any_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-
-
-def _any_float(text):
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
 
 
 def _parse_length(text):
@@ -202,15 +188,11 @@ def cmd_infer(args):
             )
         elif args.method == "padd":
             pcfg = PaddConfig(
-                relaxation=args.dr_relaxation,
                 master_iters=args.master_iters,
                 slave_iters=args.slave_iters,
                 tau0=args.tau0,
             )
-            diagnostics = PaddDiagnostics()
-            comp, _ = padd_infer(
-                model, corpus, pcfg, threads=threads, diagnostics=diagnostics
-            )
+            comp, diagnostics = padd_infer(model, corpus, pcfg, threads=threads)
             diag_path = args.diagnostics or os.path.join(args.out, "diagnostics.tsv")
             diagnostics.write_tsv(diag_path)
             outputs.append(diag_path)
@@ -268,13 +250,13 @@ def build_parser():
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
     ps.add_argument("--prior", choices=("dirichlet", "logistic-normal"),
                     default="dirichlet")
-    ps.add_argument("--alpha-scale", type=_any_float, default=5.0,
+    ps.add_argument("--alpha-scale", type=float, default=5.0,
                     help="total Dirichlet concentration, split evenly over topics")
     ps.add_argument("--mu", help="TSV vector for the logistic-normal mean")
     ps.add_argument("--sigma", help="TSV matrix for the logistic-normal covariance")
     ps.add_argument("--len", type=_length_spec, default="150",
                     help="document length: integer or poisson:<mean>")
-    ps.add_argument("--seed", type=_any_int, default=0)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--threads", type=_positive_int, default=None)
     ps.set_defaults(func=cmd_synth)
 
@@ -283,18 +265,16 @@ def build_parser():
     pi.add_argument("--model", required=True, help="directory with B.tsv and A.tsv")
     pi.add_argument("--corpus", required=True, help="corpus TSV")
     pi.add_argument("--out", required=True, help="output directory")
-    pi.add_argument("--seed", type=_any_int, default=0,
+    pi.add_argument("--seed", type=int, default=0,
                     help="only the rand method consumes randomness")
     pi.add_argument("--threads", type=_positive_int, default=None)
-    pi.add_argument("--delta", type=_any_float, default=0.0,
+    pi.add_argument("--delta", type=float, default=0.0,
                     help="tli: allowed bias of the left inverse")
-    pi.add_argument("--threshold-divisor", type=_any_float, default=4.5,
+    pi.add_argument("--threshold-divisor", type=float, default=4.5,
                     help="tli: scales down the worst-case noise threshold")
-    pi.add_argument("--lambda", dest="dr_relaxation", type=_any_float, default=1.9,
-                    help="padd: Douglas-Rachford relaxation, in (0, 2)")
     pi.add_argument("--master-iters", type=_positive_int, default=15)
     pi.add_argument("--slave-iters", type=_positive_int, default=150)
-    pi.add_argument("--tau0", type=_any_float, default=1.0,
+    pi.add_argument("--tau0", type=float, default=1.0,
                     help="padd: initial dual step size")
     pi.add_argument("--diagnostics", default=None,
                     help="padd: path for the per-round diagnostics TSV")
@@ -305,7 +285,7 @@ def build_parser():
     pe.add_argument("--pred", required=True)
     pe.add_argument("--prior", default=None,
                     help="optional topic-topic moment TSV for prior_dist")
-    pe.add_argument("--prominent-mass", type=_any_float, default=0.8)
+    pe.add_argument("--prominent-mass", type=float, default=0.8)
     pe.add_argument("--out", required=True, help="report TSV path")
     pe.add_argument("--per-doc", default=None,
                     help="per-document TSV path (default: per_doc.tsv next to --out)")

@@ -16,7 +16,6 @@ from topic_compose import (
     FixedLength,
     LogisticNormalPrior,
     PaddConfig,
-    PaddDiagnostics,
     PoissonLength,
     SynthConfig,
     TliConfig,
@@ -103,9 +102,7 @@ def semireal():
     spi = spi_infer(model, synth.corpus)
     inverse = tli_compute_inverse(model, TliConfig(), threads=8)
     tli = tli_infer(inverse, model, synth.corpus, TliConfig())
-    diagnostics = PaddDiagnostics()
-    padd, _ = padd_infer(model, synth.corpus, PaddConfig(), threads=8,
-                         diagnostics=diagnostics)
+    padd, diagnostics = padd_infer(model, synth.corpus, PaddConfig(), threads=8)
     reports = {
         "spi": evaluate_compositions(synth.Wstar, spi, prior=model.A),
         "tli": evaluate_compositions(synth.Wstar, tli, prior=model.A),

@@ -136,16 +136,9 @@ class TestInfer:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.tsv" in manifest["outputs"]
         assert manifest["config"]["master_iters"] == 3
-
-    def test_padd_custom_relaxation_recorded(self, model_dir, corpus_path, tmp_path):
-        out = tmp_path / "padd_lam"
-        assert run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", out, "--lambda", 1.5,
-                   "--master-iters", 2, "--slave-iters", 20) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["relaxation"] == 1.5
         assert manifest["config"]["slave_tol"] == PaddConfig().slave_tol
-        assert manifest["config"]["dual_stop_tol"] == PaddConfig().dual_stop_tol
+        assert "relaxation" not in manifest["config"]
+        assert "dual_stop_tol" not in manifest["config"]
 
     def test_padd_zero_master_iters_is_usage_error(self, model_dir, corpus_path, tmp_path):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -155,7 +148,8 @@ class TestInfer:
     @pytest.mark.parametrize("flag", [("--tau-schedule", "constant"),
                                       ("--ridge-eps", "1e-8"),
                                       ("--warm-start-previous",),
-                                      ("--gamma", "3.0")])
+                                      ("--gamma", "3.0"),
+                                      ("--lambda", "1.5")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -286,6 +280,16 @@ class TestParser:
     def test_bad_length_spec_is_usage_error(self, model_dir, tmp_path):
         assert run("synth", "--model", model_dir, "--out", tmp_path / "o",
                    "--docs", 5, "--len", "poisson:abc") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--docs", 5, "--seed", "x"),
+        ("synth", "--docs", 5, "--alpha-scale", "x"),
+        ("infer", "--method", "padd", "--corpus", "c.tsv", "--tau0", "x"),
+        ("infer", "--method", "tli", "--corpus", "c.tsv", "--threshold-divisor", "x"),
+    ])
+    def test_non_numeric_value_is_usage_error(self, model_dir, tmp_path, argv):
+        assert run(*argv, "--model", model_dir, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

@@ -10,7 +10,6 @@ from topic_compose import (
     DirichletPrior,
     FixedLength,
     PaddConfig,
-    PaddDiagnostics,
     SynthConfig,
     TopicModel,
     admm_dr_solve,
@@ -50,7 +49,7 @@ class TestDualStep:
     def test_inv_sqrt(self):
         m = random_model(N=20, K=3, seed=3)
         c = random_corpus(N=20, M=30, seed=4)
-        cfg = PaddConfig(master_iters=4, slave_iters=10, tau0=0.1, dual_stop_tol=0.0)
+        cfg = PaddConfig(master_iters=4, slave_iters=10, tau0=0.1)
         _, diag = padd_infer(m, c, cfg)
         assert diag.rounds == [1, 2, 3, 4]
         assert diag.tau[0] == 0.1
@@ -60,19 +59,20 @@ class TestDualStep:
 class TestPaddConfig:
     def test_defaults(self):
         cfg = PaddConfig()
-        assert cfg.relaxation == 1.9
+        assert padd_module.RELAXATION == 1.9
+        assert padd_module.GAP_STOP == 1e-6
         assert cfg.master_iters == 15 and cfg.slave_iters == 150
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"relaxation": 0.0},
-            {"relaxation": 2.0},
             {"master_iters": 0},
             {"slave_iters": 0},
             {"tau0": 0.0},
             {"slave_tol": 0.0},
-            {"dual_stop_tol": -1.0},
+            {"tau0": math.inf},
+            {"tau0": math.nan},
+            {"slave_tol": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -138,10 +138,6 @@ class TestAdmmDrSolve:
         with pytest.raises(RuntimeError, match=r"Q is not positive definite"):
             admm_dr_solve(np.zeros((2, 2)), np.zeros(2), [0.5, 0.5])
 
-    def test_rejects_bad_relaxation(self):
-        with pytest.raises(ValueError, match="relaxation"):
-            admm_dr_solve(np.eye(2), np.zeros(2), [0.5, 0.5], relaxation=2.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             admm_dr_solve(np.eye(2), [np.nan, 0.0], [0.5, 0.5])
@@ -172,32 +168,57 @@ class TestPaddInfer:
         npt.assert_array_equal(comp.W, np.ones((1, 9)))
         assert diag.rounds == []
 
-    def test_zero_gap_keeps_dual_at_zero_and_stops(self):
+    TIGHT = dict(slave_iters=5000, slave_tol=1e-13)
+
+    def _matched_instance(self):
+        """An unmatched model, its corpus, round 1's solutions under it and
+        the same model with A matched to those solutions. Round 1 always
+        starts from a zero dual, so its solutions depend only on B (the
+        start point W0 does not move the unique minimizer); under the
+        matched A the first dual update vanishes."""
         m0 = random_model(N=20, K=3, seed=5)
         c = random_corpus(N=20, M=30, seed=6)
-        # round 1 always starts from a zero dual, so its solutions depend
-        # only on B (the start point W0 does not move the unique minimizer);
-        # match A to them and the first dual update vanishes
-        tight = dict(slave_iters=5000, slave_tol=1e-13)
-        comp1, _ = padd_infer(m0, c, PaddConfig(master_iters=1, **tight))
+        comp1, _ = padd_infer(m0, c, PaddConfig(master_iters=1, **self.TIGHT))
         P = comp1.W @ comp1.W.T
         A_matched = (P + P.T) / (2.0 * comp1.M)
-        m = TopicModel(B=m0.B, A=A_matched)
-        comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6, **tight))
+        return m0, c, comp1, TopicModel(B=m0.B, A=A_matched)
+
+    def test_zero_gap_keeps_dual_at_zero_and_stops(self):
+        m0, c, comp1, m = self._matched_instance()
+        comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6, **self.TIGHT))
         # round 1 re-derives the same solutions, so the dual update vanishes
         assert len(diag.rounds) == 1
         assert diag.constraint_gap[0] <= 1e-9
         assert diag.dual_norm[0] <= 1e-9
         npt.assert_allclose(comp2.W, comp1.W, atol=1e-9)
-        # the smallest tau0 makes every dual move underflow to exactly zero;
-        # with no early stop that zero reaches round 3, whose start
-        # prediction would divide by it
+        # the smallest tau0 makes every dual move underflow to exactly zero
+        # while the gap stays open, so that zero reaches round 3, whose
+        # start prediction would divide by it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            comp4, diag4 = padd_infer(m, c, PaddConfig(
-                master_iters=4, tau0=5e-324, dual_stop_tol=0.0, **tight))
+            comp4, diag4 = padd_infer(m0, c, PaddConfig(
+                master_iters=4, tau0=5e-324, **self.TIGHT))
         assert diag4.dual_norm == [0.0] * 4
+        assert min(diag4.constraint_gap) > 0.1
         npt.assert_allclose(comp4.W, comp1.W, atol=1e-9)
+
+    def test_met_constraint_stops_before_a_large_dual_step(self):
+        # the gap is ~1e-14 of ||A||, so the master returns after round 1;
+        # tau0 = 1e9 times that gap would still be a dual move large enough
+        # to make round 3's Q indefinite
+        _, c, comp1, m = self._matched_instance()
+        comp, diag = padd_infer(m, c, PaddConfig(master_iters=6, tau0=1e9, **self.TIGHT))
+        assert diag.rounds == [1]
+        assert diag.constraint_gap[0] <= padd_module.GAP_STOP * np.linalg.norm(m.A)
+        npt.assert_allclose(comp.W, comp1.W, atol=1e-9)
+
+    def test_tiny_dual_step_does_not_stop_the_master(self):
+        # the stop looks at the constraint, not at the size of the dual move
+        m = random_model(N=20, K=3, seed=5)
+        c = random_corpus(N=20, M=30, seed=6)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=4, tau0=1e-12))
+        assert diag.rounds == [1, 2, 3, 4]
+        assert min(diag.constraint_gap) > padd_module.GAP_STOP * np.linalg.norm(m.A)
 
     def test_noiseless_grid_instance_recovered(self):
         model, corpus, Wstar = grid_truth_instance(K=3, M=40, seed=7)
@@ -220,16 +241,14 @@ class TestPaddInfer:
         F = m.B.T @ Ht
         for j in range(c.M):
             w = admm_dr_solve(m.B.T @ m.B, F[:, j], W0[:, j],
-                              relaxation=cfg.relaxation,
                               max_iters=cfg.slave_iters, tol=cfg.slave_tol)
             npt.assert_allclose(comp.W[:, j], w, atol=1e-9)
 
     def test_columns_on_simplex_and_diagnostics_finite(self):
         m = random_model(N=25, K=4, seed=10)
         c = random_corpus(N=25, M=50, seed=11)
-        diag = PaddDiagnostics()
         cfg = PaddConfig(master_iters=4)
-        comp, diag = padd_infer(m, c, cfg, diagnostics=diag)
+        comp, diag = padd_infer(m, c, cfg)
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-6)
         assert comp.W.min() >= 0.0
         assert len(diag.rounds) <= 4
@@ -321,7 +340,7 @@ class TestPaddInfer:
         # a round that resumes the Douglas-Rachford state stops at once
         m = random_model(N=200, K=10, seed=3)
         c = random_corpus(N=200, M=500, seed=4)
-        cfg = dict(tau0=1e-12, dual_stop_tol=0.0)
+        cfg = dict(tau0=1e-12)
         W1 = padd_infer(m, c, PaddConfig(master_iters=1, **cfg))[0].W
         calls, per_round = [], []
         project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
@@ -381,3 +400,9 @@ class TestPaddInfer:
                             "mean_final_step\tdocs_converged\tprox_min_eig")
         assert len(lines) == 1 + len(diag.rounds)
         assert lines[1].split("\t")[0] == "1"
+        for i, line in enumerate(lines[1:]):
+            assert line == (
+                f"{diag.rounds[i]}\t{diag.tau[i]:.17g}\t{diag.constraint_gap[i]:.17g}\t"
+                f"{diag.mean_loss[i]:.17g}\t{diag.dual_norm[i]:.17g}\t"
+                f"{diag.mean_final_step[i]:.17g}\t{diag.docs_converged[i]}\t"
+                f"{diag.prox_min_eig[i]:.17g}")
