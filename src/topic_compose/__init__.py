@@ -1,12 +1,11 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (
     CompositionMatrix,
     Corpus,
     TopicModel,
-    WordTopicPosterior,
     load_model,
     normalize_corpus,
     read_composition_tsv,

@@ -69,9 +69,7 @@ def spi_infer(model, corpus):
     over each document's observed words."""
     if corpus.N != model.N:
         raise ValueError(f"corpus vocabulary {corpus.N} != model vocabulary {model.N}")
-    Bb = word_topic_posterior(model).Bbreve
-    W = Bb @ normalize_corpus(corpus)
-    return CompositionMatrix(W)
+    return CompositionMatrix(word_topic_posterior(model) @ normalize_corpus(corpus))
 
 
 def _row_program(rows, bounds, k, delta):

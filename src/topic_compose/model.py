@@ -85,26 +85,6 @@ class TopicModel:
 
 
 @dataclass(frozen=True)
-class WordTopicPosterior:
-    """Per-word topic posterior matrix (K x N); every column is a
-    distribution over topics."""
-
-    Bbreve: np.ndarray
-
-    def __post_init__(self):
-        Bb = np.array(self.Bbreve, dtype=np.float64, order="C")
-        if Bb.ndim != 2:
-            raise ValueError("Bbreve must be a matrix")
-        _clean_nonnegative(Bb, "Bbreve")
-        sums = Bb.sum(axis=0)
-        j = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[j] - 1.0) > COL_SUM_TOL:
-            raise ValueError(f"posterior column {j} sums to {sums[j]!r}, expected 1")
-        Bb.setflags(write=False)
-        object.__setattr__(self, "Bbreve", Bb)
-
-
-@dataclass(frozen=True)
 class CompositionMatrix:
     """Topic compositions for a corpus, one document per column (K x M);
     every column lies on the probability simplex."""
@@ -192,11 +172,6 @@ class Corpus:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "indptr", indptr)
 
-    def to_sparse(self):
-        """Word-document count matrix (N x M) in CSC form."""
-        return sparse.csc_array((self.counts.astype(np.float64), self.words, self.indptr),
-                                shape=(self.N, self.M))
-
 
 def normalize_corpus(corpus):
     """Column-normalize the count matrix: word frequencies per document.
@@ -215,7 +190,8 @@ def topic_marginals(model):
 
 
 def word_topic_posterior(model):
-    """Posterior p(z=k | x=i) under the model's topic marginals.
+    """Posterior p(z=k | x=i) under the model's topic marginals, as a
+    read-only K x N array whose columns are distributions over topics.
 
     Words the model gives zero probability to under every topic fall back
     to the marginal distribution.
@@ -228,7 +204,8 @@ def word_topic_posterior(model):
     Bb[:, seen] = (joint[seen, :] / px[seen, None]).T
     if not seen.all():
         Bb[:, ~seen] = pz[:, None]
-    return WordTopicPosterior(Bb)
+    Bb.setflags(write=False)
+    return Bb
 
 
 # ---------------------------------------------------------------------------

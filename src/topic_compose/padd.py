@@ -233,14 +233,15 @@ def padd_infer(model, corpus, config=None, threads=1):
         return CompositionMatrix(np.ones((1, M))), diagnostics
 
     B = model.B
-    F = B.T @ Ht  # dense (K, M)
+    # F = B^T Ht and the posterior start come from one sparse product
+    F, start = np.split(np.vstack([B.T, word_topic_posterior(model)]) @ Ht, 2)
     BtB = B.T @ B
     h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
     gap_stop = GAP_STOP * float(np.linalg.norm(model.A))
     Lambda = np.zeros((K, K))
     # each column's sort order, carried from projection to projection
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
-    W = project_simplex_columns(word_topic_posterior(model).Bbreve @ Ht, order=order)
+    W = project_simplex_columns(start, order=order)
     Qaux, rho_prev = W, 1.0  # round 1 starts at q = w
     move_prev = move = 0.0  # sizes tau * gap of the last two dual steps
 

@@ -19,7 +19,8 @@ def project_simplex_columns(V, order=None):
     out strictly descending are sorted again and have their new order
     written back. A column with tied values, or whose indices repeat a row,
     is therefore always sorted again, so the result does not depend on
-    `order`; an index outside -K..K-1 raises IndexError.
+    `order`; an index outside -K..K-1 raises IndexError. Without `order`,
+    every column is sorted.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
@@ -29,22 +30,21 @@ def project_simplex_columns(V, order=None):
     K, M = V.shape
     if K < 1:
         raise ValueError("vectors must have at least one component")
-    if order is not None and order.shape != V.shape:
+    if order is None:
+        order = np.zeros(V.shape, dtype=np.intp)  # repeats a row: every column is sorted
+    elif order.shape != V.shape:
         raise ValueError(f"order has shape {order.shape}, expected {V.shape}")
     if K == 1:
         return np.ones_like(V)
     cols = np.arange(M)
-    if order is None:
-        S = np.sort(V, axis=0)  # each column in ascending order
-    else:
-        S = np.take(V, order[::-1] * M + cols)
-        # strictly ascending values come from K distinct rows
-        stale = (S[:-1] >= S[1:]).any(axis=0)
-        if stale.any():
-            stale = np.flatnonzero(stale)
-            fresh = np.argsort(V[:, stale], axis=0)
-            order[:, stale] = fresh[::-1]
-            S[:, stale] = np.take(V, fresh * M + stale)
+    S = np.take(V, order[::-1] * M + cols)
+    # strictly ascending values come from K distinct rows
+    stale = (S[:-1] >= S[1:]).any(axis=0)
+    if stale.any():
+        stale = np.flatnonzero(stale)
+        fresh = np.argsort(V[:, stale], axis=0)
+        order[:, stale] = fresh[::-1]
+        S[:, stale] = np.take(V, fresh * M + stale)
     # ties sort into either order with equal values, so S is the same
     # either way. css[k] sums S[k:] from the largest down, a row at a time
     # along contiguous memory: the same additions as a cumsum of the

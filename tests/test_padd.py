@@ -237,7 +237,7 @@ class TestPaddInfer:
         cfg = PaddConfig(master_iters=1)
         comp, _ = padd_infer(m, c, cfg)
         Ht = normalize_corpus(c)
-        W0 = word_topic_posterior(m).Bbreve @ Ht
+        W0 = word_topic_posterior(m) @ Ht
         F = m.B.T @ Ht
         for j in range(c.M):
             w = admm_dr_solve(m.B.T @ m.B, F[:, j], W0[:, j],

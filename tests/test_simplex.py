@@ -106,10 +106,10 @@ def assert_descending_permutation(V, order):
 
 
 class TestMatchesArgsortReference:
-    """The plain sort must give the same bytes as a stable argsort plus
-    gather: tied entries are equal, so the sorted values are too. So must
-    a call that starts from any stale sort order, and the order it leaves
-    behind must sort every column descending."""
+    """A call without an order must give the same bytes as a stable
+    argsort plus gather: tied entries are equal, so the sorted values are
+    too. So must a call that starts from any stale sort order, and the
+    order it leaves behind must sort every column descending."""
 
     @staticmethod
     def assert_same_bytes(V):
