@@ -1,8 +1,13 @@
 """Command-line front-end: synthesize corpora, infer compositions, evaluate.
 
-Every subcommand writes a `manifest.json` next to its outputs recording the
-fully resolved configuration, input digests and timing, so any run can be
-reproduced bit-for-bit from its manifest. Exit codes: 0 success, 1 runtime
+`synth` and `infer` write `manifest.json` into their output directory and
+`eval` writes one named after its report (`report.tsv` gets
+`report.manifest.json`), so a pipeline run into one directory keeps every
+manifest. A manifest records the fully resolved configuration, the SHA-256
+digest of each input keyed by its path as given, and timing, so any run can
+be reproduced bit-for-bit from it. Flag defaults are the library's own
+(`PaddConfig`, `TliConfig`, `SynthConfig`); `--threads` is the only source of
+the worker count and defaults to 1. Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
 """
 
@@ -34,7 +39,6 @@ from .model import (
     write_dense_tsv,
 )
 from .padd import PaddConfig, padd_infer
-from .parallel import resolve_threads
 from .synth import (
     DirichletPrior,
     FixedLength,
@@ -57,31 +61,17 @@ def _positive_int(text):
     return v
 
 
-def _parse_length(text):
-    if text.startswith("poisson:"):
-        try:
-            mean = float(text[len("poisson:"):])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad poisson mean in {text!r}") from None
-        if mean < 1.0:
-            raise argparse.ArgumentTypeError("poisson mean must be >= 1")
-        return PoissonLength(mean)
+def _length(text):
+    """--len value: an integer or poisson:<mean>; the length models own the
+    range rule."""
     try:
-        n = int(text)
-    except ValueError:
+        if text.startswith("poisson:"):
+            return PoissonLength(float(text[len("poisson:"):]))
+        return FixedLength(int(text))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"--len expects an integer or poisson:<mean>, got {text!r}"
+            f"expects an integer or poisson:<mean>, got {text!r} ({exc})"
         ) from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("fixed length must be >= 1")
-    return FixedLength(n)
-
-
-def _length_spec(text):
-    # validate eagerly so a malformed value is a usage error, but keep the
-    # original string for the manifest
-    _parse_length(text)
-    return text
 
 
 def _sha256(path):
@@ -92,23 +82,21 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(directory, subcommand, config, inputs, outputs, seed, elapsed):
+def _write_manifest(path, subcommand, config, inputs, outputs, seed, elapsed):
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
         "seed": seed,
-        "input_digests": {os.path.basename(p): _sha256(p) for p in inputs},
+        "input_digests": {p: _sha256(p) for p in inputs},
         "outputs": [os.path.basename(p) for p in outputs],
         "elapsed_seconds": elapsed,
     }
-    path = os.path.join(directory, "manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
-    return path
 
 
 def _model_inputs(model_dir):
@@ -117,7 +105,6 @@ def _model_inputs(model_dir):
 
 def cmd_synth(args):
     t0 = time.perf_counter()
-    threads = resolve_threads(args.threads)
     model = load_model(args.model)
     if args.prior == "dirichlet":
         prior = DirichletPrior.symmetric(model.K, args.alpha_scale)
@@ -129,9 +116,8 @@ def cmd_synth(args):
         sigma = read_dense_tsv(args.sigma)
         prior = LogisticNormalPrior(mu=mu, sigma=sigma)
         prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
-    length = _parse_length(args.len)
-    config = SynthConfig(prior=prior, docs=args.docs, doc_length=length, seed=args.seed)
-    out = synthesize(model, config, threads=threads)
+    config = SynthConfig(prior=prior, docs=args.docs, doc_length=args.len, seed=args.seed)
+    out = synthesize(model, config, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     corpus_path = os.path.join(args.out, "corpus.tsv")
     wstar_path = os.path.join(args.out, "Wstar.tsv")
@@ -142,15 +128,15 @@ def cmd_synth(args):
     resolved = {
         "model": args.model,
         "docs": args.docs,
-        "len": args.len,
-        "threads": threads,
+        "len": repr(args.len),
+        "threads": args.threads,
         **prior_cfg,
     }
     inputs = _model_inputs(args.model) + (
         [args.mu, args.sigma] if args.prior == "logistic-normal" else []
     )
     _write_manifest(
-        args.out, "synth", resolved, inputs,
+        os.path.join(args.out, "manifest.json"), "synth", resolved, inputs,
         [corpus_path, wstar_path, astar_path],
         args.seed, time.perf_counter() - t0,
     )
@@ -159,7 +145,6 @@ def cmd_synth(args):
 
 def cmd_infer(args):
     t0 = time.perf_counter()
-    threads = resolve_threads(args.threads)
     model = load_model(args.model)
     corpus = read_corpus_tsv(args.corpus)
     os.makedirs(args.out, exist_ok=True)
@@ -169,7 +154,7 @@ def cmd_infer(args):
         "method": args.method,
         "model": args.model,
         "corpus": args.corpus,
-        "threads": threads,
+        "threads": args.threads,
     }
     try:
         if args.method == "spi":
@@ -179,7 +164,7 @@ def cmd_infer(args):
                 delta=args.delta,
                 threshold_divisor=args.threshold_divisor,
             )
-            inverse = tli_compute_inverse(model, tcfg, threads=threads)
+            inverse = tli_compute_inverse(model, tcfg, threads=args.threads)
             comp = tli_infer(inverse, model, corpus, tcfg)
             resolved.update(
                 dataclasses.asdict(tcfg),
@@ -187,12 +172,8 @@ def cmd_infer(args):
                 inverse_bias=inverse.bias,
             )
         elif args.method == "padd":
-            pcfg = PaddConfig(
-                master_iters=args.master_iters,
-                slave_iters=args.slave_iters,
-                tau0=args.tau0,
-            )
-            comp, diagnostics = padd_infer(model, corpus, pcfg, threads=threads)
+            pcfg = PaddConfig(master_iters=args.master_iters, tau0=args.tau0)
+            comp, diagnostics = padd_infer(model, corpus, pcfg, threads=args.threads)
             diag_path = args.diagnostics or os.path.join(args.out, "diagnostics.tsv")
             diagnostics.write_tsv(diag_path)
             outputs.append(diag_path)
@@ -203,7 +184,7 @@ def cmd_infer(args):
         raise RuntimeError(f"{args.method}: {exc}") from exc
     write_composition_tsv(w_path, comp)
     _write_manifest(
-        args.out, "infer", resolved,
+        os.path.join(args.out, "manifest.json"), "infer", resolved,
         _model_inputs(args.model) + [args.corpus],
         outputs, args.seed, time.perf_counter() - t0,
     )
@@ -215,9 +196,7 @@ def cmd_eval(args):
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
     prior = None if args.prior is None else read_dense_tsv(args.prior)
-    report = evaluate_compositions(
-        truth, pred, prior=prior, prominent_mass=args.prominent_mass
-    )
+    report = evaluate_compositions(truth, pred, prior=prior)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     per_doc = args.per_doc or os.path.join(out_dir, "per_doc.tsv")
@@ -227,12 +206,12 @@ def cmd_eval(args):
         "truth": args.truth,
         "pred": args.pred,
         "prior": args.prior,
-        "prominent_mass": args.prominent_mass,
+        "prominent_mass": report.prominent_mass,
     }
     inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
     _write_manifest(
-        out_dir, "eval", resolved, inputs, [args.out, per_doc],
-        None, time.perf_counter() - t0,
+        os.path.splitext(args.out)[0] + ".manifest.json", "eval", resolved, inputs,
+        [args.out, per_doc], None, time.perf_counter() - t0,
     )
     return 0
 
@@ -254,10 +233,10 @@ def build_parser():
                     help="total Dirichlet concentration, split evenly over topics")
     ps.add_argument("--mu", help="TSV vector for the logistic-normal mean")
     ps.add_argument("--sigma", help="TSV matrix for the logistic-normal covariance")
-    ps.add_argument("--len", type=_length_spec, default="150",
+    ps.add_argument("--len", type=_length, default="150",
                     help="document length: integer or poisson:<mean>")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--threads", type=_positive_int, default=None)
+    ps.add_argument("--seed", type=int, default=SynthConfig.seed)
+    ps.add_argument("--threads", type=_positive_int, default=1)
     ps.set_defaults(func=cmd_synth)
 
     pi = sub.add_parser("infer", help="estimate compositions for a corpus")
@@ -267,14 +246,13 @@ def build_parser():
     pi.add_argument("--out", required=True, help="output directory")
     pi.add_argument("--seed", type=int, default=0,
                     help="only the rand method consumes randomness")
-    pi.add_argument("--threads", type=_positive_int, default=None)
-    pi.add_argument("--delta", type=float, default=0.0,
+    pi.add_argument("--threads", type=_positive_int, default=1)
+    pi.add_argument("--delta", type=float, default=TliConfig.delta,
                     help="tli: allowed bias of the left inverse")
-    pi.add_argument("--threshold-divisor", type=float, default=4.5,
+    pi.add_argument("--threshold-divisor", type=float, default=TliConfig.threshold_divisor,
                     help="tli: scales down the worst-case noise threshold")
-    pi.add_argument("--master-iters", type=_positive_int, default=15)
-    pi.add_argument("--slave-iters", type=_positive_int, default=150)
-    pi.add_argument("--tau0", type=float, default=1.0,
+    pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters)
+    pi.add_argument("--tau0", type=float, default=PaddConfig.tau0,
                     help="padd: initial dual step size")
     pi.add_argument("--diagnostics", default=None,
                     help="padd: path for the per-round diagnostics TSV")
@@ -285,7 +263,6 @@ def build_parser():
     pe.add_argument("--pred", required=True)
     pe.add_argument("--prior", default=None,
                     help="optional topic-topic moment TSV for prior_dist")
-    pe.add_argument("--prominent-mass", type=float, default=0.8)
     pe.add_argument("--out", required=True, help="report TSV path")
     pe.add_argument("--per-doc", default=None,
                     help="per-document TSV path (default: per_doc.tsv next to --out)")

@@ -10,7 +10,7 @@ Two estimators share the pattern `W = T @ Htilde` for a K x N matrix T:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -44,15 +44,15 @@ class TliInverse:
 
     Bdagger is K x N with |Bdagger @ B - I| <= delta entrywise; bias is
     the largest entry of |Bdagger @ B - I| actually achieved (nan when the
-    inverse was built by hand); magnitude is the largest absolute entry,
-    which controls how much a finite-sample frequency error can be
-    amplified.
+    inverse was built by hand); magnitude, derived from Bdagger, is its
+    largest absolute entry, which controls how much a finite-sample
+    frequency error can be amplified.
     """
 
     Bdagger: np.ndarray
     delta: float
-    magnitude: float
     bias: float = math.nan
+    magnitude: float = field(init=False)
 
     def __post_init__(self):
         Bd = np.array(self.Bdagger, dtype=np.float64, order="C")
@@ -62,6 +62,7 @@ class TliInverse:
             raise ValueError("Bdagger contains non-finite entries")
         Bd.setflags(write=False)
         object.__setattr__(self, "Bdagger", Bd)
+        object.__setattr__(self, "magnitude", float(np.abs(Bd).max()))
 
 
 def spi_infer(model, corpus):
@@ -146,12 +147,7 @@ def tli_compute_inverse(model, config=None, threads=1):
             f"left inverse has bias {bias:.9g} on topic {k}, "
             f"above delta={delta} + 1e-6; B is too ill-conditioned"
         )
-    return TliInverse(
-        Bdagger=Bd,
-        delta=delta,
-        magnitude=float(np.abs(Bd).max()),
-        bias=bias,
-    )
+    return TliInverse(Bdagger=Bd, delta=delta, bias=bias)
 
 
 def tli_thresholds(inverse, lengths, config=None):

@@ -167,7 +167,7 @@ def _dr_block(P, C, W0, Q0, order, max_iters, tol):
     return out, out_q, final_step
 
 
-def admm_dr_solve(Q, f, w0, max_iters=150, tol=1e-7):
+def admm_dr_solve(Q, f, w0, max_iters=PaddConfig.slave_iters, tol=PaddConfig.slave_tol):
     """Solve one document: minimize w^T Q w / 2 - f^T w over the simplex,
     starting from w0. The Douglas-Rachford step comes from Q's spectrum;
     raises RuntimeError unless Q is positive definite with condition at

@@ -5,27 +5,7 @@ on the worker count, so numerical results are identical for any --threads
 value; threads only change how chunks are scheduled.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "TOPIC_COMPOSE_THREADS"
-
-
-def resolve_threads(requested=None):
-    """Worker count: explicit argument, else the TOPIC_COMPOSE_THREADS
-    environment variable, else 1."""
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    requested = int(requested)
-    if requested < 1:
-        raise ValueError(f"thread count must be >= 1, got {requested}")
-    return requested
 
 
 def chunk_spans(total, chunk):

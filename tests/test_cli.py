@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from topic_compose import (
     PaddConfig,
+    TliConfig,
     normalize_corpus,
     read_composition_tsv,
     read_corpus_tsv,
@@ -53,7 +55,8 @@ class TestSynth:
         assert manifest["subcommand"] == "synth"
         assert manifest["seed"] == 3
         assert manifest["config"]["docs"] == 15
-        assert sorted(manifest["input_digests"]) == ["A.tsv", "B.tsv"]
+        assert sorted(manifest["input_digests"]) == [str(model_dir / "A.tsv"),
+                                                     str(model_dir / "B.tsv")]
         assert "corpus.tsv" in manifest["outputs"]
         assert manifest["elapsed_seconds"] >= 0
 
@@ -90,7 +93,7 @@ class TestSynth:
         corpus = read_corpus_tsv(str(out / "corpus.tsv"))
         assert corpus.M == 10
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "mu.tsv" in manifest["input_digests"]
+        assert manifest["input_digests"][str(mu)] == digest(mu)
 
     def test_missing_model_flag_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "o", "--docs", 5) == 2
@@ -128,7 +131,7 @@ class TestInfer:
         out = tmp_path / "padd"
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", out,
-                   "--master-iters", 3, "--slave-iters", 40) == 0
+                   "--master-iters", 3) == 0
         diag = (out / "diagnostics.tsv").read_text().splitlines()
         assert diag[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
                            "mean_final_step\tdocs_converged\tprox_min_eig")
@@ -149,7 +152,8 @@ class TestInfer:
                                       ("--ridge-eps", "1e-8"),
                                       ("--warm-start-previous",),
                                       ("--gamma", "3.0"),
-                                      ("--lambda", "1.5")])
+                                      ("--lambda", "1.5"),
+                                      ("--slave-iters", "40")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -265,9 +269,29 @@ class TestEval:
         tpath, _ = truth_pred
         out = tmp_path / "report.tsv"
         assert run("eval", "--truth", tpath, "--pred", tpath, "--out", out) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert manifest["subcommand"] == "eval"
         assert manifest["seed"] is None
+        assert manifest["config"]["prominent_mass"] == 0.8
+
+    def test_inputs_sharing_a_basename_keep_both_digests(self, tmp_path):
+        rng = np.random.default_rng(2)
+        paths = [tmp_path / run_dir / "W.tsv" for run_dir in ("runA", "runB")]
+        for path in paths:
+            path.parent.mkdir()
+            write_dense_tsv(str(path), rng.dirichlet(np.ones(3), size=6).T)
+        out = tmp_path / "report.tsv"
+        assert run("eval", "--truth", paths[0], "--pred", paths[1], "--out", out) == 0
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert manifest["input_digests"] == {str(p): digest(p) for p in paths}
+        assert manifest["config"]["truth"] in manifest["input_digests"]
+
+    def test_prominent_mass_flag_is_usage_error(self, truth_pred, tmp_path):
+        tpath, _ = truth_pred
+        assert run("eval", "--truth", tpath, "--pred", tpath,
+                   "--out", tmp_path / "o" / "report.tsv",
+                   "--prominent-mass", "0.5") == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestParser:
@@ -280,6 +304,43 @@ class TestParser:
     def test_bad_length_spec_is_usage_error(self, model_dir, tmp_path):
         assert run("synth", "--model", model_dir, "--out", tmp_path / "o",
                    "--docs", 5, "--len", "poisson:abc") == 2
+
+    @pytest.mark.parametrize("spec", ["abc", "0", "poisson:0.5", "3000000000",
+                                      "poisson:nan"])
+    def test_length_outside_the_model_range_is_usage_error(self, model_dir,
+                                                           tmp_path, spec):
+        assert run("synth", "--model", model_dir, "--out", tmp_path / "o",
+                   "--docs", 5, "--len", spec) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_length_spec_recorded_as_parsed(self, model_dir, tmp_path):
+        out = tmp_path / "o"
+        assert run("synth", "--model", model_dir, "--out", out,
+                   "--docs", 5, "--len", "poisson:20") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["len"] == "PoissonLength(mean=20.0)"
+
+    def test_threads_environment_variable_is_ignored(self, model_dir, corpus_path,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.setenv("TOPIC_COMPOSE_THREADS", "many")
+        assert run("synth", "--model", model_dir, "--out", tmp_path / "s",
+                   "--docs", 5) == 0
+        assert run("infer", "--method", "spi", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", tmp_path / "i") == 0
+        for name in ("s", "i"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["threads"] == 1
+
+    @pytest.mark.parametrize("method, config", [("padd", PaddConfig()),
+                                                ("tli", TliConfig())])
+    def test_flag_defaults_are_the_library_defaults(self, model_dir, corpus_path,
+                                                    tmp_path, method, config):
+        out = tmp_path / method
+        assert run("infer", "--method", method, "--model", model_dir,
+                   "--corpus", corpus_path, "--out", out) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        expected = dataclasses.asdict(config)
+        assert {k: recorded[k] for k in expected} == expected
 
     @pytest.mark.parametrize("argv", [
         ("synth", "--docs", 5, "--seed", "x"),
@@ -294,6 +355,26 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "synth" in capsys.readouterr().out
+
+
+def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
+    """The README's flow: infer and eval share one run directory, and two
+    evals into it keep their own manifests."""
+    data, run_dir = tmp_path / "data", tmp_path / "run"
+    assert run("synth", "--model", model_dir, "--out", data, "--docs", 20, "--seed", 4) == 0
+    assert run("infer", "--method", "spi", "--model", model_dir,
+               "--corpus", data / "corpus.tsv", "--out", run_dir) == 0
+    infer_manifest = (run_dir / "manifest.json").read_text()
+    for report in ("report.tsv", "report2.tsv"):
+        assert run("eval", "--truth", data / "Wstar.tsv", "--pred", run_dir / "W.tsv",
+                   "--prior", model_dir / "A.tsv", "--out", run_dir / report) == 0
+    assert (run_dir / "manifest.json").read_text() == infer_manifest
+    assert json.loads(infer_manifest)["subcommand"] == "infer"
+    assert json.loads((data / "manifest.json").read_text())["subcommand"] == "synth"
+    for report in ("report", "report2"):
+        manifest = json.loads((run_dir / f"{report}.manifest.json").read_text())
+        assert manifest["subcommand"] == "eval"
+        assert manifest["outputs"] == [f"{report}.tsv", "per_doc.tsv"]
 
 
 def test_smoke_pipeline(tmp_path):

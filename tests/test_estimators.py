@@ -218,7 +218,7 @@ class TestTliInfer:
 
         m = identity_model(2)
         Bd = np.array([[1.05, 0.0], [0.0, -0.05]])
-        inv = TliInverse(Bdagger=Bd, delta=0.0, magnitude=1.05)
+        inv = TliInverse(Bdagger=Bd, delta=0.0)
         c = Corpus(docs=[0, 0], words=[0, 1], counts=[999, 1], M=1, N=2)
         W = tli_infer(inv, m, c, TliConfig()).W
         assert W[1, 0] == 0.0 and W[0, 0] == 1.0

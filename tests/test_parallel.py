@@ -1,40 +1,7 @@
 import numpy as np
 import pytest
 
-from topic_compose.parallel import THREADS_ENV, chunk_spans, map_chunks, resolve_threads
-
-
-class TestResolveThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert resolve_threads() == 1
-
-    def test_explicit_argument(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert resolve_threads(4) == 4
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "8")
-        assert resolve_threads(2) == 2
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "6")
-        assert resolve_threads() == 6
-
-    def test_environment_not_integer(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(ValueError, match="not an integer"):
-            resolve_threads()
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_threads(bad)
-
-    def test_rejects_nonpositive_environment(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_threads()
+from topic_compose.parallel import chunk_spans, map_chunks
 
 
 class TestChunkSpans:
