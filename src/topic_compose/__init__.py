@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .model import (
     CompositionMatrix,
@@ -40,9 +40,6 @@ from .synth import (
     PoissonLength,
     SynthConfig,
     SynthOutput,
-    sample_dirichlet,
-    sample_document,
-    sample_logistic_normal,
     synthesize,
 )
 from .metrics import (

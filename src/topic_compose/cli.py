@@ -197,9 +197,9 @@ def cmd_eval(args):
     pred = read_composition_tsv(args.pred)
     prior = None if args.prior is None else read_dense_tsv(args.prior)
     report = evaluate_compositions(truth, pred, prior=prior)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    per_doc = args.per_doc or os.path.join(out_dir, "per_doc.tsv")
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    stem = os.path.splitext(args.out)[0]
+    per_doc = args.per_doc or stem + ".per_doc.tsv"
     write_report_tsv(report, args.out)
     write_per_doc_tsv(report, per_doc)
     resolved = {
@@ -210,7 +210,7 @@ def cmd_eval(args):
     }
     inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
     _write_manifest(
-        os.path.splitext(args.out)[0] + ".manifest.json", "eval", resolved, inputs,
+        stem + ".manifest.json", "eval", resolved, inputs,
         [args.out, per_doc], None, time.perf_counter() - t0,
     )
     return 0
@@ -265,7 +265,8 @@ def build_parser():
                     help="optional topic-topic moment TSV for prior_dist")
     pe.add_argument("--out", required=True, help="report TSV path")
     pe.add_argument("--per-doc", default=None,
-                    help="per-document TSV path (default: per_doc.tsv next to --out)")
+                    help="per-document TSV path (default: --out with .per_doc.tsv, "
+                         "so run/report.tsv writes run/report.per_doc.tsv)")
     pe.set_defaults(func=cmd_eval)
     return parser
 

@@ -36,7 +36,7 @@ def prior_distance(A0, comp):
     return float(np.linalg.norm(A0 - (W @ W.T) / W.shape[1]))
 
 
-def random_baseline(K, M, seed=0):
+def random_baseline(K, M, seed):
     """Compositions drawn uniformly from the simplex; the floor any real
     estimator should beat."""
     rng = np.random.default_rng(seed)

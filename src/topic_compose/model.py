@@ -66,6 +66,7 @@ class TopicModel:
         asym = float(np.abs(A - A.T).max()) if K > 1 else 0.0
         if asym > SYM_TOL:
             raise ValueError(f"A is not symmetric: max |A - A^T| = {asym:.3e}")
+        A = (A + A.T) / 2.0  # PADD's dual would accumulate skew that SYM_TOL lets through
         _clean_nonnegative(A, "A")
         total = float(A.sum())
         if abs(total - 1.0) > COL_SUM_TOL:

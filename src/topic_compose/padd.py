@@ -22,9 +22,9 @@ from .simplex import project_simplex_columns
 # block boundaries depend only on K and M and results do not depend on the
 # worker count. Each Douglas-Rachford iteration makes about 40 NumPy calls
 # per block, plus one per topic for the projection's prefix sums; 25,600
-# entries (512 documents at K=50, 2,560 at K=10) give every call enough
-# work with the GIL released to outweigh handing it between threads, which
-# smaller blocks at small K do not.
+# entries (512 documents at K=50, 2,560 at K=10) keep the fixed cost of
+# those calls small against their work. Even so a second thread does not
+# speed PADD up on two cores at these sizes (README, "Determinism").
 SLAVE_ENTRIES = 25_600
 
 # Douglas-Rachford relaxation factor, in (0, 2). In projections per batch it

@@ -4,13 +4,14 @@ Each document draws a composition from a prior (Dirichlet, or logistic-
 normal for correlated topics), mixes the topics' word distributions, and
 samples a bag of words. Documents come in fixed chunks of _DOC_CHUNK, and
 chunk c has one RNG stream, from (seed, c), that draws all the chunk's
-compositions, then their lengths, then the kept documents' bags in order.
+compositions with the prior's `draw(rows, rng)`, then their lengths with the
+length model's `draw(rows, rng)`, then the kept documents' bags in order.
 So output is reproducible, the same for any worker count, and prefix-stable
 (fewer documents give the start of the longer corpus); the chunk size is
 part of the streams' definition.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +43,34 @@ class DirichletPrior:
         return self.alpha.size
 
     @classmethod
-    def symmetric(cls, K, mass=5.0):
+    def symmetric(cls, K, mass):
         """Symmetric prior with total concentration `mass` split over K
         topics; small mass per topic gives sparse compositions."""
         return cls(np.full(K, mass / K))
 
+    def draw(self, rows, rng):
+        """`rows` compositions, one per row, via normalized Gamma variates.
+        A row whose variates all underflow to 0 is redrawn."""
+        g, redraw = np.empty((rows, self.K)), slice(None)
+        for _ in range(100):
+            g[redraw] = rng.standard_gamma(self.alpha, size=g[redraw].shape)
+            s = g.sum(axis=1, keepdims=True)
+            if s.all():
+                return g / s
+            redraw = np.flatnonzero(s == 0.0)
+        # reachable only for tiny alpha where every variate underflows to 0
+        raise RuntimeError(f"Dirichlet sampling underflowed for alpha={self.alpha!r}")
+
 
 @dataclass(frozen=True)
 class LogisticNormalPrior:
-    """Softmax of a Gaussian: compositions with correlated topics."""
+    """Softmax of a Gaussian: compositions with correlated topics. `factor`
+    is L with L L^T = sigma, by Cholesky when possible, otherwise by
+    eigendecomposition with tiny negative eigenvalues clamped to 0."""
 
     mu: np.ndarray
     sigma: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=np.float64).ravel()
@@ -64,14 +81,30 @@ class LogisticNormalPrior:
             raise ValueError(f"sigma must be a finite {mu.size}x{mu.size} matrix")
         if np.abs(sigma - sigma.T).max() > 1e-10:
             raise ValueError("sigma must be symmetric")
-        mu.setflags(write=False)
-        sigma.setflags(write=False)
+        try:
+            L = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(sigma)
+            if vals.min() < EIG_CLAMP:
+                raise ValueError(
+                    f"sigma is not positive semidefinite: smallest eigenvalue {vals.min():.3e}"
+                ) from None
+            L = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+        for a in (mu, sigma, L):
+            a.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "factor", L)
 
     @property
     def K(self):
         return self.mu.size
+
+    def draw(self, rows, rng):
+        """`rows` compositions softmax(mu + L z) with z standard normal, one per row."""
+        x = self.mu + rng.standard_normal((rows, self.K)) @ self.factor.T
+        z = np.exp(x - x.max(axis=1, keepdims=True))
+        return z / z.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -84,6 +117,9 @@ class FixedLength:
         if not 1 <= self.n <= _MAX_LENGTH:
             raise ValueError(f"document length must be in [1, {_MAX_LENGTH}], got {self.n!r}")
 
+    def draw(self, rows, rng):
+        return np.full(rows, self.n)
+
 
 @dataclass(frozen=True)
 class PoissonLength:
@@ -95,6 +131,9 @@ class PoissonLength:
     def __post_init__(self):
         if not 1.0 <= self.mean <= _MAX_LENGTH / 2:
             raise ValueError(f"mean length must be in [1, {_MAX_LENGTH // 2}], got {self.mean!r}")
+
+    def draw(self, rows, rng):
+        return 1 + rng.poisson(self.mean - 1.0, size=rows)
 
 
 @dataclass(frozen=True)
@@ -135,53 +174,6 @@ class SynthOutput:
         object.__setattr__(self, "Astar", A)
 
 
-def _dirichlet_rows(alpha, rows, rng):
-    """`rows` draws from Dirichlet(alpha), one per row, via normalized
-    Gamma variates. A row whose variates all underflow to 0 is redrawn."""
-    g, redraw = np.empty((rows, alpha.size)), slice(None)
-    for _ in range(100):
-        g[redraw] = rng.standard_gamma(alpha, size=g[redraw].shape)
-        s = g.sum(axis=1, keepdims=True)
-        if s.all():
-            return g / s
-        redraw = np.flatnonzero(s == 0.0)
-    # reachable only for tiny alpha where every variate underflows to 0
-    raise RuntimeError(f"Dirichlet sampling underflowed for alpha={alpha!r}")
-
-
-def sample_dirichlet(alpha, rng):
-    """One draw from Dirichlet(alpha) via normalized Gamma variates."""
-    return _dirichlet_rows(np.asarray(alpha, dtype=np.float64), 1, rng)[0]
-
-
-def _covariance_factor(sigma):
-    """Matrix L with L L^T = sigma, by Cholesky when possible, otherwise
-    by eigendecomposition with tiny negative eigenvalues clamped to 0."""
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(sigma)
-    if vals.min() < EIG_CLAMP:
-        raise ValueError(
-            f"sigma is not positive semidefinite: smallest eigenvalue {vals.min():.3e}"
-        )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
-
-
-def _logistic_normal_rows(mu, L, rows, rng):
-    """`rows` draws of softmax(mu + L z) with z standard normal, one per row."""
-    x = mu + rng.standard_normal((rows, mu.size)) @ L.T
-    z = np.exp(x - x.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
-
-
-def sample_logistic_normal(mu, sigma, rng):
-    """One draw: softmax(mu + L z) with z standard normal."""
-    L = _covariance_factor(np.asarray(sigma, dtype=np.float64))
-    return _logistic_normal_rows(np.asarray(mu, dtype=np.float64), L, 1, rng)[0]
-
-
 def _bags(B, W, lengths, rng):
     """Bags of lengths[m] words from the mixture B w_m for the first len(lengths)
     rows w_m of W: each bag's number of distinct words, then (word, count) of
@@ -197,14 +189,6 @@ def _bags(B, W, lengths, rng):
             counts[rows, words].astype(np.int32))
 
 
-def sample_document(B, w, length, rng):
-    """Sample a bag of `length` words from the mixture B @ w. Returns
-    (word indices, counts) of the nonzero entries, indices ascending."""
-    if not 1 <= length <= _MAX_LENGTH:
-        raise ValueError(f"document length must be in [1, {_MAX_LENGTH}]")
-    return _bags(B, np.asarray(w, dtype=np.float64)[None, :], [length], rng)[1:]
-
-
 def synthesize(model, config, threads=1):
     """Generate a corpus of config.docs documents from the model's topics and
     the configured composition prior; the same for any thread count."""
@@ -212,8 +196,6 @@ def synthesize(model, config, threads=1):
     prior, length = config.prior, config.doc_length
     if prior.K != K:
         raise ValueError(f"prior is over {prior.K} topics, model has {K}")
-    if isinstance(prior, LogisticNormalPrior):
-        L = _covariance_factor(prior.sigma)
     step = max(1, _BLOCK_ENTRIES // N)  # documents per multinomial draw
     W = np.empty((K, M))
     parts = [None] * len(range(0, M, _DOC_CHUNK))
@@ -223,10 +205,8 @@ def synthesize(model, config, threads=1):
         c = start // _DOC_CHUNK
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(c,)))
         # all the chunk's compositions and lengths, however many are kept
-        Wc = (_dirichlet_rows(prior.alpha, _DOC_CHUNK, rng) if isinstance(prior, DirichletPrior)
-              else _logistic_normal_rows(prior.mu, L, _DOC_CHUNK, rng))
-        n = (np.full(_DOC_CHUNK, length.n) if isinstance(length, FixedLength)
-             else 1 + rng.poisson(length.mean - 1.0, size=_DOC_CHUNK))
+        Wc = prior.draw(_DOC_CHUNK, rng)
+        n = length.draw(_DOC_CHUNK, rng)
         W[:, start:start + kept] = Wc[:kept].T
         parts[c] = [_bags(model.B, Wc[s:s + step], n[s:min(s + step, kept)], rng)
                     for s in range(0, kept, step)]

@@ -23,7 +23,6 @@ from topic_compose import (
     evaluate_compositions,
     padd_infer,
     project_simplex,
-    sample_dirichlet,
     save_model,
     spi_infer,
     synthesize,
@@ -277,10 +276,10 @@ def test_criterion_9_sampler_moments():
     t0 = time.perf_counter()
     draws = 10**5
     rng = np.random.default_rng(909)
-    mean_sample = np.array([sample_dirichlet(np.ones(5), rng) for _ in range(draws)])
+    mean_sample = DirichletPrior(np.ones(5)).draw(draws, rng)
     mean_err = float(np.abs(mean_sample.mean(axis=0) - 0.2).max())
 
-    flat = np.array([sample_dirichlet(np.ones(2), rng)[0] for _ in range(draws)])
+    flat = DirichletPrior(np.ones(2)).draw(draws, rng)[:, 0]
     var_err = abs(float(flat.var()) - 1.0 / 12.0)
 
     alpha = np.ones(5)

@@ -95,6 +95,16 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digests"][str(mu)] == digest(mu)
 
+    def test_indefinite_sigma_is_runtime_error_without_output(self, model_dir, tmp_path,
+                                                               capsys):
+        mu, sigma = tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
+        write_dense_tsv(str(mu), np.zeros((3, 1)))
+        write_dense_tsv(str(sigma), np.diag([1.0, 1.0, -1.0]))
+        assert run("synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
+                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == 1
+        assert "semidefinite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_model_flag_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "o", "--docs", 5) == 2
 
@@ -228,7 +238,7 @@ class TestEval:
         assert table["l1_error"] == 0.0
         assert table["linf_error"] == 0.0
         assert "prior_dist" not in table
-        assert (tmp_path / "per_doc.tsv").exists()
+        assert (tmp_path / "report.per_doc.tsv").exists()
 
     def test_report_row_order_is_stable(self, truth_pred, tmp_path):
         tpath, _ = truth_pred
@@ -254,6 +264,19 @@ class TestEval:
         assert [line.split("\t")[0] for line in lines[1:]] == [
             str(m + 1) for m in range(W.shape[1])
         ]
+
+    def test_two_evals_into_one_directory_keep_both_tables(self, truth_pred, tmp_path):
+        tpath, W = truth_pred
+        pred = tmp_path / "pred.tsv"
+        write_dense_tsv(str(pred), np.full(W.shape, 1.0 / W.shape[0]))
+        for report, p in (("a", tpath), ("b", pred)):
+            assert run("eval", "--truth", tpath, "--pred", p,
+                       "--out", tmp_path / f"{report}.tsv") == 0
+        a, b = ((tmp_path / f"{r}.per_doc.tsv").read_text() for r in "ab")
+        assert a != b and not (tmp_path / "per_doc.tsv").exists()
+        for report in "ab":
+            manifest = json.loads((tmp_path / f"{report}.manifest.json").read_text())
+            assert manifest["outputs"] == [f"{report}.tsv", f"{report}.per_doc.tsv"]
 
     def test_topic_count_mismatch_is_runtime_error(self, truth_pred, tmp_path, capsys):
         tpath, _ = truth_pred
@@ -374,7 +397,7 @@ def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
     for report in ("report", "report2"):
         manifest = json.loads((run_dir / f"{report}.manifest.json").read_text())
         assert manifest["subcommand"] == "eval"
-        assert manifest["outputs"] == [f"{report}.tsv", "per_doc.tsv"]
+        assert manifest["outputs"] == [f"{report}.tsv", f"{report}.per_doc.tsv"]
 
 
 def test_smoke_pipeline(tmp_path):

@@ -57,6 +57,15 @@ class TestTopicModel:
         with pytest.raises(ValueError, match="symmetric"):
             TopicModel(B=np.eye(2), A=[[0.5, 0.1], [0.0, 0.4]])
 
+    def test_skew_within_tolerance_is_stored_symmetrized(self):
+        A = np.array([[0.3, 0.2 + 4e-11], [0.2 - 4e-11, 0.3]])
+        m = TopicModel(B=np.eye(2), A=A)
+        assert (m.A == m.A.T).all()
+        npt.assert_allclose(m.A, [[0.3, 0.2], [0.2, 0.3]], rtol=0, atol=1e-16)
+        # an exactly symmetric A is stored bit for bit
+        S = np.array([[0.1, 0.25], [0.25, 0.4]])
+        assert TopicModel(B=np.eye(2), A=S).A.tobytes() == S.tobytes()
+
     def test_A_total_checked(self):
         with pytest.raises(ValueError, match="sum"):
             TopicModel(B=np.eye(2), A=[[0.5, 0.0], [0.0, 0.6]])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,9 +12,6 @@ from topic_compose import (
     PoissonLength,
     SynthConfig,
     TopicModel,
-    sample_dirichlet,
-    sample_document,
-    sample_logistic_normal,
     synthesize,
     write_corpus_tsv,
 )
@@ -21,6 +19,12 @@ import topic_compose.synth as synth_module
 from topic_compose.parallel import map_chunks
 from conftest import random_model
 from oracles import dirichlet_second_moment
+
+
+def draw_bag(B, w, length, rng):
+    """One bag of `length` words from the mixture B @ w, as synthesis draws
+    it: (word indices, counts) of the nonzero entries, indices ascending."""
+    return synth_module._bags(B, np.asarray(w, dtype=np.float64)[None, :], [length], rng)[1:]
 
 
 class TestPriors:
@@ -38,11 +42,16 @@ class TestPriors:
         with pytest.raises(ValueError, match="symmetric"):
             LogisticNormalPrior(mu=[0.0, 0.0], sigma=[[1.0, 0.5], [0.0, 1.0]])
 
-    def test_indefinite_sigma_rejected_at_sampling(self):
-        prior = LogisticNormalPrior(mu=[0.0, 0.0], sigma=[[1.0, 0.0], [0.0, -1.0]])
-        rng = np.random.default_rng(0)
+    def test_indefinite_sigma_rejected_at_construction(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            sample_logistic_normal(prior.mu, prior.sigma, rng)
+            LogisticNormalPrior(mu=[0.0, 0.0], sigma=[[1.0, 0.0], [0.0, -1.0]])
+
+    def test_sigma_factored_once_read_only(self):
+        sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
+        prior = LogisticNormalPrior(mu=[0.0, 0.0], sigma=sigma)
+        npt.assert_allclose(prior.factor @ prior.factor.T, sigma, atol=1e-15)
+        assert not prior.factor.flags.writeable
+        assert "factor" not in repr(prior)
 
     def test_lengths_validated(self):
         with pytest.raises(ValueError):
@@ -54,89 +63,86 @@ class TestPriors:
             FixedLength(2**31)
         with pytest.raises(ValueError):
             PoissonLength(2.0**31)
-        with pytest.raises(ValueError):
-            sample_document(np.eye(2), np.array([1.0, 0.0]), 2**31, np.random.default_rng(0))
+
+    def test_length_models_draw_rows(self):
+        rng = np.random.default_rng(12)
+        npt.assert_array_equal(FixedLength(7).draw(4, rng), [7, 7, 7, 7])
+        npt.assert_array_equal(PoissonLength(1.0).draw(5, rng), np.ones(5))
 
 
 class TestSampleDirichlet:
     def test_single_topic_exact(self):
         rng = np.random.default_rng(1)
-        npt.assert_array_equal(sample_dirichlet([2.5], rng), [1.0])
+        npt.assert_array_equal(DirichletPrior([2.5]).draw(3, rng), [[1.0]] * 3)
 
     def test_mean_matches_analytic(self):
         rng = np.random.default_rng(2)
-        alpha = np.full(5, 1.0)
-        draws = np.array([sample_dirichlet(alpha, rng) for _ in range(100_000)])
+        draws = DirichletPrior(np.full(5, 1.0)).draw(100_000, rng)
         npt.assert_allclose(draws.mean(axis=0), 0.2, atol=0.01)
 
     def test_variance_matches_analytic(self):
         rng = np.random.default_rng(3)
-        draws = np.array([sample_dirichlet([1.0, 1.0], rng) for _ in range(100_000)])
+        draws = DirichletPrior([1.0, 1.0]).draw(100_000, rng)
         # Dir(1,1) coordinate is uniform on [0,1]: variance 1/12
         assert draws[:, 0].var() == pytest.approx(1.0 / 12.0, abs=0.005)
 
     def test_always_on_simplex(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            w = sample_dirichlet(np.full(8, 0.05), rng)
-            assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0.0
+        W = DirichletPrior(np.full(8, 0.05)).draw(200, rng)
+        assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12 and W.min() >= 0.0
 
 
 class TestSampleLogisticNormal:
     def test_zero_covariance_is_softmax(self):
         rng = np.random.default_rng(5)
-        w = sample_logistic_normal([1.0, 0.0], np.zeros((2, 2)), rng)
+        w = LogisticNormalPrior(mu=[1.0, 0.0], sigma=np.zeros((2, 2))).draw(1, rng)[0]
         e = math.exp(1.0)
         npt.assert_allclose(w, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-15)
         assert w[0] == pytest.approx(0.7311, abs=1e-4)
 
     def test_symmetric_coordinates_balanced(self):
         rng = np.random.default_rng(6)
-        draws = np.array([
-            sample_logistic_normal(np.zeros(2), np.eye(2), rng)
-            for _ in range(100_000)
-        ])
+        draws = LogisticNormalPrior(mu=np.zeros(2), sigma=np.eye(2)).draw(100_000, rng)
         assert draws[:, 0].mean() == pytest.approx(0.5, abs=0.01)
 
     def test_on_simplex(self):
         rng = np.random.default_rng(7)
         sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
-        for _ in range(200):
-            w = sample_logistic_normal(np.zeros(2), sigma, rng)
-            assert abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0.0
+        W = LogisticNormalPrior(mu=np.zeros(2), sigma=sigma).draw(200, rng)
+        assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12 and W.min() >= 0.0
 
     def test_psd_repair_accepts_tiny_negative_eigenvalue(self):
         # rank-one covariance perturbed just below zero still factors
         v = np.array([1.0, -1.0])
         sigma = np.outer(v, v) - 5e-11 * np.eye(2)
         rng = np.random.default_rng(8)
-        w = sample_logistic_normal(np.zeros(2), sigma, rng)
+        w = LogisticNormalPrior(mu=np.zeros(2), sigma=sigma).draw(1, rng)[0]
         assert abs(w.sum() - 1.0) <= 1e-12
 
 
 class TestSampleDocument:
     def test_deterministic_category(self):
         rng = np.random.default_rng(9)
-        idx, cnt = sample_document(np.eye(2), np.array([1.0, 0.0]), 5, rng)
+        idx, cnt = draw_bag(np.eye(2), np.array([1.0, 0.0]), 5, rng)
         npt.assert_array_equal(idx, [0])
         npt.assert_array_equal(cnt, [5])
 
     def test_frequency_concentrates(self):
         rng = np.random.default_rng(10)
-        idx, cnt = sample_document(np.eye(2), np.array([0.5, 0.5]), 100_000, rng)
+        idx, cnt = draw_bag(np.eye(2), np.array([0.5, 0.5]), 100_000, rng)
         freq = cnt[list(idx).index(0)] / 100_000
         assert freq == pytest.approx(0.5, abs=0.005)
 
     def test_single_token(self):
         rng = np.random.default_rng(11)
-        idx, cnt = sample_document(np.eye(3), np.array([0.2, 0.5, 0.3]), 1, rng)
+        idx, cnt = draw_bag(np.eye(3), np.array([0.2, 0.5, 0.3]), 1, rng)
         assert idx.size == 1 and cnt[0] == 1
 
 
 class TestSynthesize:
     def test_single_doc_single_topic(self):
         m = TopicModel(B=np.ones((2, 1)) / 2, A=[[1.0]])
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(1), docs=1,
+        cfg = SynthConfig(prior=DirichletPrior.symmetric(1, 5.0), docs=1,
                           doc_length=FixedLength(4), seed=0)
         out = synthesize(m, cfg)
         npt.assert_array_equal(out.Wstar.W, [[1.0]])
@@ -238,7 +244,7 @@ class TestSynthesize:
         with pytest.raises(RuntimeError, match="underflowed"):
             synthesize(m, cfg)
         with pytest.raises(RuntimeError, match="underflowed"):
-            sample_dirichlet([1e-300, 1e-300], np.random.default_rng(36))
+            DirichletPrior([1e-300, 1e-300]).draw(1, np.random.default_rng(36))
 
     def test_logistic_normal_end_to_end(self):
         m = random_model(N=20, K=4, seed=29)
@@ -250,7 +256,33 @@ class TestSynthesize:
 
     def test_prior_topic_count_must_match(self):
         m = random_model(N=20, K=4, seed=31)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(3), docs=5,
+        cfg = SynthConfig(prior=DirichletPrior.symmetric(3, 5.0), docs=5,
                           doc_length=FixedLength(5), seed=0)
         with pytest.raises(ValueError, match="topics"):
             synthesize(m, cfg)
+
+
+# SHA-256 of synthesize's corpus arrays, Wstar and Astar as versions 0.4.0
+# and 0.5.0 draw them; another digest means every seed gives another corpus
+STREAM_DIGESTS = {
+    "dirichlet-poisson": "60e18428139e2a19a1a38b38e0dcac20fb319ac3f4abf19b9fa559b65b3a69cb",
+    "logistic-normal-fixed": "ab39d207b39e1062b79df0d6ca3a4bdd6d5c0f9722ac88b4ad7b8ec027dc5271",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+def test_stream_is_pinned(case, threads):
+    # 300 documents: one whole chunk and a partial one
+    prior, length = {
+        "dirichlet-poisson": (DirichletPrior(np.full(4, 1.25)), PoissonLength(20.0)),
+        "logistic-normal-fixed": (
+            LogisticNormalPrior(mu=[0.5, 0.0, -0.5, 0.0], sigma=0.5 * np.eye(4) + 0.1),
+            FixedLength(15)),
+    }[case]
+    cfg = SynthConfig(prior=prior, docs=300, doc_length=length, seed=41)
+    out = synthesize(random_model(N=30, K=4, seed=40), cfg, threads=threads)
+    h = hashlib.sha256()
+    for a in (out.corpus.docs, out.corpus.words, out.corpus.counts, out.Wstar.W, out.Astar):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == STREAM_DIGESTS[case]
