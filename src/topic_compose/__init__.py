@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .model import (
     CompositionMatrix,
@@ -11,14 +11,13 @@ from .model import (
     read_composition_tsv,
     read_corpus_tsv,
     read_dense_tsv,
-    save_model,
     topic_marginals,
     word_topic_posterior,
     write_composition_tsv,
     write_corpus_tsv,
     write_dense_tsv,
 )
-from .simplex import project_simplex, project_simplex_columns
+from .simplex import project_simplex_columns
 from .estimators import (
     TliConfig,
     TliInverse,
@@ -30,7 +29,6 @@ from .estimators import (
 from .padd import (
     PaddConfig,
     PaddDiagnostics,
-    admm_dr_solve,
     padd_infer,
 )
 from .synth import (

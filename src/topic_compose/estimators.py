@@ -38,7 +38,7 @@ class TliConfig:
             raise ValueError(f"threshold_divisor must be > 0, got {self.threshold_divisor!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TliInverse:
     """Approximate left inverse of B with its magnitude bound.
 

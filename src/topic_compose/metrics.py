@@ -28,8 +28,8 @@ METRIC_ORDER = (
 
 def prior_distance(A0, comp):
     """Frobenius distance between the prior second moment A0 and the
-    empirical second moment of the inferred compositions."""
-    W = comp.W if isinstance(comp, CompositionMatrix) else np.asarray(comp, dtype=np.float64)
+    empirical second moment of the CompositionMatrix `comp`."""
+    W = comp.W
     A0 = np.asarray(A0, dtype=np.float64)
     if A0.shape != (W.shape[0], W.shape[0]):
         raise ValueError(f"A0 has shape {A0.shape}, expected ({W.shape[0]}, {W.shape[0]})")
@@ -44,7 +44,7 @@ def random_baseline(K, M, seed):
     return CompositionMatrix(W)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Per-document metric arrays plus corpus-level numbers."""
 

