@@ -223,13 +223,66 @@ def write_dense_tsv(path, X):
         np.savetxt(fh, X, fmt=_FLOAT_FMT, delimiter="\t")
 
 
+def _read_header(fh, path, fields):
+    """The first line's `fields` nonnegative integers, or ValueError
+    naming path."""
+    header = fh.readline().split()
+    try:
+        sizes = [int(v) for v in header]
+    except ValueError:
+        sizes = []
+    if len(sizes) != fields or min(sizes) < 0:
+        raise ValueError(f"{path}: malformed header {header!r}")
+    return sizes
+
+
+def _fields(line):
+    """A body line's tab-separated fields, or [] for a line loadtxt skips:
+    text from '#' on is a comment, and nothing else is left."""
+    text = line.split("#", 1)[0].rstrip("\n")
+    return text.split("\t") if text else []
+
+
+def _read_body(fh, path, dtype, cols):
+    """The lines after the header as a 2-D array of dtype, read by loadtxt.
+
+    A body without data lines gives a 0 x cols array, without loadtxt's
+    no-data warning. A body loadtxt cannot read raises ValueError naming
+    path and, where a rescan finds it, the first bad line.
+    """
+    start = fh.tell()
+    if not any(_fields(line) for line in iter(fh.readline, "")):
+        return np.empty((0, cols), dtype=dtype)
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, dtype=dtype, delimiter="\t", ndmin=2)
+    except ValueError as exc:
+        fh.seek(start)
+        raise ValueError(_first_bad_line(fh, path, dtype, cols) or f"{path}: {exc}") from None
+
+
+def _first_bad_line(fh, path, dtype, cols):
+    """What is wrong with the first body line left in fh that has other
+    than cols fields or a field that does not parse as dtype, naming path
+    and the line's number in the file (the header is line 1); None if no
+    line is."""
+    parse = float if np.dtype(dtype).kind == "f" else int
+    for number, line in enumerate(iter(fh.readline, ""), start=2):
+        fields = _fields(line)
+        if fields and len(fields) != cols:
+            return f"{path}: line {number}: expected {cols} fields, got {len(fields)}"
+        for value in fields:
+            try:
+                parse(value)
+            except ValueError:
+                return f"{path}: line {number}: cannot read {value!r} as {np.dtype(dtype)}"
+    return None
+
+
 def read_dense_tsv(path):
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
-        X = np.loadtxt(fh, dtype=np.float64, delimiter="\t", ndmin=2)
+        rows, cols = _read_header(fh, path, 2)
+        X = _read_body(fh, path, np.float64, cols)
     if X.size == 0:
         X = X.reshape(rows, cols) if rows * cols == 0 else X
     if X.shape != (rows, cols):
@@ -258,13 +311,8 @@ def write_corpus_tsv(path, corpus):
 
 def read_corpus_tsv(path):
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        M, N, nnz = (int(v) for v in header)
-        body = np.loadtxt(fh, dtype=np.int64, delimiter="\t", ndmin=2)
-    if body.size == 0:
-        body = body.reshape(0, 3)
+        M, N, nnz = _read_header(fh, path, 3)
+        body = _read_body(fh, path, np.int64, 3)
     if body.shape != (nnz, 3):
         raise ValueError(f"{path}: header says {nnz} entries, body has shape {body.shape}")
     docs, words, counts = body[:, 0], body[:, 1], body[:, 2]

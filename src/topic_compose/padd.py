@@ -118,28 +118,25 @@ def _prox_inverse(Q, what):
     return _symmetrize(np.linalg.inv(Q + rho * np.eye(Q.shape[0]))), rho, lo
 
 
-def _dr_block(P, C, W0, Q0, order, max_iters, tol):
+def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
     """Relaxed Douglas-Rachford on a block of columns, from the start pair
-    w = W0 and auxiliary q = Q0. W0 need not lie on the simplex: it enters
-    only the first prox point and step, and every returned w is projected.
+    w and auxiliary q. w need not lie on the simplex: it enters only the
+    first prox point and step. q and `order`, each column's sort order for
+    the projection, are updated in place.
 
     The quadratic's prox step is the affine map p = P (2w - q) + C. A
     column's step is the larger of |w_new - w| and |p - w| (infinity
     norms), so it converges only once the projection and the prox agree.
     Iterates the whole block until every column's step falls below tol or
-    the cap is reached, but freezes each column's w and q at its first
-    converged iterate so the block result matches column-by-column runs.
-    `order` holds each column's sort order for the projection and is
-    updated in place. Returns (w, q, final step sizes).
+    the cap is reached, and writes each column's projected w, its q and its
+    step at its first converged iterate (else the last) into W, Qaux and
+    steps. The block matches column-by-column runs only to rounding: BLAS
+    picks its kernel by the product's width, so (P @ X)[:, j] and
+    P @ X[:, j:j+1] differ in the last bits (at K=10 only a single column
+    does; from K=25 on, other widths differ too).
     """
-    w, q = W0, Q0.copy()  # q is updated in place
-    out, out_q = w.copy(), q.copy()
-    m = w.shape[1]
     work = np.empty_like(q)  # holds 2w - q, then RELAXATION * d, then |w_new - w|
-    done = np.zeros(m, dtype=bool)
-    converged = 0
-    final_step = np.zeros(m)
-    step = np.zeros(m)
+    active = np.ones(w.shape[1], dtype=bool)
     for _ in range(max_iters):
         np.subtract(np.multiply(w, 2.0, out=work), q, out=work)
         d = P @ work
@@ -150,37 +147,32 @@ def _dr_block(P, C, W0, Q0, order, max_iters, tol):
         np.abs(np.subtract(w_new, w, out=work), out=work)
         step = np.maximum(work.max(axis=0), np.abs(d, out=d).max(axis=0))
         w = w_new
-        newly = ~done & (step <= tol)
-        count = np.count_nonzero(newly)
-        if count:
-            np.copyto(out, w, where=newly)
-            np.copyto(out_q, q, where=newly)
-            np.copyto(final_step, step, where=newly)
-            done |= newly
-            converged += count
-            if converged == m:
-                return out, out_q, final_step
-    active = ~done
-    np.copyto(out, w, where=active)
-    np.copyto(out_q, q, where=active)
-    np.copyto(final_step, step, where=active)
-    return out, out_q, final_step
+        newly = active & (step <= tol)
+        np.copyto(W, w, where=newly)
+        np.copyto(Qaux, q, where=newly)
+        np.copyto(steps, step, where=newly)
+        active ^= newly
+        if not active.any():
+            return
+    np.copyto(W, w, where=active)
+    np.copyto(Qaux, q, where=active)
+    np.copyto(steps, step, where=active)
 
 
 def _solve_slaves(P, C, W0, Q0, order, config, threads):
+    """Solve every slave from (W0, Q0), updating Q0 in place; returns the
+    round's W, Qaux and final steps."""
     K, M = C.shape
-    out, out_q = np.empty((K, M)), np.empty((K, M))
+    W, Qaux = np.empty((K, M)), np.empty((K, M))
     steps = np.empty(M)
 
     def run(span):
-        s, e = span
-        out[:, s:e], out_q[:, s:e], steps[s:e] = _dr_block(
-            P, C[:, s:e], W0[:, s:e], Q0[:, s:e], order[:, s:e],
-            config.slave_iters, config.slave_tol,
-        )
+        s = slice(*span)
+        _dr_block(P, C[:, s], W0[:, s], Q0[:, s], order[:, s],
+                  config.slave_iters, config.slave_tol, W[:, s], Qaux[:, s], steps[s])
 
     map_chunks(M, max(1, SLAVE_ENTRIES // K), run, threads)
-    return out, out_q, steps
+    return W, Qaux, steps
 
 
 def padd_infer(model, corpus, config=None, threads=1):

@@ -188,8 +188,10 @@ def solve_one_document(Q, f, w0, max_iters=PaddConfig.slave_iters, tol=PaddConfi
     G, rho, _ = _prox_inverse(Q, "Q")
     order = np.arange(len(w0))[:, None]
     w = project_simplex_columns(w0[:, None], order=order)
-    w, _, _ = _dr_block(rho * G, G @ f[:, None], w, w, order, max_iters, tol)
-    return w[:, 0]
+    out = np.empty_like(w)
+    _dr_block(rho * G, G @ f[:, None], w, w.copy(), order, max_iters, tol,
+              out, np.empty_like(w), np.empty(1))
+    return out[:, 0]
 
 
 def mean_reconstruction_loss(B, W, corpus):

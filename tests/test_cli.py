@@ -104,6 +104,13 @@ class TestSynth:
         assert "semidefinite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_ragged_model_file_is_runtime_error_naming_it(self, tmp_path, capsys):
+        mdir = tmp_path / "model"
+        write_model(mdir, random_model(N=12, K=2, seed=11))
+        (mdir / "B.tsv").write_text("2\t2\n0.5\t0.5\n0.5\n")
+        assert run("synth", "--model", mdir, "--out", tmp_path / "o", "--docs", 5) == 1
+        assert f"{mdir / 'B.tsv'}: line 3" in capsys.readouterr().err
+
     def test_missing_model_flag_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "o", "--docs", 5) == 2
 
@@ -201,6 +208,15 @@ class TestInfer:
                    "--corpus", tmp_path / "nope.tsv", "--out", tmp_path / "o")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_corpus_is_runtime_error_naming_it(self, model_dir, tmp_path,
+                                                          capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("1\t12\t1\n1\t1\tx\n")
+        code = run("infer", "--method", "spi", "--model", model_dir,
+                   "--corpus", corpus, "--out", tmp_path / "o")
+        assert code == 1
+        assert f"{corpus}: line 2" in capsys.readouterr().err
 
     def test_skewed_model_file_is_runtime_error(self, corpus_path, tmp_path, capsys):
         mdir = tmp_path / "model"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -247,6 +249,29 @@ class TestFileFormats:
         path.write_text("2\t2\n0.5\t0.5\n")
         with pytest.raises(ValueError, match="header"):
             read_dense_tsv(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("2\t2\n0.5\t0.5\n\n0.5\n", "line 4: expected 2 fields, got 1"),
+        ("1\t2\n# note\n0.5\tx\n", "line 3: cannot read 'x' as float64"),
+        ("a\t2\n0.5\t0.5\n", "malformed header ['a', '2']"),
+        ("2\t-1\n", "malformed header ['2', '-1']"),
+    ])
+    def test_dense_parse_error_names_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            read_dense_tsv(path)
+
+    def test_empty_dense_body_reads_without_warning(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("0\t3\n")
+        assert read_dense_tsv(path).shape == (0, 3)
+
+    def test_empty_corpus_body_is_empty_document_error(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("3\t2\t0\n")
+        with pytest.raises(ValueError, match="document 0 is empty"):
+            read_corpus_tsv(path)
 
     def test_corpus_round_trip(self, tmp_path):
         c = random_corpus(N=12, M=9, seed=3)
