@@ -99,6 +99,16 @@ def _write_manifest(path, subcommand, config, inputs, outputs, seed, elapsed):
     os.replace(tmp, path)
 
 
+def _read_topic_tsv(path, flag, K, vector=False):
+    """The K values (vector) or K x K matrix in the file given to `flag`;
+    a file of another size raises ValueError naming it."""
+    X = read_dense_tsv(path)
+    if (X.size == K) if vector else (X.shape == (K, K)):
+        return X.ravel() if vector else X
+    want = f"{K} values" if vector else f"a {K}x{K} matrix"
+    raise ValueError(f"{path}: {flag} needs {want} for {K} topics, got shape {X.shape}")
+
+
 def _model_inputs(model_dir):
     return [os.path.join(model_dir, "B.tsv"), os.path.join(model_dir, "A.tsv")]
 
@@ -110,10 +120,8 @@ def cmd_synth(args):
         prior = DirichletPrior.symmetric(model.K, args.alpha_scale)
         prior_cfg = {"prior": "dirichlet", "alpha": prior.alpha.tolist()}
     else:
-        if args.mu is None or args.sigma is None:
-            raise ValueError("--prior logistic-normal requires --mu and --sigma")
-        mu = read_dense_tsv(args.mu).ravel()
-        sigma = read_dense_tsv(args.sigma)
+        mu = _read_topic_tsv(args.mu, "--mu", model.K, vector=True)
+        sigma = _read_topic_tsv(args.sigma, "--sigma", model.K)
         prior = LogisticNormalPrior(mu=mu, sigma=sigma)
         prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
     config = SynthConfig(prior=prior, docs=args.docs, doc_length=args.len, seed=args.seed)
@@ -195,7 +203,7 @@ def cmd_eval(args):
     t0 = time.perf_counter()
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
-    prior = None if args.prior is None else read_dense_tsv(args.prior)
+    prior = None if args.prior is None else _read_topic_tsv(args.prior, "--prior", truth.K)
     report = evaluate_compositions(truth, pred, prior=prior)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     stem = os.path.splitext(args.out)[0]
@@ -275,6 +283,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.subcommand == "synth" and args.prior == "logistic-normal"
+                and None in (args.mu, args.sigma)):
+            parser.error("synth --prior logistic-normal requires --mu and --sigma")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

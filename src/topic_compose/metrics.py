@@ -46,38 +46,11 @@ def random_baseline(K, M, seed):
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-document metric arrays plus corpus-level numbers."""
+    """Per-document metric arrays keyed by METRIC_ORDER, plus corpus-level numbers."""
 
     per_doc: dict
     prior_dist: object  # float, or None when no prior was supplied
     prominent_mass: float
-
-    def __post_init__(self):
-        if set(self.per_doc) != set(METRIC_ORDER):
-            raise ValueError(f"per_doc must have exactly the keys {METRIC_ORDER}")
-        converted = {}
-        for name in METRIC_ORDER:
-            v = np.asarray(self.per_doc[name], dtype=np.float64).ravel()
-            if not np.isfinite(v).all():
-                raise ValueError(f"metric {name} has non-finite entries")
-            converted[name] = v
-        sizes = {len(v) for v in converted.values()}
-        if len(sizes) != 1 or 0 in sizes:
-            raise ValueError("per-document arrays must share one nonzero length")
-        object.__setattr__(self, "per_doc", converted)
-        unit = ("precision", "recall", "f1", "linf_error", "hellinger", "nonsupp_mass")
-        slack = 1e-12
-        for name in unit:
-            v = self.per_doc[name]
-            if v.min() < -slack or v.max() > 1.0 + slack:
-                raise ValueError(f"metric {name} outside [0, 1]")
-        v = self.per_doc["l1_error"]
-        if v.min() < -slack or v.max() > 2.0 + slack:
-            raise ValueError("metric l1_error outside [0, 2]")
-        if self.per_doc["kl"].min() < -1e-9:
-            raise ValueError("negative KL divergence")
-        if self.prior_dist is not None and not (float(self.prior_dist) >= 0.0):
-            raise ValueError(f"prior_dist must be >= 0, got {self.prior_dist!r}")
 
     @property
     def M(self):
@@ -119,7 +92,10 @@ def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
     """Compare predicted compositions against the truth, column by column.
 
     Every metric is computed for all documents at once, on the (M, K)
-    transposes.
+    transposes. Any two compositions of one shape are accepted, so a
+    metric may leave its nominal range ([0, 1], [0, 2] for l1_error, at
+    least 0 for kl) by up to twice model.COMP_SUM_TOL, the amount an
+    input's column sums may differ from 1.
 
     `prior`, if given, is the target second moment used for the
     corpus-level prior_dist number.

@@ -229,8 +229,6 @@ def padd_infer(model, corpus, config=None, threads=1):
         W_prev, Qaux_prev = W, Qaux
         W, Qaux, steps = _solve_slaves(rho * G, G @ F, W0, Q0, order, config, threads)
         rho_prev = rho
-        if not np.isfinite(W).all():
-            raise RuntimeError(f"solver diverged at master round {t}")
         # mean ||B w_m - h_m||^2, expanded so Ht is never densified
         loss = (np.einsum("ij,ij->", BtB @ W, W)
                 - 2.0 * np.einsum("ij,ij->", W, F) + h_sq) / M
@@ -239,9 +237,6 @@ def padd_infer(model, corpus, config=None, threads=1):
         gap = float(np.linalg.norm(gap_mat))
         tau = config.tau0 / math.sqrt(t)
         Lambda = Lambda - tau * gap_mat
-        skew = float(np.abs(Lambda - Lambda.T).max())
-        if skew > 1e-10:
-            raise RuntimeError(f"dual matrix lost symmetry: skew {skew:.3e}")
         diagnostics.append(
             t, tau, gap, float(loss),
             float(np.linalg.norm(Lambda)), float(steps.mean()),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CompositionMatrix, Corpus
+from .model import SYM_TOL, CompositionMatrix, Corpus
 from .parallel import map_chunks
 
 EIG_CLAMP = -1e-10  # eigenvalues this far below zero mean a broken covariance
@@ -79,7 +79,7 @@ class LogisticNormalPrior:
             raise ValueError("mu must be a finite vector")
         if sigma.shape != (mu.size, mu.size) or not np.isfinite(sigma).all():
             raise ValueError(f"sigma must be a finite {mu.size}x{mu.size} matrix")
-        if np.abs(sigma - sigma.T).max() > 1e-10:
+        if np.abs(sigma - sigma.T).max() > SYM_TOL:
             raise ValueError("sigma must be symmetric")
         try:
             L = np.linalg.cholesky(sigma)
@@ -155,23 +155,11 @@ class SynthConfig:
 @dataclass(frozen=True, eq=False)
 class SynthOutput:
     """Synthesized corpus plus its ground truth: the drawn compositions
-    and their empirical topic-topic second moment."""
+    and their empirical topic-topic second moment (read-only, symmetric)."""
 
     corpus: Corpus
     Wstar: CompositionMatrix
     Astar: np.ndarray
-
-    def __post_init__(self):
-        A = np.array(self.Astar, dtype=np.float64)
-        K = self.Wstar.K
-        if A.shape != (K, K):
-            raise ValueError(f"Astar has shape {A.shape}, expected ({K}, {K})")
-        if np.abs(A - A.T).max() > 1e-10:
-            raise ValueError("Astar must be symmetric")
-        if abs(float(A.sum()) - 1.0) > 1e-8:
-            raise ValueError(f"entries of Astar sum to {float(A.sum())!r}, expected 1")
-        A.setflags(write=False)
-        object.__setattr__(self, "Astar", A)
 
 
 def _bags(B, W, lengths, rng):
@@ -180,7 +168,6 @@ def _bags(B, W, lengths, rng):
     each nonzero count by row and word. Every row's mixture is computed, so
     its rounding does not depend on how many rows are drawn."""
     P = W @ B.T
-    np.maximum(P, 0.0, out=P)
     P /= P.sum(axis=1, keepdims=True)
     counts = rng.multinomial(lengths, P[:len(lengths)])
     rows, words = np.nonzero(counts)
@@ -219,4 +206,5 @@ def synthesize(model, config, threads=1):
     corpus = Corpus(docs=docs, words=words, counts=counts, M=M, N=N)
     P = W @ W.T
     Astar = (P + P.T) / (2.0 * M)
+    Astar.setflags(write=False)
     return SynthOutput(corpus=corpus, Wstar=CompositionMatrix(W), Astar=Astar)

@@ -76,10 +76,28 @@ class TestSynth:
         assert digest(tmp_path / "a" / "corpus.tsv") != digest(tmp_path / "b" / "corpus.tsv")
 
     def test_logistic_normal_requires_mu_sigma(self, model_dir, tmp_path, capsys):
-        code = run("synth", "--model", model_dir, "--out", tmp_path / "o",
-                   "--docs", 5, "--prior", "logistic-normal")
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        mu = tmp_path / "mu.tsv"
+        write_dense_tsv(str(mu), np.zeros((3, 1)))
+        for flags in ((), ("--mu", mu)):
+            code = run("synth", "--model", model_dir, "--out", tmp_path / "o",
+                       "--docs", 5, "--prior", "logistic-normal", *flags)
+            assert code == 2
+            assert "requires --mu and --sigma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, mu_shape, sigma_shape", [
+        ("--mu", (4, 1), (3, 3)),
+        ("--sigma", (3, 1), (2, 2)),
+    ])
+    def test_wrong_size_prior_file_is_runtime_error_naming_it(
+            self, model_dir, tmp_path, capsys, flag, mu_shape, sigma_shape):
+        mu, sigma = tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
+        write_dense_tsv(str(mu), np.zeros(mu_shape))
+        write_dense_tsv(str(sigma), np.eye(*sigma_shape))
+        assert run("synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
+                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == 1
+        bad = mu if flag == "--mu" else sigma
+        assert f"error: {bad}: {flag} needs" in capsys.readouterr().err
 
     def test_logistic_normal_from_files(self, model_dir, tmp_path):
         mu = tmp_path / "mu.tsv"
@@ -311,6 +329,30 @@ class TestEval:
                    "--out", tmp_path / "report.tsv")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_wrong_shape_prior_is_runtime_error_naming_it(self, truth_pred, model_dir,
+                                                           tmp_path, capsys):
+        tpath, _ = truth_pred
+        assert run("eval", "--truth", tpath, "--pred", tpath, "--prior",
+                   model_dir / "B.tsv", "--out", tmp_path / "report.tsv") == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_dir / 'B.tsv'}: --prior needs a 3x3 matrix" in err
+
+    @pytest.mark.parametrize("truth, pred, name, value", [
+        ([[1.0, 0.2], [0.0, 0.8], [0.0, 0.0]],
+         [[0.0, 0.2], [0.5000003, 0.8], [0.5000003, 0.0]], "nonsupp_mass", 1.0000006),
+        ([[0.0], [1.0]], [[1.0 + 5e-7], [0.0]], "linf_error", 1.0 + 5e-7),
+    ], ids=["nonsupp_mass", "linf_error"])
+    def test_compositions_off_by_their_sum_tolerance_are_scored(self, tmp_path, truth,
+                                                                pred, name, value):
+        paths = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
+        for path, W in zip(paths, (truth, pred)):
+            write_dense_tsv(str(path), np.array(W))
+        out = tmp_path / "report.tsv"
+        assert run("eval", "--truth", paths[0], "--pred", paths[1], "--out", out) == 0
+        rows = (tmp_path / "report.per_doc.tsv").read_text().splitlines()
+        first = dict(zip(rows[0].split("\t"), rows[1].split("\t")))
+        assert float(first[name]) == pytest.approx(value, abs=1e-15)
 
     def test_manifest_written_next_to_report(self, truth_pred, tmp_path):
         tpath, _ = truth_pred

@@ -215,6 +215,18 @@ class TestEvaluateCompositions:
         with pytest.raises(ValueError, match="truth"):
             evaluate_compositions(a, b)
 
+    def test_any_two_compositions_are_scored(self):
+        # columns may sum to 1 +- COMP_SUM_TOL, so a metric may pass its
+        # nominal bound (1, or 2 for l1_error) by up to twice that
+        r = evaluate_compositions(
+            CompositionMatrix([[1.0, 0.2], [0.0, 0.8], [0.0, 0.0]]),
+            CompositionMatrix([[0.0, 0.2], [0.5000003, 0.8], [0.5000003, 0.0]]))
+        assert r.per_doc["nonsupp_mass"][0] == pytest.approx(1.0000006, abs=1e-15)
+        assert r.per_doc["l1_error"][0] == pytest.approx(2.0000006, abs=1e-15)
+        r = evaluate_compositions(CompositionMatrix([[0.0], [1.0]]),
+                                  CompositionMatrix([[1.0 + 5e-7], [0.0]]))
+        assert r.per_doc["linf_error"][0] == 1.0 + 5e-7
+
     def test_report_files(self, tmp_path):
         rng = np.random.default_rng(8)
         t = CompositionMatrix(rng.dirichlet(np.ones(4), size=12).T)

@@ -298,16 +298,28 @@ class TestPaddInfer:
         assert -1.0 < lo < 0.0 < hi
 
     @pytest.mark.parametrize("tau0", [0.5, 1.0, 1.2, 2.0, 5.0])
-    def test_skew_that_the_model_accepts_does_not_stop_padd(self, tau0):
+    def test_skew_that_the_model_accepts_does_not_stop_padd(self, tau0, monkeypatch):
         # TopicModel accepts skew up to SYM_TOL; kept in A, it built up in
-        # the dual until PADD stopped with "dual matrix lost symmetry"
+        # the dual round by round. It stores A as (A + A^T) / 2, so the dual
+        # and every round's Q = B^T B + Lambda / M stay exactly symmetric.
         base = random_model(N=40, K=4, seed=3)
         A = base.A.copy()
         A[0, 1] += 4.5e-11
         A[1, 0] -= 4.5e-11
         m = TopicModel(B=base.B, A=A)
-        comp, _ = padd_infer(m, random_corpus(N=40, M=200, seed=4), PaddConfig(tau0=tau0))
+        prox, quadratics = padd_module._prox_inverse, []
+
+        def spy(Q, what):
+            quadratics.append(Q)
+            return prox(Q, what)
+
+        monkeypatch.setattr(padd_module, "_prox_inverse", spy)
+        comp, diag = padd_infer(m, random_corpus(N=40, M=200, seed=4),
+                                PaddConfig(tau0=tau0))
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
+        assert len(quadratics) == len(diag.rounds) > 1
+        for Q in quadratics:
+            npt.assert_array_equal(Q, Q.T)
 
     def test_iteration_budget_loss_and_round_one_eigenvalue(self, monkeypatch):
         m = random_model(N=200, K=10, seed=3)

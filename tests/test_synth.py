@@ -164,7 +164,8 @@ class TestSynthesize:
                           doc_length=PoissonLength(30.0), seed=23)
         out = synthesize(m, cfg)
         npt.assert_allclose(out.Wstar.W.sum(axis=0), 1.0, atol=1e-12)
-        assert np.abs(out.Astar - out.Astar.T).max() <= 1e-10
+        npt.assert_array_equal(out.Astar, out.Astar.T)
+        assert not out.Astar.flags.writeable
         assert abs(out.Astar.sum() - 1.0) <= 1e-10
 
     def test_poisson_lengths_never_empty_and_mean_close(self):

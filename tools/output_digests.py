@@ -5,12 +5,13 @@
 For each pool slot of the padd-k10 and tli-k50 inputs (bench/inputs.py,
 with the model read back from its TSV files as the benchmark reads it), one
 line each for SPI's, TLI's and PADD's W and for PADD's diagnostics TSV; for
-the cli-pipeline inputs, one line each for the W.tsv and report.tsv of
-`synth`, `infer --method spi` and `eval --prior` through cli.main, as the
-benchmark runs them. Two source trees whose runs print the same lines give
-byte-identical outputs: point PYTHONPATH at each tree's src/ and diff the
-output. The program is imported from PYTHONPATH, and its location goes to
-stderr. Writes only into a temporary directory.
+the cli-pipeline inputs, one line for each file that `synth`, `infer
+--method spi` and `eval --prior` write through cli.main, as the benchmark
+runs them, except the manifests, which record paths and timing. Two source
+trees whose runs print the same lines give byte-identical outputs: point
+PYTHONPATH at each tree's src/ and diff the output. The program is imported
+from PYTHONPATH, and its location goes to stderr. Writes only into a
+temporary directory.
 """
 
 import os
@@ -82,8 +83,10 @@ def cli_digests(data, slots, threads, work):
         for argv in steps:
             if cli.main(argv) != 0:
                 raise SystemExit(f"cli-pipeline slot {slot}: `{argv[0]}` failed")
-        for name in ("W.tsv", "report.tsv"):
-            yield "cli-pipeline", slot, name, digest((out / "run" / name).read_bytes())
+        for path in (out / "data" / "corpus.tsv", out / "data" / "Wstar.tsv",
+                     out / "data" / "Astar.tsv", out / "run" / "W.tsv",
+                     out / "run" / "report.tsv", out / "run" / "report.per_doc.tsv"):
+            yield "cli-pipeline", slot, path.name, digest(path.read_bytes())
 
 
 def main(argv=None):
