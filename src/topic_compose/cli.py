@@ -99,14 +99,14 @@ def _write_manifest(path, subcommand, config, inputs, outputs, seed, elapsed):
     os.replace(tmp, path)
 
 
-def _read_topic_tsv(path, flag, K, vector=False):
-    """The K values (vector) or K x K matrix in the file given to `flag`;
-    a file of another size raises ValueError naming it."""
+def _read_square_tsv(path, flag, K):
+    """The K x K matrix in the file given to `flag`; a file of another
+    shape raises ValueError naming it."""
     X = read_dense_tsv(path)
-    if (X.size == K) if vector else (X.shape == (K, K)):
-        return X.ravel() if vector else X
-    want = f"{K} values" if vector else f"a {K}x{K} matrix"
-    raise ValueError(f"{path}: {flag} needs {want} for {K} topics, got shape {X.shape}")
+    if X.shape != (K, K):
+        raise ValueError(f"{path}: {flag} needs a {K}x{K} matrix for {K} topics, "
+                         f"got shape {X.shape}")
+    return X
 
 
 def _model_inputs(model_dir):
@@ -120,8 +120,11 @@ def cmd_synth(args):
         prior = DirichletPrior.symmetric(model.K, args.alpha_scale)
         prior_cfg = {"prior": "dirichlet", "alpha": prior.alpha.tolist()}
     else:
-        mu = _read_topic_tsv(args.mu, "--mu", model.K, vector=True)
-        sigma = _read_topic_tsv(args.sigma, "--sigma", model.K)
+        mu = read_dense_tsv(args.mu)
+        if mu.size != model.K:
+            raise ValueError(f"{args.mu}: --mu needs {model.K} values for {model.K} topics, "
+                             f"got shape {mu.shape}")
+        sigma = _read_square_tsv(args.sigma, "--sigma", model.K)
         prior = LogisticNormalPrior(mu=mu, sigma=sigma)
         prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
     config = SynthConfig(prior=prior, docs=args.docs, doc_length=args.len, seed=args.seed)
@@ -203,7 +206,7 @@ def cmd_eval(args):
     t0 = time.perf_counter()
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
-    prior = None if args.prior is None else _read_topic_tsv(args.prior, "--prior", truth.K)
+    prior = None if args.prior is None else _read_square_tsv(args.prior, "--prior", truth.K)
     report = evaluate_compositions(truth, pred, prior=prior)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     stem = os.path.splitext(args.out)[0]

@@ -30,9 +30,10 @@ def prior_distance(A0, comp):
     """Frobenius distance between the prior second moment A0 and the
     empirical second moment of the CompositionMatrix `comp`."""
     W = comp.W
+    K = W.shape[0]
     A0 = np.asarray(A0, dtype=np.float64)
-    if A0.shape != (W.shape[0], W.shape[0]):
-        raise ValueError(f"A0 has shape {A0.shape}, expected ({W.shape[0]}, {W.shape[0]})")
+    if A0.shape != (K, K) or not np.isfinite(A0).all():
+        raise ValueError(f"prior must be a finite {K}x{K} matrix, got shape {A0.shape}")
     return float(np.linalg.norm(A0 - (W @ W.T) / W.shape[1]))
 
 

@@ -338,6 +338,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"error: {model_dir / 'B.tsv'}: --prior needs a 3x3 matrix" in err
 
+    def test_non_finite_prior_is_runtime_error_without_report(self, truth_pred, tmp_path,
+                                                              capsys):
+        tpath, _ = truth_pred
+        prior = tmp_path / "prior.tsv"
+        A0 = np.eye(3) / 3
+        A0[1, 2] = np.nan
+        write_dense_tsv(str(prior), A0)
+        out = tmp_path / "report.tsv"
+        assert run("eval", "--truth", tpath, "--pred", tpath, "--prior", prior,
+                   "--out", out) == 1
+        assert "must be a finite 3x3 matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("truth, pred, name, value", [
         ([[1.0, 0.2], [0.0, 0.8], [0.0, 0.0]],
          [[0.0, 0.2], [0.5000003, 0.8], [0.5000003, 0.0]], "nonsupp_mass", 1.0000006),

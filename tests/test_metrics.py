@@ -172,6 +172,16 @@ class TestPriorDistance:
         W = CompositionMatrix(np.ones((1, 5)))
         assert prior_distance(np.array([[1.0]]), W) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_raises(self, bad):
+        W = CompositionMatrix(np.array([[0.2, 0.8], [0.8, 0.2]]))
+        A0 = np.full((2, 2), 0.25)
+        A0[0, 1] = bad
+        with pytest.raises(ValueError, match="finite 2x2"):
+            prior_distance(A0, W)
+        with pytest.raises(ValueError, match="finite 2x2"):
+            evaluate_compositions(W, W, prior=A0)
+
 
 class TestRandomBaseline:
     def test_single_topic(self):
