@@ -18,6 +18,8 @@ import scipy.optimize
 from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 
+BIAS_TOL = 1e-6  # slack on the bias budget, and the largest rounding error a row may carry
+
 
 @dataclass(frozen=True)
 class TliConfig:
@@ -82,9 +84,10 @@ def _row_program(rows, bounds, k, delta):
     delta = 0, or the 2K rows +-(B^T c - s e_k) <= delta s otherwise. The
     optimal s is 1 / max|b_j|. `rows` is [B^T, 0] or
     [[B^T, -delta], [-B^T, -delta]], shared by all rows of one inverse;
-    the e_k terms go into a copy. Only the magnitude is unique: near-anchor
-    B has many optimal vertices, and which one comes back is up to the
-    solver.
+    the e_k terms go into a copy. HiGHS runs without presolve, which on
+    these dense K-row programs only adds time and memory. Only the
+    magnitude is unique: near-anchor B has many optimal vertices, and which
+    one comes back is up to the solver.
     """
     K = rows.shape[0] if delta == 0.0 else rows.shape[0] // 2
     N = rows.shape[1] - 1
@@ -94,12 +97,14 @@ def _row_program(rows, bounds, k, delta):
     objective[N] = -1.0
     if delta == 0.0:
         res = scipy.optimize.linprog(
-            objective, A_eq=A, b_eq=np.zeros(K), bounds=bounds, method="highs"
+            objective, A_eq=A, b_eq=np.zeros(K), bounds=bounds, method="highs",
+            options={"presolve": False},
         )
     else:
         A[K + k, N] += 1.0
         res = scipy.optimize.linprog(
-            objective, A_ub=A, b_ub=np.zeros(2 * K), bounds=bounds, method="highs"
+            objective, A_ub=A, b_ub=np.zeros(2 * K), bounds=bounds, method="highs",
+            options={"presolve": False},
         )
     s = res.x[N] if res.status == 0 else math.nan
     # a singular B leaves s = 0 as the only feasible scale, and HiGHS calls that optimal
@@ -119,7 +124,12 @@ def tli_compute_inverse(model, config=None, threads=1):
     independent, so they are farmed out to the worker pool. Every row's
     magnitude is the optimum, but which optimal row comes back is up to
     the solver. The achieved bias max|Bdagger B - I| must be within delta
-    (to 1e-6).
+    + BIAS_TOL, and it must be certified: B's columns sum to 1, so row k
+    of Bdagger B carries rounding error of at most about N eps max|b_k|,
+    and a row whose bound exceeds BIAS_TOL (a magnitude above BIAS_TOL /
+    (N eps), 9.0e6 at N = 500; only a near-singular B needs one) raises
+    RuntimeError naming the topic, the magnitude and B's smallest singular
+    value.
     """
     config = config or TliConfig()
     B = model.B
@@ -139,13 +149,23 @@ def tli_compute_inverse(model, config=None, threads=1):
                 Bd[k] = _row_program(rows, bounds, k, delta)
 
         map_chunks(K, 1, solve_rows, threads)
+    magnitudes = np.abs(Bd).max(axis=1)
+    k = int(magnitudes.argmax())
+    rounding = N * np.finfo(np.float64).eps * magnitudes[k]
+    if rounding > BIAS_TOL:
+        smin = float(np.linalg.svd(B, compute_uv=False)[-1])
+        raise RuntimeError(
+            f"left-inverse row for topic {k} has magnitude {magnitudes[k]:.3g}, so rounding "
+            f"({rounding:.3g}) hides its bias at tolerance {BIAS_TOL:g}; "
+            f"smallest singular value of B is {smin:.3e}"
+        )
     residual = np.abs(Bd @ B - np.eye(K))
     bias = float(residual.max())
-    if bias > delta + 1e-6:
+    if bias > delta + BIAS_TOL:
         k = int(residual.max(axis=1).argmax())
         raise RuntimeError(
             f"left inverse has bias {bias:.9g} on topic {k}, "
-            f"above delta={delta} + 1e-6; B is too ill-conditioned"
+            f"above delta={delta} + {BIAS_TOL:g}; B is too ill-conditioned"
         )
     return TliInverse(Bdagger=Bd, delta=delta, bias=bias)
 

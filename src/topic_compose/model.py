@@ -31,8 +31,8 @@ def _clean_nonnegative(X, name):
         raise ValueError(f"{name} contains non-finite entries")
     lo = X.min() if X.size else 0.0
     if lo < -NEG_TOL:
-        i = np.unravel_index(int(np.argmin(X)), X.shape)
-        raise ValueError(f"{name} has a negative entry {lo!r} at index {tuple(int(v) for v in i)}")
+        i = tuple(int(v) for v in np.unravel_index(int(np.argmin(X)), X.shape))
+        raise ValueError(f"{name} has a negative entry {float(lo)!r} at index {i}")
     np.clip(X, 0.0, None, out=X)
 
 
@@ -60,7 +60,7 @@ class TopicModel:
         sums = B.sum(axis=0)
         j = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[j] - 1.0) > COL_SUM_TOL:
-            raise ValueError(f"column {j} of B sums to {sums[j]!r}, expected 1")
+            raise ValueError(f"column {j} of B sums to {float(sums[j])!r}, expected 1")
         if A.shape != (K, K):
             raise ValueError(f"A has shape {A.shape}, expected ({K}, {K}) to match B")
         asym = float(np.abs(A - A.T).max()) if K > 1 else 0.0
@@ -102,7 +102,7 @@ class CompositionMatrix:
         sums = W.sum(axis=0)
         j = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[j] - 1.0) > COMP_SUM_TOL:
-            raise ValueError(f"composition column {j} sums to {sums[j]!r}, expected 1")
+            raise ValueError(f"composition column {j} sums to {float(sums[j])!r}, expected 1")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
@@ -326,7 +326,13 @@ def write_composition_tsv(path, comp):
 
 
 def read_composition_tsv(path):
-    return CompositionMatrix(read_dense_tsv(path))
+    """Read a composition matrix; a file that is not one raises
+    ValueError naming path."""
+    W = read_dense_tsv(path)
+    try:
+        return CompositionMatrix(W)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_model(directory):
@@ -334,7 +340,8 @@ def load_model(directory):
 
     A file's A may be skewed by up to COL_SUM_TOL, the file tolerance its
     sum is held to; a larger skew raises ValueError naming the file. A is
-    symmetrized as (A + A^T) / 2 before TopicModel validates it.
+    symmetrized as (A + A^T) / 2 before TopicModel validates it, and what
+    TopicModel rejects raises ValueError naming the directory.
     """
     B = read_dense_tsv(os.path.join(directory, "B.tsv"))
     path = os.path.join(directory, "A.tsv")
@@ -342,4 +349,7 @@ def load_model(directory):
     skew = float(np.abs(A - A.T).max(initial=0.0)) if A.shape[0] == A.shape[1] else 0.0
     if skew > COL_SUM_TOL:
         raise ValueError(f"{path}: A is not symmetric: max |A - A^T| = {skew:.3e}")
-    return TopicModel(B=B, A=(A + A.T) / 2.0)
+    try:
+        return TopicModel(B=B, A=(A + A.T) / 2.0)
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None

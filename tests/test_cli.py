@@ -245,6 +245,25 @@ class TestInfer:
         assert code == 1
         assert str(mdir / "A.tsv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b00, message", [
+        (1 / 12 + 0.01, "column 0 of B sums to 1.01"),
+        (-0.5, "B has a negative entry -0.5 at index (0, 0)"),
+    ], ids=["column-sum", "negative"])
+    def test_invalid_model_file_is_runtime_error_naming_it(
+            self, corpus_path, tmp_path, capsys, b00, message):
+        mdir = tmp_path / "model"
+        mdir.mkdir()
+        B = np.full((12, 2), 1 / 12)
+        B[0, 0] = b00
+        write_dense_tsv(mdir / "B.tsv", B)
+        write_dense_tsv(mdir / "A.tsv", np.eye(2) / 2)
+        code = run("infer", "--method", "spi", "--model", mdir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {mdir}: {message}" in err
+        assert "np.float64" not in err
+
     def test_unknown_method_is_usage_error(self, model_dir, corpus_path, tmp_path):
         assert run("infer", "--method", "magic", "--model", model_dir,
                    "--corpus", corpus_path, "--out", tmp_path / "o") == 2
@@ -266,6 +285,18 @@ class TestEval:
         tpath = tmp_path / "truth.tsv"
         write_dense_tsv(str(tpath), W)
         return tpath, W
+
+    def test_non_composition_file_is_runtime_error_naming_it(
+            self, model_dir, truth_pred, tmp_path, capsys):
+        # a K x K moment is not a composition matrix: its columns sum to ~1/K
+        tpath, _ = truth_pred
+        code = run("eval", "--truth", model_dir / "A.tsv", "--pred", tpath,
+                   "--out", tmp_path / "report.tsv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_dir / 'A.tsv'}: composition column" in err
+        assert "np.float64" not in err
+        assert not (tmp_path / "report.tsv").exists()
 
     def test_perfect_prediction(self, truth_pred, tmp_path, identity_model):
         tpath, W = truth_pred

@@ -13,6 +13,7 @@ from topic_compose import (
     tli_infer,
     tli_thresholds,
 )
+from topic_compose import estimators
 from conftest import random_corpus, random_model
 from oracles import linf_left_inverse_lp, linf_left_inverse_oracle
 
@@ -26,6 +27,14 @@ def stochastic_matrix(N, K, seed, concentration=0.5):
 # are compared. On seed 1 the dense (b, t) form defeats HiGHS's dual simplex;
 # seed 4 is ill-conditioned (smallest singular value 0.06).
 NEAR_ANCHOR = [stochastic_matrix(60, 8, seed=s, concentration=0.01) for s in (1, 4)]
+
+
+def near_singular_model(seed):
+    """Two topics over 6 words that differ by 1e-10 of a second topic:
+    every exact left inverse has magnitude ~1e10."""
+    col, other = stochastic_matrix(6, 2, seed=seed).T
+    B = np.column_stack([col, (1 - 1e-10) * col + 1e-10 * other])
+    return TopicModel(B=B, A=np.eye(2) / 2)
 
 
 class TestSpi:
@@ -81,6 +90,48 @@ class TestTliInverse:
             for delta in (0.0, 0.05):
                 with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
                     tli_compute_inverse(m, TliConfig(delta=delta))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
+    def test_near_singular_sweep_always_errors(self, delta):
+        # whichever optimal vertex HiGHS returns, a row of magnitude ~1e10
+        # cannot have its bias certified
+        for seed in range(16):
+            with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
+                tli_compute_inverse(near_singular_model(seed), TliConfig(delta=delta))
+
+    @pytest.mark.parametrize("delta", [0.5, 0.6])
+    def test_near_singular_with_a_bounded_inverse_is_accepted(self, delta):
+        # a bias budget this large admits rows of magnitude 0.4-0.5
+        for seed in range(16):
+            inv = tli_compute_inverse(near_singular_model(seed), TliConfig(delta=delta))
+            assert inv.magnitude <= 0.5 + 1e-9
+            assert inv.bias <= delta + 1e-6
+
+    @pytest.mark.parametrize("scale, certified", [(1e6, True), (1e12, False)],
+                             ids=["certified", "uncertified"])
+    def test_bias_certified_by_magnitude_not_vertex(self, monkeypatch, scale, certified):
+        # exact rows plus a null-space direction of B^T: the true bias stays
+        # 0, and only the rounding bound N eps magnitude says whether the
+        # computed one can be trusted
+        B = stochastic_matrix(6, 2, seed=3)
+        exact = np.linalg.pinv(B)
+        v = np.linalg.svd(B.T)[2][-1]
+        npt.assert_allclose(B.T @ v, 0.0, atol=1e-12)
+        monkeypatch.setattr(estimators, "_row_program",
+                            lambda rows, bounds, k, delta: exact[k] + scale * v)
+        m = TopicModel(B=B, A=np.eye(2) / 2)
+        if certified:
+            inv = tli_compute_inverse(m, TliConfig())
+            assert inv.bias <= 1e-6
+            assert inv.magnitude == pytest.approx(np.abs(exact + scale * v).max())
+        else:
+            smin = np.linalg.svd(B, compute_uv=False)[-1]
+            with pytest.raises(RuntimeError) as err:
+                tli_compute_inverse(m, TliConfig())
+            mag = np.abs(exact + scale * v).max(axis=1)
+            message = str(err.value)
+            assert f"topic {int(mag.argmax())} has magnitude {mag.max():.3g}" in message
+            assert f"smallest singular value of B is {smin:.3e}" in message
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_vertex_enumeration_oracle(self, seed):

@@ -9,14 +9,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+BATCH_OUTPUTS = ("spi.W", "tli.W", "padd.W", "padd.diagnostics")
+SLOT_OUTPUTS = {
+    "padd-k10": BATCH_OUTPUTS,
+    "tli-k50": BATCH_OUTPUTS,
+    "cli-pipeline": ("corpus.tsv", "Wstar.tsv", "Astar.tsv", "W.tsv", "report.tsv",
+                     "report.per_doc.tsv"),
+}
+# each workload's model first (slot "-"), then slot 0's outputs
 EXPECTED = [
-    (workload, output)
-    for workload in ("padd-k10", "tli-k50")
-    for output in ("spi.W", "tli.W", "padd.W", "padd.diagnostics")
-] + [
-    ("cli-pipeline", output)
-    for output in ("corpus.tsv", "Wstar.tsv", "Astar.tsv", "W.tsv", "report.tsv",
-                   "report.per_doc.tsv")
+    row
+    for workload, outputs in SLOT_OUTPUTS.items()
+    for row in [(workload, "-", "tli.Bdagger")] + [(workload, "0", o) for o in outputs]
 ]
 
 
@@ -29,8 +33,8 @@ def test_one_slot_digests_every_output_of_this_checkout():
     )
     assert p.returncode == 0, p.stderr
     rows = [line.split("\t") for line in p.stdout.splitlines()]
-    assert [(row[0], row[2]) for row in rows] == EXPECTED
+    assert [tuple(row[:3]) for row in rows] == EXPECTED
     for row in rows:
-        assert len(row) == 4 and row[1] == "0"
+        assert len(row) == 4
         assert re.fullmatch("[0-9a-f]{16}", row[3]), row
     assert f"program: {SRC / 'topic_compose'}" in p.stderr.splitlines()

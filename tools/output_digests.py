@@ -2,16 +2,17 @@
 
     PYTHONPATH=src python3 tools/output_digests.py --seed 1 --slots 0-7 --threads 2
 
-For each pool slot of the padd-k10 and tli-k50 inputs (bench/inputs.py,
-with the model read back from its TSV files as the benchmark reads it), one
-line each for SPI's, TLI's and PADD's W and for PADD's diagnostics TSV; for
-the cli-pipeline inputs, one line for each file that `synth`, `infer
---method spi` and `eval --prior` write through cli.main, as the benchmark
-runs them, except the manifests, which record paths and timing. Two source
-trees whose runs print the same lines give byte-identical outputs: point
-PYTHONPATH at each tree's src/ and diff the output. The program is imported
-from PYTHONPATH, and its location goes to stderr. Writes only into a
-temporary directory.
+For each workload's model (bench/inputs.py, read back from its TSV files
+as the benchmark reads it), one `tli.Bdagger` line, slot `-`, for TLI's
+left inverse at the default TliConfig. For each pool slot of the padd-k10
+and tli-k50 inputs, one line each for SPI's, TLI's and PADD's W and for
+PADD's diagnostics TSV; for the cli-pipeline inputs, one line for each file
+that `synth`, `infer --method spi` and `eval --prior` write through
+cli.main, as the benchmark runs them, except the manifests, which record
+paths and timing. Two source trees whose runs print the same lines give
+byte-identical outputs: point PYTHONPATH at each tree's src/ and diff the
+output. The program is imported from PYTHONPATH, and its location goes to
+stderr. Writes only into a temporary directory.
 """
 
 import os
@@ -50,6 +51,7 @@ def batch_digests(name, data, slots, threads, work):
     m = model.load_model(str(work))
     tli_config = estimators.TliConfig()
     inverse = estimators.tli_compute_inverse(m, tli_config, threads=threads)
+    yield name, "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
     for slot in slots:
         b = data.batches[slot]
         corpus = model.Corpus(docs=b.docs, words=b.words, counts=b.counts, M=b.M, N=b.N)
@@ -67,6 +69,8 @@ def cli_digests(data, slots, threads, work):
     m = work / "model"
     m.mkdir(parents=True)
     inputs.write_model(m, data)
+    inverse = estimators.tli_compute_inverse(model.load_model(str(m)), threads=threads)
+    yield "cli-pipeline", "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
     for slot in slots:
         out = work / f"slot{slot}"
         steps = (
