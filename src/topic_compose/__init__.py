@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .model import (
     CompositionMatrix,
@@ -36,7 +36,6 @@ from .synth import (
     FixedLength,
     LogisticNormalPrior,
     PoissonLength,
-    SynthConfig,
     SynthOutput,
     synthesize,
 )

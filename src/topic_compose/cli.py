@@ -6,9 +6,9 @@
 manifest. A manifest records the fully resolved configuration, the SHA-256
 digest of each input keyed by its path as given, and timing, so any run can
 be reproduced bit-for-bit from it. Flag defaults are the library's own
-(`PaddConfig`, `TliConfig`, `SynthConfig`); `--threads` is the only source of
-the worker count and defaults to 1. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+(`PaddConfig`, `TliConfig`); `--threads` is the only source of the worker
+count and defaults to 1. Exit codes: 0 success, 1 runtime failure, 2 usage
+error.
 """
 
 import argparse
@@ -44,7 +44,6 @@ from .synth import (
     FixedLength,
     LogisticNormalPrior,
     PoissonLength,
-    SynthConfig,
     synthesize,
 )
 
@@ -99,12 +98,13 @@ def _write_manifest(path, subcommand, config, inputs, outputs, seed, elapsed):
     os.replace(tmp, path)
 
 
-def _read_square_tsv(path, flag, K):
-    """The K x K matrix in the file given to `flag`; a file of another
-    shape raises ValueError naming it."""
+def _read_shaped_tsv(path, flag, K, *shapes):
+    """The matrix in the file given to `flag`, whose shape must be one of
+    `shapes`; a file of another shape raises ValueError naming it."""
     X = read_dense_tsv(path)
-    if X.shape != (K, K):
-        raise ValueError(f"{path}: {flag} needs a {K}x{K} matrix for {K} topics, "
+    if X.shape not in shapes:
+        wanted = " or ".join(f"{r}x{c}" for r, c in shapes)
+        raise ValueError(f"{path}: {flag} needs a {wanted} matrix for {K} topics, "
                          f"got shape {X.shape}")
     return X
 
@@ -120,15 +120,12 @@ def cmd_synth(args):
         prior = DirichletPrior.symmetric(model.K, args.alpha_scale)
         prior_cfg = {"prior": "dirichlet", "alpha": prior.alpha.tolist()}
     else:
-        mu = read_dense_tsv(args.mu)
-        if mu.size != model.K:
-            raise ValueError(f"{args.mu}: --mu needs {model.K} values for {model.K} topics, "
-                             f"got shape {mu.shape}")
-        sigma = _read_square_tsv(args.sigma, "--sigma", model.K)
+        K = model.K
+        mu = _read_shaped_tsv(args.mu, "--mu", K, (K, 1), (1, K))
+        sigma = _read_shaped_tsv(args.sigma, "--sigma", K, (K, K))
         prior = LogisticNormalPrior(mu=mu, sigma=sigma)
         prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
-    config = SynthConfig(prior=prior, docs=args.docs, doc_length=args.len, seed=args.seed)
-    out = synthesize(model, config, threads=args.threads)
+    out = synthesize(model, prior, args.docs, args.len, seed=args.seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     corpus_path = os.path.join(args.out, "corpus.tsv")
     wstar_path = os.path.join(args.out, "Wstar.tsv")
@@ -206,7 +203,8 @@ def cmd_eval(args):
     t0 = time.perf_counter()
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
-    prior = None if args.prior is None else _read_square_tsv(args.prior, "--prior", truth.K)
+    K = truth.K
+    prior = None if args.prior is None else _read_shaped_tsv(args.prior, "--prior", K, (K, K))
     report = evaluate_compositions(truth, pred, prior=prior)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     stem = os.path.splitext(args.out)[0]
@@ -217,7 +215,6 @@ def cmd_eval(args):
         "truth": args.truth,
         "pred": args.pred,
         "prior": args.prior,
-        "prominent_mass": report.prominent_mass,
     }
     inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
     _write_manifest(
@@ -246,7 +243,7 @@ def build_parser():
     ps.add_argument("--sigma", help="TSV matrix for the logistic-normal covariance")
     ps.add_argument("--len", type=_length, default="150",
                     help="document length: integer or poisson:<mean>")
-    ps.add_argument("--seed", type=int, default=SynthConfig.seed)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--threads", type=_positive_int, default=1)
     ps.set_defaults(func=cmd_synth)
 

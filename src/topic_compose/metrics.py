@@ -1,7 +1,7 @@
 """Quality metrics for inferred topic compositions.
 
 Support metrics compare "prominent" topic sets (the smallest head of the
-sorted composition covering a mass threshold); distance metrics compare
+sorted composition covering PROMINENT_MASS); distance metrics compare
 the full distributions; corpus-level metrics check consistency with the
 prior's second moment.
 """
@@ -13,6 +13,7 @@ import numpy as np
 from .model import CompositionMatrix, write_rows
 
 KL_EPS = 1e-10  # smoothing applied to predictions so KL stays finite
+PROMINENT_MASS = 0.8  # weight a document's prominent topics cover
 
 METRIC_ORDER = (
     "precision",
@@ -51,7 +52,6 @@ class EvalReport:
 
     per_doc: dict
     prior_dist: object  # float, or None when no prior was supplied
-    prominent_mass: float
 
     @property
     def M(self):
@@ -89,7 +89,7 @@ def _masked_row_sums(X, mask):
     return sums
 
 
-def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
+def evaluate_compositions(truth, pred, prior=None):
     """Compare predicted compositions against the truth, column by column.
 
     Every metric is computed for all documents at once, on the (M, K)
@@ -104,11 +104,9 @@ def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
     Wt, Wp = truth.W, pred.W
     if Wt.shape != Wp.shape:
         raise ValueError(f"truth is {Wt.shape}, prediction is {Wp.shape}")
-    if not (0.0 < prominent_mass <= 1.0):
-        raise ValueError(f"mass must lie in (0, 1], got {prominent_mass!r}")
     K = Wt.shape[0]
     T, P = np.ascontiguousarray(Wt.T), np.ascontiguousarray(Wp.T)
-    ts, ps = _prominent_masks(T, prominent_mass), _prominent_masks(P, prominent_mass)
+    ts, ps = _prominent_masks(T, PROMINENT_MASS), _prominent_masks(P, PROMINENT_MASS)
     hits = np.count_nonzero(ts & ps, axis=1)
     precision = hits / np.count_nonzero(ps, axis=1)
     recall = hits / np.count_nonzero(ts, axis=1)
@@ -131,8 +129,7 @@ def evaluate_compositions(truth, pred, prior=None, prominent_mass=0.8):
         "nonsupp_mass": _masked_row_sums(P, ~ts),
     }
     prior_dist = None if prior is None else prior_distance(prior, pred)
-    return EvalReport(per_doc=per_doc, prior_dist=prior_dist,
-                      prominent_mass=prominent_mass)
+    return EvalReport(per_doc=per_doc, prior_dist=prior_dist)
 
 
 def write_report_tsv(report, path):

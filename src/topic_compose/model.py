@@ -63,7 +63,7 @@ class TopicModel:
             raise ValueError(f"column {j} of B sums to {float(sums[j])!r}, expected 1")
         if A.shape != (K, K):
             raise ValueError(f"A has shape {A.shape}, expected ({K}, {K}) to match B")
-        asym = float(np.abs(A - A.T).max()) if K > 1 else 0.0
+        asym = float(np.abs(A - A.T).max())
         if asym > SYM_TOL:
             raise ValueError(f"A is not symmetric: max |A - A^T| = {asym:.3e}")
         A = (A + A.T) / 2.0  # PADD's dual would accumulate skew that SYM_TOL lets through

@@ -11,6 +11,7 @@ that alternates a closed-form quadratic prox with simplex projection.
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,30 +42,26 @@ class PaddConfig:
     """Solver settings.
 
     master_iters caps the master rounds, which stop earlier once the
-    constraint is met (see GAP_STOP); slave_iters caps each round's
-    Douglas-Rachford iterations; tau0 is the dual step size of master
-    round 1, and round t steps tau0 / sqrt(t); slave_tol is the
-    per-document stopping threshold on a Douglas-Rachford step, the larger
-    of the infinity norms of the change in the iterate and of the gap
-    between the prox point and the iterate. The Douglas-Rachford step is
-    not a setting: every round derives it from the spectrum of its slave
-    quadratic.
+    constraint is met (see GAP_STOP); tau0 is the dual step size of master
+    round 1, and round t steps tau0 / sqrt(t). The class constants are not
+    settings: slave_iters caps each round's Douglas-Rachford iterations, and
+    slave_tol is the per-document stopping threshold on a Douglas-Rachford
+    step, the larger of the infinity norms of the change in the iterate and
+    of the gap between the prox point and the iterate. Nor is the
+    Douglas-Rachford step: every round derives it from the spectrum of its
+    slave quadratic.
     """
 
     master_iters: int = 15
-    slave_iters: int = 150
     tau0: float = 1.0
-    slave_tol: float = 1e-7
+    slave_iters: ClassVar[int] = 150
+    slave_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
         if self.master_iters < 1:
             raise ValueError("master_iters must be >= 1")
-        if self.slave_iters < 1:
-            raise ValueError("slave_iters must be >= 1")
         if not (self.tau0 > 0.0 and math.isfinite(self.tau0)):
             raise ValueError(f"tau0 must be > 0, got {self.tau0!r}")
-        if not (self.slave_tol > 0.0):
-            raise ValueError("slave_tol must be > 0")
 
 
 @dataclass
@@ -198,9 +195,6 @@ def padd_infer(model, corpus, config=None, threads=1):
     diagnostics = PaddDiagnostics()
     K, M = model.K, corpus.M
     Ht = normalize_corpus(corpus)
-    if K == 1:
-        return CompositionMatrix(np.ones((1, M))), diagnostics
-
     B = model.B
     # F = B^T Ht and the posterior start come from one sparse product
     F, start = np.split(np.vstack([B.T, word_topic_posterior(model)]) @ Ht, 2)

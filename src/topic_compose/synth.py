@@ -136,22 +136,6 @@ class PoissonLength:
         return 1 + rng.poisson(self.mean - 1.0, size=rows)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    prior: object
-    docs: int
-    doc_length: object
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.prior, (DirichletPrior, LogisticNormalPrior)):
-            raise ValueError(f"unsupported prior {type(self.prior).__name__}")
-        if self.docs < 1:
-            raise ValueError("need at least one document")
-        if not isinstance(self.doc_length, (FixedLength, PoissonLength)):
-            raise ValueError(f"unsupported length model {type(self.doc_length).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class SynthOutput:
     """Synthesized corpus plus its ground truth: the drawn compositions
@@ -176,11 +160,13 @@ def _bags(B, W, lengths, rng):
             counts[rows, words].astype(np.int32))
 
 
-def synthesize(model, config, threads=1):
-    """Generate a corpus of config.docs documents from the model's topics and
-    the configured composition prior; the same for any thread count."""
-    K, N, M = model.K, model.N, config.docs
-    prior, length = config.prior, config.doc_length
+def synthesize(model, prior, docs, doc_length, seed=0, threads=1):
+    """Generate a corpus of `docs` documents from the model's topics, with
+    compositions drawn from `prior` and lengths from `doc_length`; the same
+    for any thread count."""
+    K, N, M = model.K, model.N, docs
+    if M < 1:
+        raise ValueError("need at least one document")
     if prior.K != K:
         raise ValueError(f"prior is over {prior.K} topics, model has {K}")
     step = max(1, _BLOCK_ENTRIES // N)  # documents per multinomial draw
@@ -190,10 +176,10 @@ def synthesize(model, config, threads=1):
     def run(span):
         start, kept = span[0], span[1] - span[0]
         c = start // _DOC_CHUNK
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(c,)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         # all the chunk's compositions and lengths, however many are kept
         Wc = prior.draw(_DOC_CHUNK, rng)
-        n = length.draw(_DOC_CHUNK, rng)
+        n = doc_length.draw(_DOC_CHUNK, rng)
         W[:, start:start + kept] = Wc[:kept].T
         parts[c] = [_bags(model.B, Wc[s:s + step], n[s:min(s + step, kept)], rng)
                     for s in range(0, kept, step)]

@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
-Each test prints exactly one `[criterion N] PASS/FAIL (...)` line; run with
-`pytest tests/test_acceptance.py -v -s` to see them all. The heavy corpora
-are built once per module and shared between criteria.
+Each test prints exactly one `[criterion N] PASS/FAIL (...)` line, criterion
+10 after its table; run with `pytest tests/test_acceptance.py -v -s` to see
+them all. The heavy corpora are built once per module and shared between
+criteria.
 """
 
 import hashlib
@@ -17,7 +18,6 @@ from topic_compose import (
     LogisticNormalPrior,
     PaddConfig,
     PoissonLength,
-    SynthConfig,
     TliConfig,
     TopicModel,
     evaluate_compositions,
@@ -40,7 +40,14 @@ from oracles import (
 )
 
 SS_SEED = 20250817  # semi-synthetic corpus (criteria 5, 8)
-SR_SEED = 20250818  # semi-real corpus (criteria 6, 7)
+SR_SEED = 20250818  # semi-real corpus (criteria 6, 7, 10)
+HO_SEED = 20250819  # K=50 held-out-prior corpus (criterion 10)
+
+# Criterion 10's l1 margin per corpus: the range of PADD's round-1 mean l1
+# over three seeds of that corpus, rounded up (semireal 0.2234-0.2249 over
+# corpus seeds SR_SEED, +100, +200; K=50 0.3226-0.3301 over HO_SEED, +100,
+# +200). The K=50 batch holds 1,024 documents, semireal 5,000.
+HELD_OUT_L1_MARGIN = {"semireal": 0.002, "k50": 0.008}
 
 
 def _report(n, ok, detail):
@@ -62,12 +69,8 @@ def semisynth():
     B = _quasi_anchor_columns(N, K, 0.01, SS_SEED)
     alpha = np.full(K, 5.0 / K)
     model0 = TopicModel(B=B, A=dirichlet_second_moment(alpha))
-    synth = synthesize(
-        model0,
-        SynthConfig(prior=DirichletPrior(alpha), docs=M,
-                    doc_length=PoissonLength(150.0), seed=SS_SEED),
-        threads=8,
-    )
+    synth = synthesize(model0, DirichletPrior(alpha), M, PoissonLength(150.0),
+                       seed=SS_SEED, threads=8)
     model = TopicModel(B=B, A=synth.Astar)
     spi = spi_infer(model, synth.corpus)
     inverse = tli_compute_inverse(model, TliConfig(), threads=8)
@@ -96,12 +99,8 @@ def semireal():
     # becomes the model prior afterwards
     A0 = np.full((K, K), 0.5 / K**2)
     np.fill_diagonal(A0, A0.diagonal() + 0.5 / K)
-    synth = synthesize(
-        TopicModel(B=B, A=A0),
-        SynthConfig(prior=LogisticNormalPrior(mu=mu, sigma=sigma), docs=M,
-                    doc_length=PoissonLength(300.0), seed=SR_SEED),
-        threads=8,
-    )
+    model0, prior = TopicModel(B=B, A=A0), LogisticNormalPrior(mu=mu, sigma=sigma)
+    synth = synthesize(model0, prior, M, PoissonLength(300.0), seed=SR_SEED, threads=8)
     model = TopicModel(B=B, A=synth.Astar)
     spi = spi_infer(model, synth.corpus)
     inverse = tli_compute_inverse(model, TliConfig(), threads=8)
@@ -116,7 +115,41 @@ def semireal():
         "reports": reports,
         "diagnostics": diagnostics,
         "elapsed": time.perf_counter() - t0,
+        "model0": model0,
+        "prior": prior,
+        "synth": synth,
     }
+
+
+@pytest.fixture(scope="module")
+def held_out(semireal):
+    """Two corpora whose A is not the truth's own second moment: semireal's,
+    with A from an independent draw of its prior (seed SR_SEED + 1, same M),
+    and a K=50, N=500 near-anchor Dirichlet(5/K) batch of 1,024 documents
+    at mean length 150 with the analytic A. Reports for SPI, PADD and PADD
+    at master_iters=1 (round 1 only: no dual step, so no prior)."""
+    t0 = time.perf_counter()
+    model0, synth = semireal["model0"], semireal["synth"]
+    A = synthesize(model0, semireal["prior"], synth.corpus.M, PoissonLength(300.0),
+                   seed=SR_SEED + 1, threads=8).Astar
+    K = 50
+    alpha = np.full(K, 5.0 / K)
+    k50_model = TopicModel(B=_quasi_anchor_columns(500, K, 0.01, HO_SEED),
+                           A=dirichlet_second_moment(alpha))
+    k50 = synthesize(k50_model, DirichletPrior(alpha), 1024, PoissonLength(150.0),
+                     seed=HO_SEED, threads=8)
+    reports = {}
+    for name, model, data in (("semireal", TopicModel(B=model0.B, A=A), synth),
+                              ("k50", k50_model, k50)):
+        runs = {
+            "spi": spi_infer(model, data.corpus),
+            "padd": padd_infer(model, data.corpus, PaddConfig(), threads=8)[0],
+            "padd_round1": padd_infer(model, data.corpus, PaddConfig(master_iters=1),
+                                      threads=8)[0],
+        }
+        reports[name] = {method: evaluate_compositions(data.Wstar, W, prior=model.A)
+                         for method, W in runs.items()}
+    return {"reports": reports, "elapsed": time.perf_counter() - t0}
 
 
 def test_criterion_1_simplex_projection_matches_qp_oracle():
@@ -288,15 +321,25 @@ def test_criterion_9_sampler_moments():
     var_err = abs(float(flat.var()) - 1.0 / 12.0)
 
     alpha = np.ones(5)
-    synth = synthesize(
-        TopicModel(B=np.eye(5), A=dirichlet_second_moment(alpha)),
-        SynthConfig(prior=DirichletPrior(alpha), docs=draws,
-                    doc_length=FixedLength(1), seed=99),
-        threads=8,
-    )
+    synth = synthesize(TopicModel(B=np.eye(5), A=dirichlet_second_moment(alpha)),
+                       DirichletPrior(alpha), draws, FixedLength(1), seed=99, threads=8)
     moment_err = float(np.abs(synth.Astar - dirichlet_second_moment(alpha)).max())
     elapsed = time.perf_counter() - t0
     ok = (mean_err <= 0.01 and var_err <= 0.005 and moment_err <= 0.01
           and elapsed < 60.0)
     _report(9, ok, f"mean_err={mean_err:.2e} var_err={var_err:.2e} "
                    f"moment_err={moment_err:.2e} elapsed={elapsed:.1f}s")
+
+
+def test_criterion_10_held_out_prior(held_out):
+    print(f"{'corpus':<9} {'method':<12} {'f1':>6} {'l1':>7} {'prior_dist':>10}")
+    excess = {}
+    for name, reports in held_out["reports"].items():
+        for method, r in reports.items():
+            print(f"{name:<9} {method:<12} {r.mean('f1'):6.4f} {r.mean('l1_error'):7.4f} "
+                  f"{r.prior_dist:10.5f}")
+        excess[name] = reports["padd"].mean("l1_error") - reports["padd_round1"].mean("l1_error")
+    ok = all(excess[name] <= HELD_OUT_L1_MARGIN[name] for name in excess)
+    _report(10, ok, " ".join(f"{name}: l1 padd-round1={excess[name]:+.5f} "
+                             f"<= {HELD_OUT_L1_MARGIN[name]}" for name in excess)
+            + f" elapsed={held_out['elapsed']:.1f}s")

@@ -15,7 +15,7 @@ from topic_compose import (
     write_corpus_tsv,
     write_dense_tsv,
 )
-from topic_compose.cli import main
+from topic_compose.cli import build_parser, main
 
 from conftest import random_corpus, random_model, write_model
 
@@ -99,6 +99,20 @@ class TestSynth:
         bad = mu if flag == "--mu" else sigma
         assert f"error: {bad}: {flag} needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu_shape, code", [((2, 2), 1), ((1, 4), 0), ((4, 1), 0)],
+                             ids=["2x2", "1xK", "Kx1"])
+    def test_mu_must_be_a_vector(self, tmp_path, capsys, mu_shape, code):
+        mdir, mu, sigma = tmp_path / "model", tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
+        write_model(mdir, random_model(N=12, K=4, seed=11))
+        write_dense_tsv(str(mu), np.zeros(mu_shape))
+        write_dense_tsv(str(sigma), np.eye(4) * 0.4)
+        assert run("synth", "--model", mdir, "--out", tmp_path / "o", "--docs", 5,
+                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == code
+        if code:
+            assert (f"error: {mu}: --mu needs a 4x1 or 1x4 matrix for 4 topics, "
+                    "got shape (2, 2)") in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_logistic_normal_from_files(self, model_dir, tmp_path):
         mu = tmp_path / "mu.tsv"
         sigma = tmp_path / "sigma.tsv"
@@ -173,7 +187,7 @@ class TestInfer:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.tsv" in manifest["outputs"]
         assert manifest["config"]["master_iters"] == 3
-        assert manifest["config"]["slave_tol"] == PaddConfig().slave_tol
+        assert "slave_tol" not in manifest["config"]
         assert "relaxation" not in manifest["config"]
         assert "dual_stop_tol" not in manifest["config"]
 
@@ -405,7 +419,7 @@ class TestEval:
         manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert manifest["subcommand"] == "eval"
         assert manifest["seed"] is None
-        assert manifest["config"]["prominent_mass"] == 0.8
+        assert "prominent_mass" not in manifest["config"]
 
     def test_inputs_sharing_a_basename_keep_both_digests(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -475,6 +489,18 @@ class TestParser:
         expected = dataclasses.asdict(config)
         assert {k: recorded[k] for k in expected} == expected
 
+    # infer's options that are not solver settings
+    NON_SOLVER = {"subcommand", "func", "method", "model", "corpus", "out", "seed",
+                  "threads", "diagnostics"}
+
+    def test_every_solver_setting_is_an_infer_flag(self):
+        args = build_parser().parse_args(["infer", "--method", "padd", "--model", "m",
+                                          "--corpus", "c", "--out", "o"])
+        flags = {k: v for k, v in vars(args).items() if k not in self.NON_SOLVER}
+        fields = {f.name: f.default for config in (PaddConfig, TliConfig)
+                  for f in dataclasses.fields(config)}
+        assert flags == fields
+
     @pytest.mark.parametrize("argv", [
         ("synth", "--docs", 5, "--seed", "x"),
         ("synth", "--docs", 5, "--alpha-scale", "x"),
@@ -539,3 +565,39 @@ def test_smoke_pipeline(tmp_path):
     for method in ("spi", "tli", "padd"):
         assert reports[method]["f1"] > reports["rand"]["f1"]
         assert reports[method]["hellinger"] < reports["rand"]["hellinger"]
+
+
+# every key of each run's manifest config
+MANIFEST_KEYS = {
+    "synth-dirichlet": {"model", "docs", "len", "threads", "prior", "alpha"},
+    "synth-logistic-normal": {"model", "docs", "len", "threads", "prior", "mu", "sigma"},
+    "infer-spi": {"method", "model", "corpus", "threads"},
+    "infer-rand": {"method", "model", "corpus", "threads"},
+    "infer-tli": {"method", "model", "corpus", "threads", "delta", "threshold_divisor",
+                  "inverse_magnitude", "inverse_bias"},
+    "infer-padd": {"method", "model", "corpus", "threads", "master_iters", "tau0"},
+    "eval": {"truth", "pred", "prior"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_KEYS))
+def test_manifest_records_only_what_a_user_sets(model_dir, corpus_path, tmp_path, case):
+    """Each manifest's config holds the run's flags and, for tli, the
+    inverse it computed; the library's constants are pinned by version."""
+    mu, sigma, truth = tmp_path / "mu.tsv", tmp_path / "sigma.tsv", tmp_path / "truth.tsv"
+    write_dense_tsv(str(mu), np.zeros((3, 1)))
+    write_dense_tsv(str(sigma), np.eye(3) * 0.4)
+    write_dense_tsv(str(truth), np.full((3, 4), 1.0 / 3.0))
+    name, _, variant = case.partition("-")
+    out = tmp_path / "o"
+    argv = {
+        "synth": ["synth", "--model", model_dir, "--out", out, "--docs", 5,
+                  "--prior", variant, "--mu", mu, "--sigma", sigma],
+        "infer": ["infer", "--method", variant, "--model", model_dir,
+                  "--corpus", corpus_path, "--out", out],
+        "eval": ["eval", "--truth", truth, "--pred", truth, "--prior", model_dir / "A.tsv",
+                 "--out", out / "report.tsv"],
+    }[name]
+    assert run(*argv) == 0
+    manifest = out / ("report.manifest.json" if name == "eval" else "manifest.json")
+    assert set(json.loads(manifest.read_text())["config"]) == MANIFEST_KEYS[case]

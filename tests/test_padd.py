@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,6 @@ from topic_compose import (
     DirichletPrior,
     FixedLength,
     PaddConfig,
-    SynthConfig,
     TopicModel,
     padd_infer,
     project_simplex_columns,
@@ -45,10 +45,11 @@ def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
 
 
 class TestDualStep:
-    def test_inv_sqrt(self):
+    def test_inv_sqrt(self, monkeypatch):
         m = random_model(N=20, K=3, seed=3)
         c = random_corpus(N=20, M=30, seed=4)
-        cfg = PaddConfig(master_iters=4, slave_iters=10, tau0=0.1)
+        monkeypatch.setattr(PaddConfig, "slave_iters", 10)
+        cfg = PaddConfig(master_iters=4, tau0=0.1)
         _, diag = padd_infer(m, c, cfg)
         assert diag.rounds == [1, 2, 3, 4]
         assert diag.tau[0] == 0.1
@@ -61,22 +62,25 @@ class TestPaddConfig:
         assert padd_module.RELAXATION == 1.9
         assert padd_module.GAP_STOP == 1e-6
         assert cfg.master_iters == 15 and cfg.slave_iters == 150
+        assert cfg.slave_tol == 1e-7
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"master_iters": 0},
-            {"slave_iters": 0},
             {"tau0": 0.0},
-            {"slave_tol": 0.0},
             {"tau0": math.inf},
             {"tau0": math.nan},
-            {"slave_tol": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PaddConfig(**kwargs)
+
+    def test_slave_constants_are_not_settings(self):
+        assert [f.name for f in dataclasses.fields(PaddConfig)] == ["master_iters", "tau0"]
+        with pytest.raises(TypeError):
+            PaddConfig(slave_iters=5)
 
 
 class TestAdmmDrSolve:
@@ -161,9 +165,13 @@ class TestPaddInfer:
         c = random_corpus(N=4, M=9, seed=0)
         comp, diag = padd_infer(m, c)
         npt.assert_array_equal(comp.W, np.ones((1, 9)))
-        assert diag.rounds == []
+        assert diag.rounds == [1]
+        assert diag.constraint_gap == [0.0]
 
-    TIGHT = dict(slave_iters=5000, slave_tol=1e-13)
+    @pytest.fixture
+    def tight(self, monkeypatch):
+        monkeypatch.setattr(PaddConfig, "slave_iters", 5000)
+        monkeypatch.setattr(PaddConfig, "slave_tol", 1e-13)
 
     def _matched_instance(self):
         """An unmatched model, its corpus, round 1's solutions under it and
@@ -173,14 +181,14 @@ class TestPaddInfer:
         matched A the first dual update vanishes."""
         m0 = random_model(N=20, K=3, seed=5)
         c = random_corpus(N=20, M=30, seed=6)
-        comp1, _ = padd_infer(m0, c, PaddConfig(master_iters=1, **self.TIGHT))
+        comp1, _ = padd_infer(m0, c, PaddConfig(master_iters=1))
         P = comp1.W @ comp1.W.T
         A_matched = (P + P.T) / (2.0 * comp1.M)
         return m0, c, comp1, TopicModel(B=m0.B, A=A_matched)
 
-    def test_zero_gap_keeps_dual_at_zero_and_stops(self):
+    def test_zero_gap_keeps_dual_at_zero_and_stops(self, tight):
         m0, c, comp1, m = self._matched_instance()
-        comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6, **self.TIGHT))
+        comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6))
         # round 1 re-derives the same solutions, so the dual update vanishes
         assert len(diag.rounds) == 1
         assert diag.constraint_gap[0] <= 1e-9
@@ -191,18 +199,17 @@ class TestPaddInfer:
         # start prediction would divide by it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            comp4, diag4 = padd_infer(m0, c, PaddConfig(
-                master_iters=4, tau0=5e-324, **self.TIGHT))
+            comp4, diag4 = padd_infer(m0, c, PaddConfig(master_iters=4, tau0=5e-324))
         assert diag4.dual_norm == [0.0] * 4
         assert min(diag4.constraint_gap) > 0.1
         npt.assert_allclose(comp4.W, comp1.W, atol=1e-9)
 
-    def test_met_constraint_stops_before_a_large_dual_step(self):
+    def test_met_constraint_stops_before_a_large_dual_step(self, tight):
         # the gap is ~1e-14 of ||A||, so the master returns after round 1;
         # tau0 = 1e9 times that gap would still be a dual move large enough
         # to make round 3's Q indefinite
         _, c, comp1, m = self._matched_instance()
-        comp, diag = padd_infer(m, c, PaddConfig(master_iters=6, tau0=1e9, **self.TIGHT))
+        comp, diag = padd_infer(m, c, PaddConfig(master_iters=6, tau0=1e9))
         assert diag.rounds == [1]
         assert diag.constraint_gap[0] <= padd_module.GAP_STOP * np.linalg.norm(m.A)
         npt.assert_allclose(comp.W, comp1.W, atol=1e-9)
@@ -257,21 +264,19 @@ class TestPaddInfer:
         rng = np.random.default_rng(12)
         B = rng.dirichlet(np.full(60, 0.1), size=5).T
         model0 = TopicModel(B=B, A=np.eye(5) / 5)
-        synth = synthesize(
-            model0,
-            SynthConfig(prior=DirichletPrior.symmetric(5, 5.0), docs=600,
-                        doc_length=FixedLength(80), seed=13),
-        )
+        synth = synthesize(model0, DirichletPrior.symmetric(5, 5.0), 600, FixedLength(80),
+                           seed=13)
         model = TopicModel(B=B, A=synth.Astar)
         _, diag = padd_infer(model, synth.corpus, PaddConfig(master_iters=8))
         assert diag.constraint_gap[-1] <= diag.constraint_gap[0] + 1e-12
 
     @pytest.mark.parametrize("K, M", [(10, 5200), (7, 7400), (4, 6500)])
-    def test_thread_count_does_not_change_result_across_blocks(self, K, M):
+    def test_thread_count_does_not_change_result_across_blocks(self, K, M, monkeypatch):
         # every corpus spans several slave blocks, the last one partial
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21)
-        cfg = PaddConfig(master_iters=4, slave_iters=20)  # rounds 3-4 predict
+        monkeypatch.setattr(PaddConfig, "slave_iters", 20)
+        cfg = PaddConfig(master_iters=4)  # rounds 3-4 predict
         runs = [padd_infer(m, c, cfg, threads=n)[0].W.tobytes() for n in (1, 2, 3)]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 

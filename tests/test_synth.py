@@ -10,7 +10,6 @@ from topic_compose import (
     FixedLength,
     LogisticNormalPrior,
     PoissonLength,
-    SynthConfig,
     TopicModel,
     synthesize,
     write_corpus_tsv,
@@ -142,9 +141,9 @@ class TestSampleDocument:
 class TestSynthesize:
     def test_single_doc_single_topic(self):
         m = TopicModel(B=np.ones((2, 1)) / 2, A=[[1.0]])
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(1, 5.0), docs=1,
-                          doc_length=FixedLength(4), seed=0)
-        out = synthesize(m, cfg)
+        cfg = dict(prior=DirichletPrior.symmetric(1, 5.0), docs=1,
+                   doc_length=FixedLength(4), seed=0)
+        out = synthesize(m, **cfg)
         npt.assert_array_equal(out.Wstar.W, [[1.0]])
         npt.assert_array_equal(out.Astar, [[1.0]])
         assert out.corpus.lengths[0] == 4
@@ -152,17 +151,17 @@ class TestSynthesize:
     def test_moment_matches_analytic_dirichlet(self):
         m = random_model(N=30, K=5, seed=20)
         alpha = np.full(5, 1.0)
-        cfg = SynthConfig(prior=DirichletPrior(alpha), docs=10_000,
-                          doc_length=FixedLength(5), seed=21)
-        out = synthesize(m, cfg, threads=4)
+        cfg = dict(prior=DirichletPrior(alpha), docs=10_000,
+                   doc_length=FixedLength(5), seed=21)
+        out = synthesize(m, **cfg, threads=4)
         expected = dirichlet_second_moment(alpha)
         assert np.abs(out.Astar - expected).max() <= 0.01
 
     def test_wstar_columns_on_simplex(self):
         m = random_model(N=20, K=4, seed=22)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(4, 5.0), docs=300,
-                          doc_length=PoissonLength(30.0), seed=23)
-        out = synthesize(m, cfg)
+        cfg = dict(prior=DirichletPrior.symmetric(4, 5.0), docs=300,
+                   doc_length=PoissonLength(30.0), seed=23)
+        out = synthesize(m, **cfg)
         npt.assert_allclose(out.Wstar.W.sum(axis=0), 1.0, atol=1e-12)
         npt.assert_array_equal(out.Astar, out.Astar.T)
         assert not out.Astar.flags.writeable
@@ -170,18 +169,18 @@ class TestSynthesize:
 
     def test_poisson_lengths_never_empty_and_mean_close(self):
         m = random_model(N=25, K=3, seed=24)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(3, 5.0), docs=4000,
-                          doc_length=PoissonLength(12.0), seed=25)
-        out = synthesize(m, cfg)
+        cfg = dict(prior=DirichletPrior.symmetric(3, 5.0), docs=4000,
+                   doc_length=PoissonLength(12.0), seed=25)
+        out = synthesize(m, **cfg)
         assert out.corpus.lengths.min() >= 1
         assert out.corpus.lengths.mean() == pytest.approx(12.0, abs=0.3)
 
     def test_seed_reproducible_files(self, tmp_path):
         m = random_model(N=20, K=3, seed=26)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(3, 5.0), docs=50,
-                          doc_length=FixedLength(42), seed=42)
-        a = synthesize(m, cfg)
-        b = synthesize(m, cfg)
+        cfg = dict(prior=DirichletPrior.symmetric(3, 5.0), docs=50,
+                   doc_length=FixedLength(42), seed=42)
+        a = synthesize(m, **cfg)
+        b = synthesize(m, **cfg)
         pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_corpus_tsv(pa, a.corpus)
         write_corpus_tsv(pb, b.corpus)
@@ -205,11 +204,11 @@ class TestSynthesize:
         m = random_model(N=20, K=4, seed=27)
         docs = 3 * synth_module._DOC_CHUNK + 50
         for prior in self._priors(4):
-            cfg = SynthConfig(prior=prior, docs=docs, doc_length=PoissonLength(20.0), seed=28)
+            cfg = dict(prior=prior, docs=docs, doc_length=PoissonLength(20.0), seed=28)
             pool_threads.clear()
-            a = synthesize(m, cfg, threads=1)
+            a = synthesize(m, **cfg, threads=1)
             for threads in (2, 4):
-                b = synthesize(m, cfg, threads=threads)
+                b = synthesize(m, **cfg, threads=threads)
                 npt.assert_array_equal(a.Wstar.W, b.Wstar.W)
                 npt.assert_array_equal(a.corpus.docs, b.corpus.docs)
                 npt.assert_array_equal(a.corpus.counts, b.corpus.counts)
@@ -225,7 +224,7 @@ class TestSynthesize:
         m = random_model(N=20, K=4, seed=32)
         for prior in self._priors(4):
             short, long = (
-                synthesize(m, SynthConfig(prior=prior, docs=docs, doc_length=length, seed=33))
+                synthesize(m, prior, docs, length, seed=33)
                 for docs in (300, 700)
             )
             npt.assert_array_equal(short.Wstar.W, long.Wstar.W[:, :300])
@@ -237,13 +236,13 @@ class TestSynthesize:
     def test_underflowed_rows_redrawn_and_tiny_alpha_raises(self):
         m = random_model(N=20, K=2, seed=34)
         # about a fifth of Dirichlet(1e-3, 1e-3) draws underflow to all zeros
-        cfg = SynthConfig(prior=DirichletPrior([1e-3, 1e-3]), docs=300,
-                          doc_length=FixedLength(5), seed=35)
-        npt.assert_allclose(synthesize(m, cfg).Wstar.W.sum(axis=0), 1.0, atol=1e-12)
-        cfg = SynthConfig(prior=DirichletPrior([1e-300, 1e-300]), docs=300,
-                          doc_length=FixedLength(5), seed=35)
+        cfg = dict(prior=DirichletPrior([1e-3, 1e-3]), docs=300,
+                   doc_length=FixedLength(5), seed=35)
+        npt.assert_allclose(synthesize(m, **cfg).Wstar.W.sum(axis=0), 1.0, atol=1e-12)
+        cfg = dict(prior=DirichletPrior([1e-300, 1e-300]), docs=300,
+                   doc_length=FixedLength(5), seed=35)
         with pytest.raises(RuntimeError, match="underflowed"):
-            synthesize(m, cfg)
+            synthesize(m, **cfg)
         with pytest.raises(RuntimeError, match="underflowed"):
             DirichletPrior([1e-300, 1e-300]).draw(1, np.random.default_rng(36))
 
@@ -251,16 +250,19 @@ class TestSynthesize:
         m = random_model(N=20, K=4, seed=29)
         sigma = 0.5 * np.eye(4) + 0.1
         prior = LogisticNormalPrior(mu=np.zeros(4), sigma=sigma)
-        cfg = SynthConfig(prior=prior, docs=100, doc_length=FixedLength(15), seed=30)
-        out = synthesize(m, cfg)
+        cfg = dict(prior=prior, docs=100, doc_length=FixedLength(15), seed=30)
+        out = synthesize(m, **cfg)
         npt.assert_allclose(out.Wstar.W.sum(axis=0), 1.0, atol=1e-12)
 
     def test_prior_topic_count_must_match(self):
         m = random_model(N=20, K=4, seed=31)
-        cfg = SynthConfig(prior=DirichletPrior.symmetric(3, 5.0), docs=5,
-                          doc_length=FixedLength(5), seed=0)
         with pytest.raises(ValueError, match="topics"):
-            synthesize(m, cfg)
+            synthesize(m, DirichletPrior.symmetric(3, 5.0), 5, FixedLength(5))
+
+    def test_needs_a_document(self):
+        m = random_model(N=20, K=4, seed=31)
+        with pytest.raises(ValueError, match="at least one document"):
+            synthesize(m, DirichletPrior.symmetric(4, 5.0), 0, FixedLength(5))
 
 
 # SHA-256 of synthesize's corpus arrays, Wstar and Astar as versions 0.4.0
@@ -281,8 +283,8 @@ def test_stream_is_pinned(case, threads):
             LogisticNormalPrior(mu=[0.5, 0.0, -0.5, 0.0], sigma=0.5 * np.eye(4) + 0.1),
             FixedLength(15)),
     }[case]
-    cfg = SynthConfig(prior=prior, docs=300, doc_length=length, seed=41)
-    out = synthesize(random_model(N=30, K=4, seed=40), cfg, threads=threads)
+    cfg = dict(prior=prior, docs=300, doc_length=length, seed=41)
+    out = synthesize(random_model(N=30, K=4, seed=40), **cfg, threads=threads)
     h = hashlib.sha256()
     for a in (out.corpus.docs, out.corpus.words, out.corpus.counts, out.Wstar.W, out.Astar):
         h.update(np.ascontiguousarray(a).tobytes())
