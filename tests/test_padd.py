@@ -68,9 +68,12 @@ class TestPaddConfig:
         "kwargs",
         [
             {"master_iters": 0},
+            {"master_iters": -1},
             {"tau0": 0.0},
+            {"tau0": -1.0},
             {"tau0": math.inf},
             {"tau0": math.nan},
+            {"tau0": -math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
