@@ -48,6 +48,7 @@ from .synth import (
 )
 
 INFER_METHODS = ("spi", "tli", "padd", "rand")
+ALPHA_SCALE = 5.0  # synth's Dirichlet concentration when --alpha-scale is not given
 
 
 def _positive_int(text):
@@ -117,7 +118,8 @@ def cmd_synth(args):
     t0 = time.perf_counter()
     model = load_model(args.model)
     if args.prior == "dirichlet":
-        prior = DirichletPrior.symmetric(model.K, args.alpha_scale)
+        alpha_scale = ALPHA_SCALE if args.alpha_scale is None else args.alpha_scale
+        prior = DirichletPrior.symmetric(model.K, alpha_scale)
         prior_cfg = {"prior": "dirichlet", "alpha": prior.alpha.tolist()}
     else:
         K = model.K
@@ -237,10 +239,11 @@ def build_parser():
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
     ps.add_argument("--prior", choices=("dirichlet", "logistic-normal"),
                     default="dirichlet")
-    ps.add_argument("--alpha-scale", type=float, default=5.0,
-                    help="total Dirichlet concentration, split evenly over topics")
-    ps.add_argument("--mu", help="TSV vector for the logistic-normal mean")
-    ps.add_argument("--sigma", help="TSV matrix for the logistic-normal covariance")
+    ps.add_argument("--alpha-scale", type=float, default=None,
+                    help="dirichlet: total concentration, split evenly over topics "
+                         f"(default {ALPHA_SCALE})")
+    ps.add_argument("--mu", help="logistic-normal: TSV vector for the mean")
+    ps.add_argument("--sigma", help="logistic-normal: TSV matrix for the covariance")
     ps.add_argument("--len", type=_length, default="150",
                     help="document length: integer or poisson:<mean>")
     ps.add_argument("--seed", type=int, default=0)
@@ -279,13 +282,25 @@ def build_parser():
     return parser
 
 
+def _check_prior_flags(parser, args):
+    """synth takes the flags of its --prior and no others."""
+    if args.prior == "dirichlet":
+        other = {"--mu": args.mu, "--sigma": args.sigma}
+    else:
+        if None in (args.mu, args.sigma):
+            parser.error("synth --prior logistic-normal requires --mu and --sigma")
+        other = {"--alpha-scale": args.alpha_scale}
+    for flag, value in other.items():
+        if value is not None:
+            parser.error(f"synth --prior {args.prior} does not take {flag}")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if (args.subcommand == "synth" and args.prior == "logistic-normal"
-                and None in (args.mu, args.sigma)):
-            parser.error("synth --prior logistic-normal requires --mu and --sigma")
+        if args.subcommand == "synth":
+            _check_prior_flags(parser, args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

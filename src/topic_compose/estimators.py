@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 
 BIAS_TOL = 1e-6  # slack on the bias budget, and the largest rounding error a row may carry
+# HiGHS's `small_matrix_value` default: it drops every matrix entry with |a| <= this
+SMALL_MATRIX_VALUE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,41 +78,42 @@ def spi_infer(model, corpus):
     return CompositionMatrix(word_topic_posterior(model) @ normalize_corpus(corpus))
 
 
-def _row_program(rows, bounds, k, delta):
+def _row_program(B, kept, bounds, k, delta):
     """Smallest-magnitude row b with (B^T b)_l within delta of 1{l == k}.
 
     Solves "minimize max|b_j|" in its Charnes-Cooper rescaling b = c/s:
     maximize s over -1 <= c_j <= 1 and s >= 0 (variable bounds, not
     constraint rows), subject to the K rows B^T c - s e_k = 0 when
     delta = 0, or the 2K rows +-(B^T c - s e_k) <= delta s otherwise. The
-    optimal s is 1 / max|b_j|. `rows` is [B^T, 0] or
-    [[B^T, -delta], [-B^T, -delta]], shared by all rows of one inverse;
-    the e_k terms go into a copy. HiGHS runs without presolve, which on
-    these dense K-row programs only adds time and memory. Only the
-    magnitude is unique: near-anchor B has many optimal vertices, and which
-    one comes back is up to the solver.
+    optimal s is 1 / max|b_j|. `kept` is B^T, or [B^T; -B^T] when delta > 0,
+    holding only the entries HiGHS keeps; it is shared by all rows of one
+    inverse, and each row appends its own s column. HiGHS runs without
+    presolve, which on these K-row programs only adds time and memory.
+    Only the magnitude is unique: near-anchor B has many optimal vertices,
+    and which one comes back is up to the solver.
     """
-    K = rows.shape[0] if delta == 0.0 else rows.shape[0] // 2
-    N = rows.shape[1] - 1
-    A = rows.copy()
-    A[k, N] -= 1.0
+    N, K = B.shape
+    s_column = np.full(kept.shape[0], -delta)
+    s_column[k] -= 1.0
+    if delta > 0.0:
+        s_column[K + k] += 1.0
+    s_rows = np.flatnonzero(np.abs(s_column) > SMALL_MATRIX_VALUE)
+    # kept's N columns, then the s column's kept entries as column N
+    A = scipy.sparse.csc_array(
+        (np.append(kept.data, s_column[s_rows]), np.append(kept.indices, s_rows),
+         np.append(kept.indptr, kept.nnz + s_rows.size)),
+        shape=(kept.shape[0], N + 1),
+    )
     objective = np.zeros(N + 1)
     objective[N] = -1.0
-    if delta == 0.0:
-        res = scipy.optimize.linprog(
-            objective, A_eq=A, b_eq=np.zeros(K), bounds=bounds, method="highs",
-            options={"presolve": False},
-        )
-    else:
-        A[K + k, N] += 1.0
-        res = scipy.optimize.linprog(
-            objective, A_ub=A, b_ub=np.zeros(2 * K), bounds=bounds, method="highs",
-            options={"presolve": False},
-        )
+    rhs = np.zeros(A.shape[0])
+    constraints = {"A_eq": A, "b_eq": rhs} if delta == 0.0 else {"A_ub": A, "b_ub": rhs}
+    res = scipy.optimize.linprog(objective, bounds=bounds, method="highs",
+                                 options={"presolve": False}, **constraints)
     s = res.x[N] if res.status == 0 else math.nan
     # a singular B leaves s = 0 as the only feasible scale, and HiGHS calls that optimal
     if not (s > 0.0 and np.isfinite(res.x).all()):
-        smin = float(np.linalg.svd(rows[:K, :N], compute_uv=False)[-1])
+        smin = float(np.linalg.svd(B, compute_uv=False)[-1])
         raise RuntimeError(
             f"left-inverse program for topic {k} found no scale s > 0 (s = {s:.3g}, "
             f"status {res.status}: {res.message}); smallest singular value of B is {smin:.3e}"
@@ -129,7 +133,7 @@ def tli_compute_inverse(model, config=None, threads=1):
     and a row whose bound exceeds BIAS_TOL (a magnitude above BIAS_TOL /
     (N eps), 9.0e6 at N = 500; only a near-singular B needs one) raises
     RuntimeError naming the topic, the magnitude and B's smallest singular
-    value.
+    value. Both certificates use the full B, not the entries HiGHS keeps.
     """
     config = config or TliConfig()
     B = model.B
@@ -139,14 +143,15 @@ def tli_compute_inverse(model, config=None, threads=1):
         # b = 0 already meets the bias budget (and the rescaled program is unbounded)
         Bd = np.zeros((K, N))
     else:
-        slack = np.full((K, 1), -delta)
-        rows = np.hstack([B.T, slack]) if delta == 0.0 else np.block([[B.T, slack], [-B.T, slack]])
+        kept = scipy.sparse.csc_array(np.where(np.abs(B.T) > SMALL_MATRIX_VALUE, B.T, 0.0))
+        if delta > 0.0:
+            kept = scipy.sparse.vstack([kept, -kept], format="csc")
         bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
         Bd = np.empty((K, N))
 
         def solve_rows(span):
             for k in range(*span):
-                Bd[k] = _row_program(rows, bounds, k, delta)
+                Bd[k] = _row_program(B, kept, bounds, k, delta)
 
         map_chunks(K, 1, solve_rows, threads)
     magnitudes = np.abs(Bd).max(axis=1)

@@ -155,6 +155,33 @@ def linf_left_inverse_lp(B, k, delta=0.0):
     return res.x[N], res.x[:N]
 
 
+def dense_charnes_cooper_row(B, k, delta=0.0):
+    """Row k of TLI's left inverse from the Charnes-Cooper program of
+    `estimators._row_program` with a dense constraint matrix: every entry
+    of [B^T, -delta] (and of [-B^T, -delta] below it when delta > 0) goes
+    to HiGHS, which itself drops those with |a| <= 1e-9. Same objective,
+    bounds, right-hand side and options as the library, so its bytes are
+    the library's as long as HiGHS drops exactly what the library does.
+    """
+    B = np.asarray(B, dtype=np.float64)
+    N, K = B.shape
+    slack = np.full((K, 1), -delta)
+    A = np.hstack([B.T, slack]) if delta == 0.0 else np.block([[B.T, slack], [-B.T, slack]])
+    A[k, N] -= 1.0
+    if delta > 0.0:
+        A[K + k, N] += 1.0
+    objective = np.zeros(N + 1)
+    objective[N] = -1.0
+    bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
+    rhs = np.zeros(A.shape[0])
+    constraints = {"A_eq": A, "b_eq": rhs} if delta == 0.0 else {"A_ub": A, "b_ub": rhs}
+    res = scipy.optimize.linprog(objective, bounds=bounds, method="highs",
+                                 options={"presolve": False}, **constraints)
+    if res.status != 0:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    return res.x[:N] / res.x[N]
+
+
 def grid_min_quadratic(B, h, step):
     """Minimize ||B w - h||^2 over the simplex by exhaustive grid search.
 

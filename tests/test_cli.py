@@ -85,6 +85,33 @@ class TestSynth:
             assert "requires --mu and --sigma" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("prior, flag", [("dirichlet", "--mu"), ("dirichlet", "--sigma"),
+                                             ("logistic-normal", "--alpha-scale")])
+    def test_flag_of_the_other_prior_is_usage_error(self, model_dir, tmp_path, capsys,
+                                                    prior, flag):
+        mu, sigma = tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
+        write_dense_tsv(str(mu), np.zeros((3, 1)))
+        write_dense_tsv(str(sigma), np.eye(3) * 0.4)
+        argv = ["synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
+                "--prior", prior]
+        if prior == "logistic-normal":
+            argv += ["--mu", mu, "--sigma", sigma]
+        # --alpha-scale at its own default still names a Dirichlet run
+        value = {"--mu": mu, "--sigma": sigma, "--alpha-scale": 5.0}[flag]
+        assert run(*argv, flag, value) == 2
+        assert f"synth --prior {prior} does not take {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_alpha_scale_defaults_to_five(self, model_dir, tmp_path):
+        for name, flags in (("default", ()), ("explicit", ("--alpha-scale", 5.0))):
+            assert run("synth", "--model", model_dir, "--out", tmp_path / name,
+                       "--docs", 5, *flags) == 0
+        for name in ("default", "explicit"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["alpha"] == [5.0 / 3] * 3
+        assert (digest(tmp_path / "default" / "corpus.tsv")
+                == digest(tmp_path / "explicit" / "corpus.tsv"))
+
     @pytest.mark.parametrize("flag, mu_shape, sigma_shape", [
         ("--mu", (4, 1), (3, 3)),
         ("--sigma", (3, 1), (2, 2)),
@@ -591,8 +618,8 @@ def test_manifest_records_only_what_a_user_sets(model_dir, corpus_path, tmp_path
     name, _, variant = case.partition("-")
     out = tmp_path / "o"
     argv = {
-        "synth": ["synth", "--model", model_dir, "--out", out, "--docs", 5,
-                  "--prior", variant, "--mu", mu, "--sigma", sigma],
+        "synth": ["synth", "--model", model_dir, "--out", out, "--docs", 5, "--prior", variant]
+        + (["--mu", mu, "--sigma", sigma] if variant == "logistic-normal" else []),
         "infer": ["infer", "--method", variant, "--model", model_dir,
                   "--corpus", corpus_path, "--out", out],
         "eval": ["eval", "--truth", truth, "--pred", truth, "--prior", model_dir / "A.tsv",

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.optimize
+import scipy.sparse
 
 from topic_compose import (
     Corpus,
@@ -15,7 +17,7 @@ from topic_compose import (
 )
 from topic_compose import estimators
 from conftest import random_corpus, random_model
-from oracles import linf_left_inverse_lp, linf_left_inverse_oracle
+from oracles import dense_charnes_cooper_row, linf_left_inverse_lp, linf_left_inverse_oracle
 
 
 def stochastic_matrix(N, K, seed, concentration=0.5):
@@ -27,6 +29,7 @@ def stochastic_matrix(N, K, seed, concentration=0.5):
 # are compared. On seed 1 the dense (b, t) form defeats HiGHS's dual simplex;
 # seed 4 is ill-conditioned (smallest singular value 0.06).
 NEAR_ANCHOR = [stochastic_matrix(60, 8, seed=s, concentration=0.01) for s in (1, 4)]
+HIGHS_SMALL = 1e-9  # HiGHS's small_matrix_value default: it drops entries with |a| <= this
 
 
 def near_singular_model(seed):
@@ -118,7 +121,7 @@ class TestTliInverse:
         v = np.linalg.svd(B.T)[2][-1]
         npt.assert_allclose(B.T @ v, 0.0, atol=1e-12)
         monkeypatch.setattr(estimators, "_row_program",
-                            lambda rows, bounds, k, delta: exact[k] + scale * v)
+                            lambda B, kept, bounds, k, delta: exact[k] + scale * v)
         m = TopicModel(B=B, A=np.eye(2) / 2)
         if certified:
             inv = tli_compute_inverse(m, TliConfig())
@@ -189,11 +192,41 @@ class TestTliInverse:
         assert inv.magnitude == pytest.approx(np.abs(inv.Bdagger).max(), abs=1e-10)
 
     def test_threads_do_not_change_result(self):
-        B = stochastic_matrix(30, 6, seed=8)
-        m = TopicModel(B=B, A=np.eye(6) / 6)
-        a = tli_compute_inverse(m, TliConfig(), threads=1)
-        b = tli_compute_inverse(m, TliConfig(), threads=4)
-        npt.assert_array_equal(a.Bdagger, b.Bdagger)
+        for B in (stochastic_matrix(30, 6, seed=8), NEAR_ANCHOR[0]):
+            m = TopicModel(B=B, A=np.eye(B.shape[1]) / B.shape[1])
+            a = tli_compute_inverse(m, TliConfig(), threads=1)
+            b = tli_compute_inverse(m, TliConfig(), threads=4)
+            npt.assert_array_equal(a.Bdagger, b.Bdagger)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 1e-10])
+    def test_kept_entries_give_the_dense_program_bytes(self, delta):
+        # HiGHS drops every entry with |a| <= 1e-9 from the dense program
+        # itself, so handing it only the kept ones changes no byte; at
+        # delta = 1e-10 it drops the s column's slack entries too
+        B = NEAR_ANCHOR[0]
+        assert (B <= HIGHS_SMALL).mean() >= 0.5
+        inv = tli_compute_inverse(TopicModel(B=B, A=np.eye(8) / 8), TliConfig(delta=delta))
+        reference = np.array([dense_charnes_cooper_row(B, k, delta) for k in range(8)])
+        assert inv.Bdagger.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_programs_hold_only_the_entries_highs_keeps(self, monkeypatch, delta):
+        B = NEAR_ANCHOR[0]
+        N, K = B.shape
+        linprog = scipy.optimize.linprog
+        matrices = []
+
+        def spy(*args, **kwargs):
+            matrices.append(kwargs["A_eq"] if delta == 0.0 else kwargs["A_ub"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(estimators.scipy.optimize, "linprog", spy)
+        tli_compute_inverse(TopicModel(B=B, A=np.eye(K) / K), TliConfig(delta=delta))
+        assert len(matrices) == K
+        for A in matrices:
+            assert scipy.sparse.issparse(A)
+            assert A.shape == (K if delta == 0.0 else 2 * K, N + 1)
+            assert (np.abs(A.data) > HIGHS_SMALL).all()
 
     def test_lp_magnitude_at_most_least_squares_inverse(self):
         B = stochastic_matrix(20, 4, seed=3)

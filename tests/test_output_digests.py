@@ -16,11 +16,12 @@ SLOT_OUTPUTS = {
     "cli-pipeline": ("corpus.tsv", "Wstar.tsv", "Astar.tsv", "W.tsv", "report.tsv",
                      "report.per_doc.tsv"),
 }
-# each workload's model first (slot "-"), then slot 0's outputs
+# each workload's two left inverses first (slot "-"), then slot 0's outputs
 EXPECTED = [
     row
     for workload, outputs in SLOT_OUTPUTS.items()
-    for row in [(workload, "-", "tli.Bdagger")] + [(workload, "0", o) for o in outputs]
+    for row in [(workload, "-", "tli.Bdagger"), (workload, "-", "tli.Bdagger.delta=0.05")]
+    + [(workload, "0", o) for o in outputs]
 ]
 
 

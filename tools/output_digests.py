@@ -3,9 +3,10 @@
     PYTHONPATH=src python3 tools/output_digests.py --seed 1 --slots 0-7 --threads 2
 
 For each workload's model (bench/inputs.py, read back from its TSV files
-as the benchmark reads it), one `tli.Bdagger` line, slot `-`, for TLI's
-left inverse at the default TliConfig. For each pool slot of the padd-k10
-and tli-k50 inputs, one line each for SPI's, TLI's and PADD's W and for
+as the benchmark reads it), two `tli.Bdagger` lines, slot `-`, for TLI's
+left inverse at the default TliConfig and at delta = 0.05, whose row
+programs have 2K rows. For each pool slot of the padd-k10 and tli-k50
+inputs, one line each for SPI's, TLI's and PADD's W and for
 PADD's diagnostics TSV; for the cli-pipeline inputs, one line for each file
 that `synth`, `infer --method spi` and `eval --prior` write through
 cli.main, as the benchmark runs them, except the manifests, which record
@@ -45,6 +46,13 @@ def slot_range(text):
     return range(int(first), int(last or first) + 1)
 
 
+def biased_inverse_row(name, m, threads):
+    """The digest line of TLI's left inverse at delta = 0.05."""
+    inverse = estimators.tli_compute_inverse(m, estimators.TliConfig(delta=0.05),
+                                             threads=threads)
+    return name, "-", "tli.Bdagger.delta=0.05", digest(inverse.Bdagger.tobytes())
+
+
 def batch_digests(name, data, slots, threads, work):
     work.mkdir()
     inputs.write_model(work, data)
@@ -52,6 +60,7 @@ def batch_digests(name, data, slots, threads, work):
     tli_config = estimators.TliConfig()
     inverse = estimators.tli_compute_inverse(m, tli_config, threads=threads)
     yield name, "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
+    yield biased_inverse_row(name, m, threads)
     for slot in slots:
         b = data.batches[slot]
         corpus = model.Corpus(docs=b.docs, words=b.words, counts=b.counts, M=b.M, N=b.N)
@@ -69,8 +78,10 @@ def cli_digests(data, slots, threads, work):
     m = work / "model"
     m.mkdir(parents=True)
     inputs.write_model(m, data)
-    inverse = estimators.tli_compute_inverse(model.load_model(str(m)), threads=threads)
+    loaded = model.load_model(str(m))
+    inverse = estimators.tli_compute_inverse(loaded, threads=threads)
     yield "cli-pipeline", "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
+    yield biased_inverse_row("cli-pipeline", loaded, threads)
     for slot in slots:
         out = work / f"slot{slot}"
         steps = (
