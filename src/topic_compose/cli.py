@@ -4,11 +4,13 @@
 `eval` writes one named after its report (`report.tsv` gets
 `report.manifest.json`), so a pipeline run into one directory keeps every
 manifest. A manifest records the fully resolved configuration, the SHA-256
-digest of each input keyed by its path as given, and timing, so any run can
-be reproduced bit-for-bit from it. Flag defaults are the library's own
-(`PaddConfig`, `TliConfig`); `--threads` is the only source of the worker
-count and defaults to 1. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+digest of each input keyed by its path as given, each output's path
+relative to the manifest, the solver's `results` and timing, so any run can
+be reproduced bit-for-bit from it. Each subcommand returns what its
+manifest records; `main` times it and writes the manifest. Flag defaults
+are the library's own (`PaddConfig`, `TliConfig`); `--threads` is the only
+source of the worker count and defaults to 1. Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 import argparse
@@ -82,14 +84,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, subcommand, config, inputs, outputs, seed, elapsed):
+def _write_manifest(path, subcommand, config, inputs, outputs, results, seed, elapsed):
+    here = os.path.dirname(os.path.abspath(path))
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
         "seed": seed,
         "input_digests": {p: _sha256(p) for p in inputs},
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": [os.path.relpath(p, here) for p in outputs],
+        "results": results,
         "elapsed_seconds": elapsed,
     }
     tmp = path + ".tmp"
@@ -115,7 +119,6 @@ def _model_inputs(model_dir):
 
 
 def cmd_synth(args):
-    t0 = time.perf_counter()
     model = load_model(args.model)
     if args.prior == "dirichlet":
         alpha_scale = ALPHA_SCALE if args.alpha_scale is None else args.alpha_scale
@@ -145,21 +148,16 @@ def cmd_synth(args):
     inputs = _model_inputs(args.model) + (
         [args.mu, args.sigma] if args.prior == "logistic-normal" else []
     )
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"), "synth", resolved, inputs,
-        [corpus_path, wstar_path, astar_path],
-        args.seed, time.perf_counter() - t0,
-    )
-    return 0
+    return (os.path.join(args.out, "manifest.json"), resolved, inputs,
+            [corpus_path, wstar_path, astar_path], {})
 
 
 def cmd_infer(args):
-    t0 = time.perf_counter()
     model = load_model(args.model)
     corpus = read_corpus_tsv(args.corpus)
     os.makedirs(args.out, exist_ok=True)
     w_path = os.path.join(args.out, "W.tsv")
-    outputs = [w_path]
+    results = {}
     resolved = {
         "method": args.method,
         "model": args.model,
@@ -176,41 +174,32 @@ def cmd_infer(args):
             )
             inverse = tli_compute_inverse(model, tcfg, threads=args.threads)
             comp = tli_infer(inverse, model, corpus, tcfg)
-            resolved.update(
-                dataclasses.asdict(tcfg),
-                inverse_magnitude=inverse.magnitude,
-                inverse_bias=inverse.bias,
-            )
+            resolved.update(dataclasses.asdict(tcfg))
+            results = {"inverse_magnitude": inverse.magnitude, "inverse_bias": inverse.bias}
         elif args.method == "padd":
             pcfg = PaddConfig(master_iters=args.master_iters, tau0=args.tau0)
             comp, diagnostics = padd_infer(model, corpus, pcfg, threads=args.threads)
-            diag_path = args.diagnostics or os.path.join(args.out, "diagnostics.tsv")
-            diagnostics.write_tsv(diag_path)
-            outputs.append(diag_path)
+            results = vars(diagnostics)
             resolved.update(dataclasses.asdict(pcfg))
         else:
             comp = random_baseline(model.K, corpus.M, seed=args.seed)
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"{args.method}: {exc}") from exc
     write_composition_tsv(w_path, comp)
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"), "infer", resolved,
-        _model_inputs(args.model) + [args.corpus],
-        outputs, args.seed, time.perf_counter() - t0,
-    )
-    return 0
+    return (os.path.join(args.out, "manifest.json"), resolved,
+            _model_inputs(args.model) + [args.corpus], [w_path], results)
 
 
 def cmd_eval(args):
-    t0 = time.perf_counter()
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
     K = truth.K
     prior = None if args.prior is None else _read_shaped_tsv(args.prior, "--prior", K, (K, K))
     report = evaluate_compositions(truth, pred, prior=prior)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     stem = os.path.splitext(args.out)[0]
     per_doc = args.per_doc or stem + ".per_doc.tsv"
+    for path in (args.out, per_doc):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     write_report_tsv(report, args.out)
     write_per_doc_tsv(report, per_doc)
     resolved = {
@@ -219,11 +208,7 @@ def cmd_eval(args):
         "prior": args.prior,
     }
     inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
-    _write_manifest(
-        stem + ".manifest.json", "eval", resolved, inputs,
-        [args.out, per_doc], None, time.perf_counter() - t0,
-    )
-    return 0
+    return stem + ".manifest.json", resolved, inputs, [args.out, per_doc], {}
 
 
 def build_parser():
@@ -265,8 +250,6 @@ def build_parser():
     pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters)
     pi.add_argument("--tau0", type=float, default=PaddConfig.tau0,
                     help="padd: initial dual step size")
-    pi.add_argument("--diagnostics", default=None,
-                    help="padd: path for the per-round diagnostics TSV")
     pi.set_defaults(func=cmd_infer)
 
     pe = sub.add_parser("eval", help="score predicted compositions against truth")
@@ -304,7 +287,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        path, config, inputs, outputs, results = args.func(args)
+        # eval consumes no randomness and has no --seed
+        _write_manifest(path, args.subcommand, config, inputs, outputs, results,
+                        getattr(args, "seed", None), time.perf_counter() - t0)
+        return 0
     except BrokenPipeError:
         return 1
     except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:

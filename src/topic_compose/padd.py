@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import CompositionMatrix, normalize_corpus, word_topic_posterior, write_rows
+from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 from .simplex import project_simplex_columns
 
@@ -66,8 +66,8 @@ class PaddConfig:
 
 @dataclass
 class PaddDiagnostics:
-    """One row per master round. The fields, in order, are the columns of
-    `write_tsv`, whose header names `rounds` as `round`."""
+    """One entry per master round in each list; `infer` records `vars()` of
+    it in its manifest as `results`."""
 
     rounds: list = field(default_factory=list)
     tau: list = field(default_factory=list)
@@ -81,14 +81,6 @@ class PaddDiagnostics:
     def append(self, *row):
         for column, value in zip(vars(self).values(), row, strict=True):
             column.append(value)
-
-    def write_tsv(self, path):
-        names = list(vars(self))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\t".join(["round", *names[1:]]) + "\n")
-            # %.17g prints the integer columns as %d does
-            write_rows(fh, "\t".join(["%.17g"] * len(names)) + "\n",
-                       *map(np.asarray, vars(self).values()))
 
 
 def _symmetrize(X):

@@ -21,7 +21,7 @@ from .parallel import map_chunks
 EIG_CLAMP = -1e-10  # eigenvalues this far below zero mean a broken covariance
 
 _DOC_CHUNK = 256
-_BLOCK_ENTRIES = 1 << 12  # documents x words per multinomial draw; small keeps RSS low
+_BLOCK_ENTRIES = 1 << 12  # documents x words per multinomial draw: bounds RSS, not the stream
 _MAX_LENGTH = 2**31 - 1  # word counts are held as int32
 
 

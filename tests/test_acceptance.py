@@ -7,6 +7,7 @@ criteria.
 """
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -297,9 +298,14 @@ def test_criterion_8_thread_count_determinism(tmp_path):
                          "--prior", str(model_dir / "A.tsv"),
                          "--out", str(report)]) == 0
             files[f"report_{method}.tsv"] = report
-        files["padd/diagnostics.tsv"] = root / "padd" / "diagnostics.tsv"
-        return {name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for name, path in files.items()}
+        compared = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for name, path in files.items()}
+        # the solver facts, not whole manifests: their timing, input paths
+        # and threads differ by design
+        for method in ("padd", "tli"):
+            manifest = json.loads((root / method / "manifest.json").read_text())
+            compared[f"{method}/manifest.json results"] = manifest["results"]
+        return compared
 
     single = run_pipeline(1)
     pooled = run_pipeline(8)

@@ -8,8 +8,11 @@ import pytest
 
 from topic_compose import (
     PaddConfig,
+    PaddDiagnostics,
     TliConfig,
+    load_model,
     normalize_corpus,
+    padd_infer,
     read_composition_tsv,
     read_corpus_tsv,
     write_corpus_tsv,
@@ -197,22 +200,24 @@ class TestInfer:
                    "--corpus", corpus_path, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["method"] == "tli"
-        assert manifest["config"]["inverse_magnitude"] >= 1.0
-        assert 0.0 <= manifest["config"]["inverse_bias"] <= 1e-6
+        assert manifest["results"]["inverse_magnitude"] >= 1.0
+        assert 0.0 <= manifest["results"]["inverse_bias"] <= 1e-6
         W = read_composition_tsv(str(out / "W.tsv"))
         np.testing.assert_allclose(W.W.sum(axis=0), 1.0, atol=1e-9)
 
     def test_padd_writes_diagnostics(self, model_dir, corpus_path, tmp_path):
+        # into the manifest's results, every float exactly as the library returns it
         out = tmp_path / "padd"
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", out,
                    "--master-iters", 3) == 0
-        diag = (out / "diagnostics.tsv").read_text().splitlines()
-        assert diag[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
-                           "mean_final_step\tdocs_converged\tprox_min_eig")
-        assert len(diag) == 4
+        assert sorted(p.name for p in out.iterdir()) == ["W.tsv", "manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "diagnostics.tsv" in manifest["outputs"]
+        _, diagnostics = padd_infer(load_model(str(model_dir)),
+                                    read_corpus_tsv(str(corpus_path)), PaddConfig(master_iters=3))
+        assert manifest["results"] == vars(diagnostics)
+        assert len(manifest["results"]["rounds"]) == 3
+        assert manifest["outputs"] == ["W.tsv"]
         assert manifest["config"]["master_iters"] == 3
         assert "slave_tol" not in manifest["config"]
         assert "relaxation" not in manifest["config"]
@@ -228,7 +233,8 @@ class TestInfer:
                                       ("--warm-start-previous",),
                                       ("--gamma", "3.0"),
                                       ("--lambda", "1.5"),
-                                      ("--slave-iters", "40")])
+                                      ("--slave-iters", "40"),
+                                      ("--diagnostics", "d.tsv")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -392,6 +398,23 @@ class TestEval:
             manifest = json.loads((tmp_path / f"{report}.manifest.json").read_text())
             assert manifest["outputs"] == [f"{report}.tsv", f"{report}.per_doc.tsv"]
 
+    def test_per_doc_in_a_new_directory(self, truth_pred, tmp_path):
+        tpath, _ = truth_pred
+        per_doc = tmp_path / "other" / "pd.tsv"
+        assert run("eval", "--truth", tpath, "--pred", tpath,
+                   "--out", tmp_path / "run" / "r.tsv", "--per-doc", per_doc) == 0
+        assert per_doc.exists() and (tmp_path / "run" / "r.manifest.json").exists()
+
+    def test_manifest_records_outputs_relative_to_itself(self, truth_pred, tmp_path):
+        tpath, _ = truth_pred
+        (tmp_path / "other").mkdir()
+        assert run("eval", "--truth", tpath, "--pred", tpath,
+                   "--out", tmp_path / "run" / "r.tsv",
+                   "--per-doc", tmp_path / "other" / "pd.tsv") == 0
+        manifest = json.loads((tmp_path / "run" / "r.manifest.json").read_text())
+        assert manifest["outputs"] == ["r.tsv", "../other/pd.tsv"]
+        assert manifest["results"] == {}
+
     def test_topic_count_mismatch_is_runtime_error(self, truth_pred, tmp_path, capsys):
         tpath, _ = truth_pred
         rng = np.random.default_rng(1)
@@ -518,7 +541,7 @@ class TestParser:
 
     # infer's options that are not solver settings
     NON_SOLVER = {"subcommand", "func", "method", "model", "corpus", "out", "seed",
-                  "threads", "diagnostics"}
+                  "threads"}
 
     def test_every_solver_setting_is_an_infer_flag(self):
         args = build_parser().parse_args(["infer", "--method", "padd", "--model", "m",
@@ -594,23 +617,25 @@ def test_smoke_pipeline(tmp_path):
         assert reports[method]["hellinger"] < reports["rand"]["hellinger"]
 
 
-# every key of each run's manifest config
+# every key of each run's manifest config, then of its results
 MANIFEST_KEYS = {
-    "synth-dirichlet": {"model", "docs", "len", "threads", "prior", "alpha"},
-    "synth-logistic-normal": {"model", "docs", "len", "threads", "prior", "mu", "sigma"},
-    "infer-spi": {"method", "model", "corpus", "threads"},
-    "infer-rand": {"method", "model", "corpus", "threads"},
-    "infer-tli": {"method", "model", "corpus", "threads", "delta", "threshold_divisor",
-                  "inverse_magnitude", "inverse_bias"},
-    "infer-padd": {"method", "model", "corpus", "threads", "master_iters", "tau0"},
-    "eval": {"truth", "pred", "prior"},
+    "synth-dirichlet": ({"model", "docs", "len", "threads", "prior", "alpha"}, set()),
+    "synth-logistic-normal": ({"model", "docs", "len", "threads", "prior", "mu", "sigma"},
+                              set()),
+    "infer-spi": ({"method", "model", "corpus", "threads"}, set()),
+    "infer-rand": ({"method", "model", "corpus", "threads"}, set()),
+    "infer-tli": ({"method", "model", "corpus", "threads", "delta", "threshold_divisor"},
+                  {"inverse_magnitude", "inverse_bias"}),
+    "infer-padd": ({"method", "model", "corpus", "threads", "master_iters", "tau0"},
+                   {f.name for f in dataclasses.fields(PaddDiagnostics)}),
+    "eval": ({"truth", "pred", "prior"}, set()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_KEYS))
 def test_manifest_records_only_what_a_user_sets(model_dir, corpus_path, tmp_path, case):
-    """Each manifest's config holds the run's flags and, for tli, the
-    inverse it computed; the library's constants are pinned by version."""
+    """Each manifest's config holds only the run's flags, and its results
+    what the solver reports; the library's constants are pinned by version."""
     mu, sigma, truth = tmp_path / "mu.tsv", tmp_path / "sigma.tsv", tmp_path / "truth.tsv"
     write_dense_tsv(str(mu), np.zeros((3, 1)))
     write_dense_tsv(str(sigma), np.eye(3) * 0.4)
@@ -627,4 +652,5 @@ def test_manifest_records_only_what_a_user_sets(model_dir, corpus_path, tmp_path
     }[name]
     assert run(*argv) == 0
     manifest = out / ("report.manifest.json" if name == "eval" else "manifest.json")
-    assert set(json.loads(manifest.read_text())["config"]) == MANIFEST_KEYS[case]
+    recorded = json.loads(manifest.read_text())
+    assert (set(recorded["config"]), set(recorded["results"])) == MANIFEST_KEYS[case]

@@ -415,21 +415,3 @@ class TestPaddInfer:
         assert len(per_round) == len(diag.rounds) == 15
         assert per_round[0] > 0
         assert max(per_round[1:]) < 100
-
-    def test_diagnostics_tsv(self, tmp_path):
-        m = random_model(N=15, K=3, seed=18)
-        c = random_corpus(N=15, M=10, seed=19)
-        _, diag = padd_infer(m, c, PaddConfig(master_iters=2))
-        path = tmp_path / "diag.tsv"
-        diag.write_tsv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("round\ttau\tconstraint_gap\tmean_loss\tdual_norm\t"
-                            "mean_final_step\tdocs_converged\tprox_min_eig")
-        assert len(lines) == 1 + len(diag.rounds)
-        assert lines[1].split("\t")[0] == "1"
-        for i, line in enumerate(lines[1:]):
-            assert line == (
-                f"{diag.rounds[i]}\t{diag.tau[i]:.17g}\t{diag.constraint_gap[i]:.17g}\t"
-                f"{diag.mean_loss[i]:.17g}\t{diag.dual_norm[i]:.17g}\t"
-                f"{diag.mean_final_step[i]:.17g}\t{diag.docs_converged[i]}\t"
-                f"{diag.prox_min_eig[i]:.17g}")

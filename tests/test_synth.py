@@ -289,3 +289,23 @@ def test_stream_is_pinned(case, threads):
     for a in (out.corpus.docs, out.corpus.words, out.corpus.counts, out.Wstar.W, out.Astar):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == STREAM_DIGESTS[case]
+
+
+@pytest.mark.parametrize("prior", ["dirichlet", "logistic-normal"])
+@pytest.mark.parametrize("K, N", [(25, 500), (50, 500), (10, 4096)],
+                         ids=["K25-N500", "K50-N500", "K10-N4096"])
+def test_block_size_is_not_part_of_the_stream(monkeypatch, K, N, prior):
+    # the multinomial block only bounds memory: one document, two per draw
+    # or a whole 256-document chunk per draw give the same bytes
+    m = random_model(N=N, K=K, seed=42)
+    p = (DirichletPrior.symmetric(K, 5.0) if prior == "dirichlet"
+         else LogisticNormalPrior(mu=np.zeros(K), sigma=0.5 * np.eye(K) + 0.1))
+    cfg = dict(prior=p, docs=500, doc_length=PoissonLength(150.0), seed=43)
+    ref = synthesize(m, **cfg)
+    for block in (1, 2 * N, 1 << 22):
+        monkeypatch.setattr(synth_module, "_BLOCK_ENTRIES", block)
+        out = synthesize(m, **cfg)
+        npt.assert_array_equal(out.corpus.docs, ref.corpus.docs)
+        npt.assert_array_equal(out.corpus.words, ref.corpus.words)
+        npt.assert_array_equal(out.corpus.counts, ref.corpus.counts)
+        assert out.Wstar.W.tobytes() == ref.Wstar.W.tobytes()

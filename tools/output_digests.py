@@ -6,11 +6,12 @@ For each workload's model (bench/inputs.py, read back from its TSV files
 as the benchmark reads it), two `tli.Bdagger` lines, slot `-`, for TLI's
 left inverse at the default TliConfig and at delta = 0.05, whose row
 programs have 2K rows. For each pool slot of the padd-k10 and tli-k50
-inputs, one line each for SPI's, TLI's and PADD's W and for
-PADD's diagnostics TSV; for the cli-pipeline inputs, one line for each file
-that `synth`, `infer --method spi` and `eval --prior` write through
-cli.main, as the benchmark runs them, except the manifests, which record
-paths and timing. Two source trees whose runs print the same lines give
+inputs, one line each for SPI's, TLI's and PADD's W and for PADD's
+diagnostics, as the JSON of their fields with sorted keys, which is how a
+manifest's `results` records them; for the cli-pipeline inputs, one line
+for each file that `synth`, `infer --method spi` and `eval --prior` write
+through cli.main, as the benchmark runs them, except the manifests, which
+record paths and timing. Two source trees whose runs print the same lines give
 byte-identical outputs: point PYTHONPATH at each tree's src/ and diff the
 output. The program is imported from PYTHONPATH, and its location goes to
 stderr. Writes only into a temporary directory.
@@ -24,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -65,13 +67,12 @@ def batch_digests(name, data, slots, threads, work):
         b = data.batches[slot]
         corpus = model.Corpus(docs=b.docs, words=b.words, counts=b.counts, M=b.M, N=b.N)
         comp, diagnostics = padd.padd_infer(m, corpus, padd.PaddConfig(), threads=threads)
-        diag_path = work / "diagnostics.tsv"
-        diagnostics.write_tsv(diag_path)
         yield name, slot, "spi.W", digest(estimators.spi_infer(m, corpus).W.tobytes())
         yield name, slot, "tli.W", digest(
             estimators.tli_infer(inverse, m, corpus, tli_config).W.tobytes())
         yield name, slot, "padd.W", digest(comp.W.tobytes())
-        yield name, slot, "padd.diagnostics", digest(diag_path.read_bytes())
+        yield name, slot, "padd.diagnostics", digest(
+            json.dumps(vars(diagnostics), sort_keys=True).encode())
 
 
 def cli_digests(data, slots, threads, work):
