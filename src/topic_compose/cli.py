@@ -249,7 +249,8 @@ def build_parser():
                     help="tli: scales down the worst-case noise threshold")
     pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters)
     pi.add_argument("--tau0", type=float, default=PaddConfig.tau0,
-                    help="padd: initial dual step size")
+                    help="padd: first trial step on the per-document dual price; "
+                         "later steps double or halve")
     pi.set_defaults(func=cmd_infer)
 
     pe = sub.add_parser("eval", help="score predicted compositions against truth")

@@ -1,12 +1,13 @@
 """Prior-aware composition inference by dual decomposition.
 
 Each document's composition minimizes a least-squares reconstruction loss
-over the simplex, and all documents are tied together by a soft constraint
-asking their empirical topic-topic second moment to match the model's A.
-The master loop prices that constraint with a symmetric dual matrix and
-takes diminishing subgradient steps; for a fixed price the documents
-decouple, and each one is solved by relaxed Douglas-Rachford splitting
-that alternates a closed-form quadratic prox with simplex projection.
+over the simplex, and all documents are tied together by a constraint
+asking their empirical topic-topic second moment to lie within sampling
+error of the model's A. The master prices that constraint with a symmetric
+dual matrix and climbs the dual value by backtracking proximal steps; for
+a fixed price the documents decouple, and each one is solved by relaxed
+Douglas-Rachford splitting that alternates a closed-form quadratic prox
+with simplex projection.
 """
 
 import math
@@ -24,32 +25,30 @@ from .simplex import project_simplex_columns
 # worker count. Each Douglas-Rachford iteration makes about 40 NumPy calls
 # per block, plus one per topic for the projection's prefix sums; 25,600
 # entries (512 documents at K=50, 2,560 at K=10) keep the fixed cost of
-# those calls small against their work. Even so a second thread does not
-# speed PADD up on two cores at these sizes (README, "Determinism").
+# those calls small against their work. Even so a second thread speeds
+# PADD up by at most a fifth on two cores at these sizes (README,
+# "Determinism").
 SLAVE_ENTRIES = 25_600
 
 # Douglas-Rachford relaxation factor, in (0, 2). In projections per batch it
 # beat 1.0 and 1.5 at K=10 and K=50, for small and large dual steps alike.
 RELAXATION = 1.9
 
-# The master stops once the constraint is met: the Frobenius norm of the gap
-# between A and the solutions' second moment is at most GAP_STOP * ||A||_F.
-GAP_STOP = 1e-6
-
 
 @dataclass(frozen=True)
 class PaddConfig:
     """Solver settings.
 
-    master_iters caps the master rounds, which stop earlier once the
-    constraint is met (see GAP_STOP); tau0 is the dual step size of master
-    round 1, and round t steps tau0 / sqrt(t). The class constants are not
-    settings: slave_iters caps each round's Douglas-Rachford iterations, and
-    slave_tol is the per-document stopping threshold on a Douglas-Rachford
-    step, the larger of the infinity norms of the change in the iterate and
-    of the gap between the prox point and the iterate. Nor is the
-    Douglas-Rachford step: every round derives it from the spectrum of its
-    slave quadratic.
+    master_iters caps the slave solves, rejected trial steps included; the
+    master stops earlier once the constraint holds. tau0 is the first
+    trial step on the per-document price; later steps double after an
+    accepted trial and halve after a rejected one. The class constants are
+    not settings: slave_iters caps each solve's Douglas-Rachford
+    iterations, and slave_tol is the per-document stopping threshold on a
+    Douglas-Rachford step, the larger of the infinity norms of the change
+    in the iterate and of the gap between the prox point and the iterate.
+    Nor is the Douglas-Rachford step: every solve derives it from the
+    spectrum of its slave quadratic.
     """
 
     master_iters: int = 15
@@ -66,25 +65,53 @@ class PaddConfig:
 
 @dataclass
 class PaddDiagnostics:
-    """One entry per master round in each list; `infer` records `vars()` of
-    it in its manifest as `results`."""
+    """`radius` is the constraint's radius; every list has one entry per
+    slave solve, accepted or not. `infer` records `vars()` of it in its
+    manifest as `results`."""
 
+    radius: float = 0.0
     rounds: list = field(default_factory=list)
     tau: list = field(default_factory=list)
+    accepted: list = field(default_factory=list)
     constraint_gap: list = field(default_factory=list)
     mean_loss: list = field(default_factory=list)
+    dual_value: list = field(default_factory=list)
     dual_norm: list = field(default_factory=list)
     mean_final_step: list = field(default_factory=list)
     docs_converged: list = field(default_factory=list)
+    dr_iters: list = field(default_factory=list)
     prox_min_eig: list = field(default_factory=list)
 
     def append(self, *row):
-        for column, value in zip(vars(self).values(), row, strict=True):
+        columns = iter(vars(self).values())
+        next(columns)  # radius
+        for column, value in zip(columns, row, strict=True):
             column.append(value)
 
 
 def _symmetrize(X):
     return (X + X.T) / 2.0
+
+
+def _shrink(X, c):
+    """X moved toward 0 by c in Frobenius norm, stopping at 0. The norm is
+    taken with math.hypot, which does not overflow for entries whose
+    squares would."""
+    norm = math.hypot(*X.flat)
+    return X * (1.0 - c / norm) if norm > c else np.zeros_like(X)
+
+
+def _trial_price(BtB, Gamma, excess, s, radius):
+    """The first step of s, s / 2, s / 4, ... whose trial price, Gamma +
+    s * excess / 2 shrunk by s * radius / 2, gives a slave quadratic that
+    passes `_prox_inverse`'s check. Returns that step, the price and the
+    check's output. The halving ends: at s = 0 the price is Gamma."""
+    while True:
+        trial = _shrink(Gamma + (s / 2.0) * excess, s * radius / 2.0)
+        try:
+            return s, trial, _prox_inverse(BtB + trial, "slave quadratic Q")
+        except RuntimeError:
+            s /= 2.0
 
 
 def _prox_inverse(Q, what):
@@ -119,14 +146,15 @@ def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
     Iterates the whole block until every column's step falls below tol or
     the cap is reached, and writes each column's projected w, its q and its
     step at its first converged iterate (else the last) into W, Qaux and
-    steps. The block matches column-by-column runs only to rounding: BLAS
-    picks its kernel by the product's width, so (P @ X)[:, j] and
-    P @ X[:, j:j+1] differ in the last bits (at K=10 only a single column
-    does; from K=25 on, other widths differ too).
+    steps. Returns the number of iterations run. The block matches
+    column-by-column runs only to rounding: BLAS picks its kernel by the
+    product's width, so (P @ X)[:, j] and P @ X[:, j:j+1] differ in the
+    last bits (at K=10 only a single column does; from K=25 on, other
+    widths differ too).
     """
     work = np.empty_like(q)  # holds 2w - q, then RELAXATION * d, then |w_new - w|
     active = np.ones(w.shape[1], dtype=bool)
-    for _ in range(max_iters):
+    for iters in range(1, max_iters + 1):
         np.subtract(np.multiply(w, 2.0, out=work), q, out=work)
         d = P @ work
         d += C
@@ -142,44 +170,56 @@ def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
         np.copyto(steps, step, where=newly)
         active ^= newly
         if not active.any():
-            return
+            return iters
     np.copyto(W, w, where=active)
     np.copyto(Qaux, q, where=active)
     np.copyto(steps, step, where=active)
+    return max_iters
 
 
 def _solve_slaves(P, C, W0, Q0, order, config, threads):
     """Solve every slave from (W0, Q0), updating Q0 in place; returns the
-    round's W, Qaux and final steps."""
+    solve's W, Qaux, final steps and the most iterations of any block."""
     K, M = C.shape
     W, Qaux = np.empty((K, M)), np.empty((K, M))
     steps = np.empty(M)
+    iters = []
 
     def run(span):
         s = slice(*span)
-        _dr_block(P, C[:, s], W0[:, s], Q0[:, s], order[:, s],
-                  config.slave_iters, config.slave_tol, W[:, s], Qaux[:, s], steps[s])
+        iters.append(_dr_block(P, C[:, s], W0[:, s], Q0[:, s], order[:, s],
+                               config.slave_iters, config.slave_tol,
+                               W[:, s], Qaux[:, s], steps[s]))
 
     map_chunks(M, max(1, SLAVE_ENTRIES // K), run, threads)
-    return W, Qaux, steps
+    return W, Qaux, steps, max(iters)
 
 
 def padd_infer(model, corpus, config=None, threads=1):
     """Infer all compositions under the second-moment prior constraint.
 
-    Document m's slave problem at dual price Lambda minimizes
-    ||B w - h_m||^2 / 2 + w^T (Lambda / M) w / 2 over the simplex, the
-    quadratic form of Q = B^T B + Lambda / M. Every master round rebuilds
-    the prox operator from Q, re-solves each document resuming its
-    previous round's Douglas-Rachford state (round 1 starts from the
-    posterior estimate), and moves the dual against the gap between A and
-    the solutions' empirical second moment with step tau0 / sqrt(round).
-    From round 3 on that state is first extrapolated along the path by
-    the last round's change times the ratio of the last two dual moves.
-    The master stops after config.master_iters rounds, or earlier once the
-    gap is at most GAP_STOP * ||A||_F. Raises RuntimeError when a round's Q
-    is not positive definite. Returns the compositions and a
-    PaddDiagnostics with one row per round.
+    Document m's slave problem at the per-document price Gamma minimizes
+    ||B w - h_m||^2 / 2 + w^T Gamma w / 2 over the simplex, the quadratic
+    form of Q = B^T B + Gamma. The constraint is the Frobenius ball
+    ||moment - A|| <= radius around A, where moment is the solutions'
+    empirical second moment and radius is the plug-in standard error of
+    the first solve's moment, sqrt(sum_m ||w_m||^4 - M ||moment||^2) / M.
+    The master maximizes the concave dual value
+
+        phi(Gamma) = loss / 2 + <Gamma, moment - A> / 2 - radius ||Gamma|| / 2
+
+    (loss is the mean ||B w_m - h_m||^2 at the slaves' solutions) by
+    proximal ascent: a trial price shrinks Gamma + s (moment - A) / 2
+    toward 0 by s * radius / 2 in Frobenius norm. A trial whose Q fails
+    `_prox_inverse`'s check halves s without a solve. Otherwise every
+    document is re-solved from the last accepted Douglas-Rachford state
+    (the first solve, at Gamma = 0, starts from the posterior estimate);
+    the trial is accepted and s doubled if phi did not fall, else it is
+    discarded and s halved. s starts at tau0. The master stops once an
+    accepted solve's gap ||moment - A|| is at most the radius, or after
+    config.master_iters solves. Raises RuntimeError when B^T B fails the
+    check. Returns the last accepted compositions and a PaddDiagnostics
+    with one row per solve.
     """
     config = config or PaddConfig()
     if corpus.N != model.N:
@@ -192,43 +232,43 @@ def padd_infer(model, corpus, config=None, threads=1):
     F, start = np.split(np.vstack([B.T, word_topic_posterior(model)]) @ Ht, 2)
     BtB = B.T @ B
     h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
-    gap_stop = GAP_STOP * float(np.linalg.norm(model.A))
-    Lambda = np.zeros((K, K))
     # each column's sort order, carried from projection to projection
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
     W = project_simplex_columns(start, order=order)
-    Qaux, rho_prev = W, 1.0  # round 1 starts at q = w
-    move_prev = move = 0.0  # sizes tau * gap of the last two dual steps
+    Qaux, rho = W, 1.0  # the first solve starts at q = w
+    trial, s, phi = np.zeros((K, K)), config.tau0, -math.inf
+    G, rho_trial, min_eig = _prox_inverse(BtB, "slave quadratic Q = B^T B")
 
     for t in range(1, config.master_iters + 1):
-        Q = BtB + Lambda / M
-        G, rho, min_eig = _prox_inverse(Q, f"slave quadratic Q at master round {t}")
+        if t > 1:
+            s, trial, (G, rho_trial, min_eig) = _trial_price(BtB, Gamma, excess, s, radius)
         # at a fixed point q - w = (F - Qw) / rho; keep that gradient
-        W0, Q0 = W, W + (rho_prev / rho) * (Qaux - W)
-        # from round 3 on, extrapolate the last round's solutions along the
-        # path by the ratio of the last two dual moves (round 1's move came
-        # from the posterior start, not from a dual step: move_prev is 0)
-        r = move / move_prev if move_prev > 0.0 else math.nan
-        if math.isfinite(r):
-            W0 = W + r * (W - W_prev)
-            Q0 += r * (Qaux - Qaux_prev)
-        W_prev, Qaux_prev = W, Qaux
-        W, Qaux, steps = _solve_slaves(rho * G, G @ F, W0, Q0, order, config, threads)
-        rho_prev = rho
+        Q0 = W + (rho / rho_trial) * (Qaux - W)
+        W_t, Qaux_t, steps, dr_iters = _solve_slaves(rho_trial * G, G @ F, W, Q0, order,
+                                                     config, threads)
         # mean ||B w_m - h_m||^2, expanded so Ht is never densified
-        loss = (np.einsum("ij,ij->", BtB @ W, W)
-                - 2.0 * np.einsum("ij,ij->", W, F) + h_sq) / M
-        moment = _symmetrize(W @ W.T) / M
-        gap_mat = model.A - moment
-        gap = float(np.linalg.norm(gap_mat))
-        tau = config.tau0 / math.sqrt(t)
-        Lambda = Lambda - tau * gap_mat
+        loss = float(np.einsum("ij,ij->", BtB @ W_t, W_t)
+                     - 2.0 * np.einsum("ij,ij->", W_t, F) + h_sq) / M
+        moment = _symmetrize(W_t @ W_t.T) / M
+        if t == 1:
+            col_sq = np.einsum("ij,ij->j", W_t, W_t)
+            radius = math.sqrt(
+                max(0.0, float(col_sq @ col_sq) - M * float(np.vdot(moment, moment)))) / M
+            diagnostics.radius = radius
+        excess_t = moment - model.A
+        gap = float(np.linalg.norm(excess_t))
+        dual_norm = float(np.linalg.norm(trial))
+        phi_t = (loss + float(np.vdot(trial, excess_t)) - radius * dual_norm) / 2.0
+        accepted = phi_t >= phi
         diagnostics.append(
-            t, tau, gap, float(loss),
-            float(np.linalg.norm(Lambda)), float(steps.mean()),
-            int(np.count_nonzero(steps <= config.slave_tol)), min_eig,
+            t, s if t > 1 else 0.0, accepted, gap, loss, phi_t, dual_norm,
+            float(steps.mean()), int(np.count_nonzero(steps <= config.slave_tol)),
+            dr_iters, min_eig,
         )
-        move_prev, move = move, tau * gap
-        if gap <= gap_stop:
-            break
+        if accepted:
+            Gamma, W, Qaux, rho, excess, phi = trial, W_t, Qaux_t, rho_trial, excess_t, phi_t
+            if gap <= radius:
+                break
+        if t > 1:
+            s = 2.0 * s if accepted else s / 2.0
     return CompositionMatrix(W), diagnostics

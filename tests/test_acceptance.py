@@ -271,6 +271,16 @@ def test_criterion_7_prior_matching(semireal):
                    f"gap round1={gap_first:.5f} final={gap_last:.5f}")
 
 
+def test_padd_semireal_gap_inside_radius(semireal):
+    # with A the corpus's own moment the master ends inside the ball; the
+    # fixed 1/sqrt(t) schedule of version 0.8 ended at 0.00262 against a
+    # radius of 0.0021
+    diag = semireal["diagnostics"]
+    assert diag.accepted[-1]
+    assert diag.constraint_gap[-1] <= diag.radius
+    assert diag.constraint_gap[0] > diag.radius
+
+
 def test_criterion_8_thread_count_determinism(tmp_path):
     t0 = time.perf_counter()
     N, K = 500, 25

@@ -10,6 +10,7 @@ from topic_compose import (
     PaddConfig,
     PaddDiagnostics,
     TliConfig,
+    TopicModel,
     load_model,
     normalize_corpus,
     padd_infer,
@@ -18,9 +19,10 @@ from topic_compose import (
     write_corpus_tsv,
     write_dense_tsv,
 )
-from topic_compose.cli import build_parser, main
+from topic_compose.cli import ALPHA_SCALE, build_parser, main
 
 from conftest import random_corpus, random_model, write_model
+from oracles import dirichlet_second_moment
 
 
 def run(*argv):
@@ -244,22 +246,26 @@ class TestInfer:
         assert run("infer", "--method", "tli", "--model", model_dir, "--corpus", corpus_path,
                    "--out", tmp_path / "o", "--tli-solver", "lp") == 2
 
-    def test_padd_indefinite_prox_is_runtime_error(self, model_dir, corpus_path,
-                                                   tmp_path, capsys):
-        code = run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", tmp_path / "o",
-                   "--tau0", "1e4", "--master-iters", 6)
-        assert code == 1
-        assert "positive definite" in capsys.readouterr().err
+    def test_padd_large_tau0_halves_the_step(self, model_dir, corpus_path, tmp_path):
+        # a trial whose Q is indefinite halves the step instead of failing
+        out = tmp_path / "o"
+        assert run("infer", "--method", "padd", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", out,
+                   "--tau0", "500", "--master-iters", 6) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert 0.0 < results["tau"][1] < 500.0
+        assert min(results["prox_min_eig"]) > 0.0
 
-    def test_padd_indefinite_slave_quadratic_is_runtime_error(
-            self, model_dir, corpus_path, tmp_path, capsys):
-        # Q turns indefinite at round 2 while Q + I stays positive definite
-        code = run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", tmp_path / "o",
-                   "--tau0", "30", "--master-iters", 6)
+    def test_padd_indefinite_prox_is_runtime_error(self, corpus_path, tmp_path, capsys):
+        # a repeated topic makes B^T B singular, which no step can mend
+        mdir = tmp_path / "model"
+        base = random_model(N=12, K=2, seed=11)
+        write_model(mdir, TopicModel(B=np.column_stack([base.B, base.B[:, :1]]),
+                                     A=np.full((3, 3), 1.0 / 9)))
+        code = run("infer", "--method", "padd", "--model", mdir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o")
         assert code == 1
-        assert "Q at master round 2 is not positive definite" in capsys.readouterr().err
+        assert "Q = B^T B is not positive definite" in capsys.readouterr().err
 
     def test_rand_is_seeded(self, model_dir, corpus_path, tmp_path):
         for name in ("a", "b"):
@@ -588,10 +594,12 @@ def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
 
 def test_smoke_pipeline(tmp_path):
     """synth -> all four infer methods -> eval on a small but non-toy corpus,
-    end to end, well under half a minute."""
+    end to end, well under half a minute. A is the second moment of the
+    Dirichlet prior that synth draws from, as PADD assumes."""
     t0 = time.perf_counter()
     mdir = tmp_path / "model"
-    write_model(mdir, random_model(N=100, K=5, seed=17, concentration=0.05))
+    B = random_model(N=100, K=5, seed=17, concentration=0.05).B
+    write_model(mdir, TopicModel(B=B, A=dirichlet_second_moment(np.full(5, ALPHA_SCALE / 5))))
     synth_dir = tmp_path / "data"
     assert run("synth", "--model", mdir, "--out", synth_dir, "--docs", 500,
                "--len", "poisson:60", "--seed", 1) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -44,24 +45,81 @@ def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
     return model, corpus, Wstar
 
 
+def ball_instance(distance):
+    """random_model(N=200, K=10, seed=3) and a 500-document corpus, with A
+    moved `distance` radii from round 1's moment toward the random A, so the
+    constraint can be met; returns the model, the corpus and the radius."""
+    m0 = random_model(N=200, K=10, seed=3)
+    c = random_corpus(N=200, M=500, seed=4)
+    comp1, diag1 = padd_infer(m0, c, PaddConfig(master_iters=1))
+    moment = _symmetrize(comp1.W @ comp1.W.T) / c.M
+    away = m0.A - moment
+    A = moment + distance * diag1.radius * away / np.linalg.norm(away)
+    return TopicModel(B=m0.B, A=A), c, diag1.radius
+
+
 class TestDualStep:
-    def test_inv_sqrt(self, monkeypatch):
+    def test_backtracking_step(self):
+        # the first trial steps tau0; an accepted trial doubles the step and
+        # a rejected one halves it, so on this instance the step bounces
+        m = random_model(N=20, K=3, seed=1)
+        c = random_corpus(N=20, M=40, seed=2)
+        cfg = PaddConfig(master_iters=8, tau0=0.25)
+        _, diag = padd_infer(m, c, cfg)
+        assert diag.rounds == list(range(1, 9))
+        assert diag.tau[:2] == [0.0, 0.25]
+        assert diag.accepted[0] and not all(diag.accepted)
+        for tau, accepted, tau_next in zip(diag.tau[1:], diag.accepted[1:], diag.tau[2:]):
+            assert tau_next == (2.0 * tau if accepted else tau / 2.0)
+
+    def test_trial_price_is_shrunk_gradient_step(self, monkeypatch):
+        # the first trial price is the gradient step (moment - A) * tau0 / 2,
+        # moved toward 0 by tau0 * radius / 2 in Frobenius norm
         m = random_model(N=20, K=3, seed=3)
         c = random_corpus(N=20, M=30, seed=4)
-        monkeypatch.setattr(PaddConfig, "slave_iters", 10)
-        cfg = PaddConfig(master_iters=4, tau0=0.1)
-        _, diag = padd_infer(m, c, cfg)
-        assert diag.rounds == [1, 2, 3, 4]
-        assert diag.tau[0] == 0.1
-        assert diag.tau[3] == pytest.approx(0.05, abs=1e-15)
+        W1 = padd_infer(m, c, PaddConfig(master_iters=1))[0].W
+        prox, quadratics = padd_module._prox_inverse, []
+
+        def spy(Q, what):
+            quadratics.append(Q)
+            return prox(Q, what)
+
+        monkeypatch.setattr(padd_module, "_prox_inverse", spy)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=2, tau0=0.1))
+        excess = _symmetrize(W1 @ W1.T) / c.M - m.A
+        step = 0.05 * excess
+        norm = np.linalg.norm(step)
+        want = step * (1.0 - 0.05 * diag.radius / norm)
+        npt.assert_allclose(quadratics[1] - m.B.T @ m.B, want, rtol=0.0, atol=1e-15)
+        assert diag.dual_norm == [0.0, pytest.approx(norm - 0.05 * diag.radius, rel=1e-12)]
+
+    @pytest.mark.parametrize("K, M, seed", [(3, 40, 1), (4, 200, 3), (10, 500, 3)])
+    def test_dual_value_never_falls_between_accepted_rows(self, K, M, seed):
+        m = random_model(N=60, K=K, seed=seed)
+        c = random_corpus(N=60, M=M, seed=seed + 1)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=10, tau0=0.5))
+        phi = [v for v, ok in zip(diag.dual_value, diag.accepted) if ok]
+        assert len(phi) > 2
+        assert all(b >= a for a, b in zip(phi, phi[1:]))
+        # a rejected row is one whose value fell below the accepted one before it
+        best = diag.dual_value[0]
+        for value, ok in zip(diag.dual_value[1:], diag.accepted[1:]):
+            assert ok == (value >= best)
+            best = value if ok else best
+
+    def test_dual_value_at_zero_price_is_half_the_loss(self):
+        m = random_model(N=20, K=3, seed=3)
+        c = random_corpus(N=20, M=30, seed=4)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=1))
+        assert diag.dual_value == [diag.mean_loss[0] / 2.0]
+        assert diag.dual_norm == [0.0] and diag.accepted == [True]
 
 
 class TestPaddConfig:
     def test_defaults(self):
         cfg = PaddConfig()
         assert padd_module.RELAXATION == 1.9
-        assert padd_module.GAP_STOP == 1e-6
-        assert cfg.master_iters == 15 and cfg.slave_iters == 150
+        assert cfg.master_iters == 15 and cfg.tau0 == 1.0 and cfg.slave_iters == 150
         assert cfg.slave_tol == 1e-7
 
     @pytest.mark.parametrize(
@@ -192,14 +250,13 @@ class TestPaddInfer:
     def test_zero_gap_keeps_dual_at_zero_and_stops(self, tight):
         m0, c, comp1, m = self._matched_instance()
         comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6))
-        # round 1 re-derives the same solutions, so the dual update vanishes
+        # round 1 re-derives the same solutions, inside the radius
         assert len(diag.rounds) == 1
-        assert diag.constraint_gap[0] <= 1e-9
-        assert diag.dual_norm[0] <= 1e-9
+        assert diag.constraint_gap[0] <= 1e-9 < diag.radius
+        assert diag.dual_norm == [0.0]
         npt.assert_allclose(comp2.W, comp1.W, atol=1e-9)
-        # the smallest tau0 makes every dual move underflow to exactly zero
-        # while the gap stays open, so that zero reaches round 3, whose
-        # start prediction would divide by it
+        # the smallest tau0 makes every trial price underflow to exactly
+        # zero while the gap stays open, so the shrink meets a zero matrix
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             comp4, diag4 = padd_infer(m0, c, PaddConfig(master_iters=4, tau0=5e-324))
@@ -208,13 +265,12 @@ class TestPaddInfer:
         npt.assert_allclose(comp4.W, comp1.W, atol=1e-9)
 
     def test_met_constraint_stops_before_a_large_dual_step(self, tight):
-        # the gap is ~1e-14 of ||A||, so the master returns after round 1;
-        # tau0 = 1e9 times that gap would still be a dual move large enough
-        # to make round 3's Q indefinite
+        # the gap is ~1e-14 of ||A||, inside the radius, so the master
+        # returns after round 1 without trying a step of 1e9
         _, c, comp1, m = self._matched_instance()
         comp, diag = padd_infer(m, c, PaddConfig(master_iters=6, tau0=1e9))
         assert diag.rounds == [1]
-        assert diag.constraint_gap[0] <= padd_module.GAP_STOP * np.linalg.norm(m.A)
+        assert diag.constraint_gap[0] <= diag.radius
         npt.assert_allclose(comp.W, comp1.W, atol=1e-9)
 
     def test_tiny_dual_step_does_not_stop_the_master(self):
@@ -223,7 +279,52 @@ class TestPaddInfer:
         c = random_corpus(N=20, M=30, seed=6)
         _, diag = padd_infer(m, c, PaddConfig(master_iters=4, tau0=1e-12))
         assert diag.rounds == [1, 2, 3, 4]
-        assert min(diag.constraint_gap) > padd_module.GAP_STOP * np.linalg.norm(m.A)
+        assert min(diag.constraint_gap) > diag.radius
+
+    def test_gap_inside_radius_returns_after_one_solve(self):
+        m, c, radius = ball_instance(0.5)
+        comp1, diag1 = padd_infer(m, c, PaddConfig(master_iters=1))
+        comp, diag = padd_infer(m, c)
+        assert diag.rounds == [1] and diag.radius == pytest.approx(radius, rel=1e-6)
+        assert diag.constraint_gap[0] <= diag.radius
+        assert comp.W.tobytes() == comp1.W.tobytes()
+        assert json.dumps(vars(diag)) == json.dumps(vars(diag1))
+
+    def test_gap_outside_radius_takes_a_step(self):
+        m, c, _ = ball_instance(1.5)
+        _, diag = padd_infer(m, c)
+        assert diag.constraint_gap[0] > diag.radius
+        assert len(diag.rounds) > 1
+        assert min(diag.constraint_gap) < diag.constraint_gap[0]
+
+    def test_single_document_has_no_radius(self):
+        # one document's moment has no sampling error, so the ball is the
+        # equality (its radius is rounding error); the master runs to its
+        # cap, with no floor on the gap
+        m = random_model(N=20, K=3, seed=5)
+        c = random_corpus(N=20, M=1, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp, diag = padd_infer(m, c, PaddConfig(master_iters=5))
+        assert diag.radius < 1e-7
+        assert diag.rounds == [1, 2, 3, 4, 5]
+        npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_dual_pulls_the_moment_toward_a_misspecified_A(self):
+        # PADD trusts A: here A's diagonal is about 0.14, twice the
+        # corpus's 0.065, and the dual pulls the solutions' moment toward
+        # it at the cost of the reconstruction
+        B = random_model(N=100, K=5, seed=17, concentration=0.05).B
+        A = random_model(N=100, K=5, seed=17).A
+        synth = synthesize(TopicModel(B=B, A=A), DirichletPrior.symmetric(5, 5.0), 500,
+                           FixedLength(60), seed=1)
+        m = TopicModel(B=B, A=A)
+        comp1, _ = padd_infer(m, synth.corpus, PaddConfig(master_iters=1))
+        comp, diag = padd_infer(m, synth.corpus, PaddConfig(master_iters=5))
+        assert diag.constraint_gap[-1] < diag.constraint_gap[0] / 2.0
+        assert diag.mean_loss[-1] > diag.mean_loss[0]
+        l1 = [np.abs(W - synth.Wstar.W).sum(axis=0).mean() for W in (comp1.W, comp.W)]
+        assert l1[1] > l1[0]
 
     def test_noiseless_grid_instance_recovered(self):
         model, corpus, Wstar = grid_truth_instance(K=3, M=40, seed=7)
@@ -257,10 +358,13 @@ class TestPaddInfer:
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-6)
         assert comp.W.min() >= 0.0
         assert len(diag.rounds) <= 4
-        for field in (diag.tau, diag.constraint_gap, diag.mean_loss,
+        for field in (diag.tau, diag.constraint_gap, diag.mean_loss, diag.dual_value,
                       diag.dual_norm, diag.mean_final_step, diag.prox_min_eig):
             assert np.isfinite(field).all()
-        assert diag.tau == [cfg.tau0 / math.sqrt(t) for t in diag.rounds]
+        assert diag.tau[:2] == [0.0, cfg.tau0]
+        assert diag.accepted[0] is True
+        assert 0 < min(diag.dr_iters) and max(diag.dr_iters) <= cfg.slave_iters
+        assert 0.0 < diag.radius < diag.constraint_gap[0]
         assert min(diag.prox_min_eig) > 0.0
 
     def test_constraint_gap_not_worse_than_round_one(self):
@@ -279,31 +383,59 @@ class TestPaddInfer:
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21)
         monkeypatch.setattr(PaddConfig, "slave_iters", 20)
-        cfg = PaddConfig(master_iters=4)  # rounds 3-4 predict
-        runs = [padd_infer(m, c, cfg, threads=n)[0].W.tobytes() for n in (1, 2, 3)]
+        cfg = PaddConfig(master_iters=4)
+        runs = []
+        for n in (1, 2, 3):
+            comp, diag = padd_infer(m, c, cfg, threads=n)
+            runs.append((comp.W.tobytes(), json.dumps(vars(diag))))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+        # rows past the first price the constraint; their dual value is
+        # summed from every block
+        assert len(json.loads(runs[0][1])["dual_value"]) == 4
+
+    @pytest.mark.parametrize("tau0", [1.0, 2.0, 500.0, 1.7e308])
+    def test_indefinite_trial_is_halved_without_warning(self, tau0, monkeypatch):
+        # these steps on the per-document price are 20, 40 and 10,000 on the
+        # old scale of the summed price (tau0 * M / 2 at M = 40), where
+        # every run raised the indefinite-Q error at round 2; a trial whose
+        # Q fails the check now halves the step without a solve
+        m = random_model(N=20, K=3, seed=1)
+        c = random_corpus(N=20, M=40, seed=2)
+        prox, failed = padd_module._prox_inverse, []
+
+        def spy(Q, what):
+            try:
+                return prox(Q, what)
+            except RuntimeError:
+                failed.append(float(np.linalg.eigvalsh(Q)[0]))
+                raise
+
+        monkeypatch.setattr(padd_module, "_prox_inverse", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            comp, diag = padd_infer(m, c, PaddConfig(tau0=tau0, master_iters=6))
+        assert diag.rounds == list(range(1, 7))
+        # the first trial at tau0 = 1 stays positive definite
+        assert (len(failed) > 0) == (tau0 > 1.0)
+        assert all(lo < 0.0 for lo in failed)
+        assert min(diag.prox_min_eig) > 0.0
+        assert diag.tau[1] <= min(tau0, 1.0)
+        npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
 
     def test_indefinite_prox_raises_without_warning(self):
-        m = random_model(N=20, K=3, seed=1)
+        # with a repeated topic B^T B is singular; no step can mend the
+        # zero price, so the first solve raises
+        base = random_model(N=20, K=3, seed=1)
+        B = np.column_stack([base.B, base.B[:, :1]])
+        m = TopicModel(B=B, A=np.full((4, 4), 1.0 / 16))
         c = random_corpus(N=20, M=40, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="positive definite"):
-                padd_infer(m, c, PaddConfig(tau0=1e4, master_iters=6))
-
-    def test_indefinite_slave_quadratic_raises_without_warning(self):
-        # tau0 = 40 pushes lambda_min(Q) to about -0.07 at round 2, so Q + I
-        # stays positive definite; a check on Q + I lets this run finish
-        # silently with the gap rising from round 1
-        m = random_model(N=20, K=3, seed=1)
-        c = random_corpus(N=20, M=40, seed=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="master round 2 is not positive "
+            with pytest.raises(RuntimeError, match=r"Q = B\^T B is not positive "
                                r"definite .*: eigenvalues span \[") as err:
-                padd_infer(m, c, PaddConfig(tau0=40.0, master_iters=6))
+                padd_infer(m, c)
         lo, hi = (float(v) for v in str(err.value).split("[")[1].rstrip("]").split(", "))
-        assert -1.0 < lo < 0.0 < hi
+        assert abs(lo) < 1e-12 < hi
 
     @pytest.mark.parametrize("tau0", [0.5, 1.0, 1.2, 2.0, 5.0])
     def test_skew_that_the_model_accepts_does_not_stop_padd(self, tau0, monkeypatch):
@@ -322,16 +454,16 @@ class TestPaddInfer:
             return prox(Q, what)
 
         monkeypatch.setattr(padd_module, "_prox_inverse", spy)
+        # each solve's Q, and each trial's that failed the check
         comp, diag = padd_infer(m, random_corpus(N=40, M=200, seed=4),
                                 PaddConfig(tau0=tau0))
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
-        assert len(quadratics) == len(diag.rounds) > 1
+        assert len(quadratics) >= len(diag.rounds) > 1
         for Q in quadratics:
             npt.assert_array_equal(Q, Q.T)
 
     def test_iteration_budget_loss_and_round_one_eigenvalue(self, monkeypatch):
-        m = random_model(N=200, K=10, seed=3)
-        c = random_corpus(N=200, M=500, seed=4)
+        m, c, _ = ball_instance(2.0)
         calls, per_round = [], []
         project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
 
@@ -348,15 +480,14 @@ class TestPaddInfer:
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
         monkeypatch.setattr(padd_module, "_solve_slaves", counted)
         comp, diag = padd_infer(m, c)
-        # the spectral step with resumed Douglas-Rachford state and predicted
-        # starts takes 173 projections over 15 rounds here; a unit step
-        # (rho = 1) takes ~1,900
+        # the spectral step with resumed Douglas-Rachford state takes 260
+        # projections over 15 solves here; a unit step (rho = 1) takes 2,251
         assert len(diag.rounds) == 15
-        assert len(calls) <= 450
-        # rounds 3-15 take 170 of them when each starts from the previous
-        # round's solutions, 138 from the secant prediction
-        assert sum(per_round[2:]) <= 154
-        npt.assert_allclose(diag.mean_loss[-1],
+        assert len(calls) <= 300
+        # one block: each solve's largest iteration count is its projections
+        assert diag.dr_iters == per_round
+        accepted = [i for i, ok in enumerate(diag.accepted) if ok]
+        npt.assert_allclose(diag.mean_loss[accepted[-1]],
                             mean_reconstruction_loss(m.B, comp.W, c),
                             rtol=1e-10, atol=0.0)
         # round 1 prices nothing, so Q = B^T B
@@ -393,7 +524,8 @@ class TestPaddInfer:
     def test_sort_orders_carry_across_rounds(self, monkeypatch):
         # every round starts its projections from the sort orders the
         # previous round left, so only columns whose order changed are
-        # sorted again; a round from a fresh order re-sorts about all 500
+        # sorted again; a round from a fresh order re-sorts about all 500.
+        # Small steps keep each round's solutions close to the last's.
         m = random_model(N=200, K=10, seed=3)
         c = random_corpus(N=200, M=500, seed=4)
         resorted, per_round = [], []
@@ -411,7 +543,7 @@ class TestPaddInfer:
 
         monkeypatch.setattr(simplex_module.np, "argsort", spy)
         monkeypatch.setattr(padd_module, "_solve_slaves", counted)
-        _, diag = padd_infer(m, c)
+        _, diag = padd_infer(m, c, PaddConfig(tau0=1e-6))
         assert len(per_round) == len(diag.rounds) == 15
         assert per_round[0] > 0
         assert max(per_round[1:]) < 100
