@@ -4,8 +4,9 @@ Each document's composition minimizes a least-squares reconstruction loss
 over the simplex, and all documents are tied together by a constraint
 asking their empirical topic-topic second moment to lie within sampling
 error of the model's A. The master prices that constraint with a symmetric
-dual matrix and climbs the dual value by backtracking proximal steps; for
-a fixed price the documents decouple, and each one is solved by relaxed
+dual matrix, bounded so that every document's problem stays strongly
+convex, and climbs the dual value by backtracking proximal steps; for a
+fixed price the documents decouple, and each one is solved by relaxed
 Douglas-Rachford splitting that alternates a closed-form quadratic prox
 with simplex projection.
 """
@@ -34,15 +35,30 @@ SLAVE_ENTRIES = 25_600
 # beat 1.0 and 1.5 at K=10 and K=50, for small and large dual steps alike.
 RELAXATION = 1.9
 
+# The price's Frobenius norm is capped at PRICE_CAP times the smallest
+# eigenvalue of B^T B, so the prior changes no slave's curvature by more
+# than a tenth of the data's weakest. An A that the corpus cannot reach
+# drives an uncapped price to where Q is singular, every solve then runs
+# to slave_iters, and the solutions follow the wrong A. Where A is the
+# corpus's own moment the cap bound in 1 of 24 padd-k10 benchmark batches
+# and in none of 3 tli-k50 batches (README, "PADD").
+PRICE_CAP = 0.1
+
+# The master also stops once the dual optimality residual of an accepted
+# price is below DUAL_TOL * radius: at zero price that is a gap within 1%
+# of the radius, and on the cap it is a gradient that points straight out.
+DUAL_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class PaddConfig:
     """Solver settings.
 
     master_iters caps the slave solves, rejected trial steps included; the
-    master stops earlier once the constraint holds. tau0 is the first
-    trial step on the per-document price; later steps double after an
-    accepted trial and halve after a rejected one. The class constants are
+    master stops earlier once the constraint holds or the price stops
+    moving. tau0 is the first trial step on the per-document price; later
+    steps halve after a rejected trial and double after an accepted one,
+    unless it followed a rejection or its price reached the cap. The class constants are
     not settings: slave_iters caps each solve's Douglas-Rachford
     iterations, and slave_tol is the per-document stopping threshold on a
     Douglas-Rachford step, the larger of the infinity norms of the change
@@ -93,25 +109,29 @@ def _symmetrize(X):
     return (X + X.T) / 2.0
 
 
-def _shrink(X, c):
-    """X moved toward 0 by c in Frobenius norm, stopping at 0. The norm is
+def _prox_step(X, c, cap):
+    """X moved toward 0 by c in Frobenius norm, stopping at 0, with its norm
+    then capped at cap; returns it and whether the cap bound. The norm is
     taken with math.hypot, which does not overflow for entries whose
     squares would."""
     norm = math.hypot(*X.flat)
-    return X * (1.0 - c / norm) if norm > c else np.zeros_like(X)
+    if norm - c > cap:
+        return X * (cap / norm), True
+    return (X * (1.0 - c / norm) if norm > c else np.zeros_like(X)), False
 
 
-def _trial_price(BtB, Gamma, excess, s, radius):
-    """The first step of s, s / 2, s / 4, ... whose trial price, Gamma +
-    s * excess / 2 shrunk by s * radius / 2, gives a slave quadratic that
-    passes `_prox_inverse`'s check. Returns that step, the price and the
-    check's output. The halving ends: at s = 0 the price is Gamma."""
-    while True:
-        trial = _shrink(Gamma + (s / 2.0) * excess, s * radius / 2.0)
-        try:
-            return s, trial, _prox_inverse(BtB + trial, "slave quadratic Q")
-        except RuntimeError:
-            s /= 2.0
+def _dual_residual(Gamma, capped, excess, radius):
+    """Twice the norm of phi's smallest supergradient at Gamma once the
+    cap's outward normal is taken off (when `capped`); 0 exactly at the
+    dual optimum."""
+    norm = math.hypot(*Gamma.flat)
+    if norm == 0.0:
+        return max(0.0, math.hypot(*excess.flat) - radius)
+    u = Gamma / norm
+    v = excess - radius * u
+    if capped:
+        v -= max(0.0, float(np.vdot(v, u))) * u
+    return math.hypot(*v.flat)
 
 
 def _prox_inverse(Q, what):
@@ -208,18 +228,25 @@ def padd_infer(model, corpus, config=None, threads=1):
 
         phi(Gamma) = loss / 2 + <Gamma, moment - A> / 2 - radius ||Gamma|| / 2
 
-    (loss is the mean ||B w_m - h_m||^2 at the slaves' solutions) by
+    (loss is the mean ||B w_m - h_m||^2 at the slaves' solutions) over
+    prices of Frobenius norm at most PRICE_CAP * lambda_min(B^T B), by
     proximal ascent: a trial price shrinks Gamma + s (moment - A) / 2
-    toward 0 by s * radius / 2 in Frobenius norm. A trial whose Q fails
-    `_prox_inverse`'s check halves s without a solve. Otherwise every
-    document is re-solved from the last accepted Douglas-Rachford state
-    (the first solve, at Gamma = 0, starts from the posterior estimate);
-    the trial is accepted and s doubled if phi did not fall, else it is
-    discarded and s halved. s starts at tau0. The master stops once an
-    accepted solve's gap ||moment - A|| is at most the radius, or after
-    config.master_iters solves. Raises RuntimeError when B^T B fails the
-    check. Returns the last accepted compositions and a PaddDiagnostics
-    with one row per solve.
+    toward 0 by s * radius / 2 in Frobenius norm and caps its norm. Every
+    document is re-solved at the trial price from the last accepted
+    Douglas-Rachford state (the first solve, at Gamma = 0, starts from the
+    posterior estimate). The trial is accepted if phi did not fall, else
+    it is discarded; s starts at tau0, halves after a rejection and
+    doubles after an acceptance that neither followed a rejection nor
+    reached the cap. The
+    master stops once an accepted solve's gap ||moment - A|| is at most
+    the radius, once its `_dual_residual` is below DUAL_TOL * radius, or
+    after config.master_iters solves.
+
+    The cap keeps lambda_min(Q) >= 0.9 lambda_min(B^T B), so a trial's Q
+    fails `_prox_inverse`'s check only when B^T B's condition exceeds about
+    9e11; that check raises RuntimeError, as it does for B^T B itself.
+    Returns the last accepted compositions and a PaddDiagnostics with one
+    row per solve.
     """
     config = config or PaddConfig()
     if corpus.N != model.N:
@@ -236,12 +263,14 @@ def padd_infer(model, corpus, config=None, threads=1):
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
     W = project_simplex_columns(start, order=order)
     Qaux, rho = W, 1.0  # the first solve starts at q = w
-    trial, s, phi = np.zeros((K, K)), config.tau0, -math.inf
+    trial, capped, s, phi, grow = np.zeros((K, K)), False, config.tau0, -math.inf, True
     G, rho_trial, min_eig = _prox_inverse(BtB, "slave quadratic Q = B^T B")
+    cap = PRICE_CAP * min_eig
 
     for t in range(1, config.master_iters + 1):
         if t > 1:
-            s, trial, (G, rho_trial, min_eig) = _trial_price(BtB, Gamma, excess, s, radius)
+            trial, capped = _prox_step(Gamma + (s / 2.0) * excess, s * radius / 2.0, cap)
+            G, rho_trial, min_eig = _prox_inverse(BtB + trial, "slave quadratic Q")
         # at a fixed point q - w = (F - Qw) / rho; keep that gradient
         Q0 = W + (rho / rho_trial) * (Qaux - W)
         W_t, Qaux_t, steps, dr_iters = _solve_slaves(rho_trial * G, G @ F, W, Q0, order,
@@ -267,8 +296,17 @@ def padd_infer(model, corpus, config=None, threads=1):
         )
         if accepted:
             Gamma, W, Qaux, rho, excess, phi = trial, W_t, Qaux_t, rho_trial, excess_t, phi_t
-            if gap <= radius:
+            if (gap <= radius
+                    or _dual_residual(Gamma, capped, excess, radius) < DUAL_TOL * radius):
                 break
         if t > 1:
-            s = 2.0 * s if accepted else s / 2.0
+            # halve after a rejection and double after an acceptance; keep
+            # the step after an acceptance that follows a rejection, or whose
+            # price is on the cap, where a longer step only swings the price
+            # further round it
+            if not accepted:
+                s /= 2.0
+            elif grow and not capped:
+                s *= 2.0
+            grow = accepted
     return CompositionMatrix(W), diagnostics

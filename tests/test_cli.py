@@ -19,10 +19,10 @@ from topic_compose import (
     write_corpus_tsv,
     write_dense_tsv,
 )
-from topic_compose.cli import ALPHA_SCALE, build_parser, main
+from topic_compose.cli import build_parser, main
+from topic_compose.padd import PRICE_CAP
 
 from conftest import random_corpus, random_model, write_model
-from oracles import dirichlet_second_moment
 
 
 def run(*argv):
@@ -246,15 +246,18 @@ class TestInfer:
         assert run("infer", "--method", "tli", "--model", model_dir, "--corpus", corpus_path,
                    "--out", tmp_path / "o", "--tli-solver", "lp") == 2
 
-    def test_padd_large_tau0_halves_the_step(self, model_dir, corpus_path, tmp_path):
-        # a trial whose Q is indefinite halves the step instead of failing
+    def test_padd_large_tau0_is_capped(self, model_dir, corpus_path, tmp_path):
+        # a step that would make Q indefinite is capped instead of failing
         out = tmp_path / "o"
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", out,
                    "--tau0", "500", "--master-iters", 6) == 0
         results = json.loads((out / "manifest.json").read_text())["results"]
-        assert 0.0 < results["tau"][1] < 500.0
-        assert min(results["prox_min_eig"]) > 0.0
+        B = load_model(model_dir).B
+        lo = np.linalg.eigvalsh(B.T @ B)[0]
+        assert results["tau"][1] == 500.0
+        assert max(results["dual_norm"]) <= PRICE_CAP * lo * (1.0 + 1e-12)
+        assert min(results["prox_min_eig"]) >= (1.0 - PRICE_CAP) * lo * (1.0 - 1e-12)
 
     def test_padd_indefinite_prox_is_runtime_error(self, corpus_path, tmp_path, capsys):
         # a repeated topic makes B^T B singular, which no step can mend
@@ -594,12 +597,10 @@ def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
 
 def test_smoke_pipeline(tmp_path):
     """synth -> all four infer methods -> eval on a small but non-toy corpus,
-    end to end, well under half a minute. A is the second moment of the
-    Dirichlet prior that synth draws from, as PADD assumes."""
+    end to end, well under half a minute."""
     t0 = time.perf_counter()
     mdir = tmp_path / "model"
-    B = random_model(N=100, K=5, seed=17, concentration=0.05).B
-    write_model(mdir, TopicModel(B=B, A=dirichlet_second_moment(np.full(5, ALPHA_SCALE / 5))))
+    write_model(mdir, random_model(N=100, K=5, seed=17, concentration=0.05))
     synth_dir = tmp_path / "data"
     assert run("synth", "--model", mdir, "--out", synth_dir, "--docs", 500,
                "--len", "poisson:60", "--seed", 1) == 0

@@ -23,7 +23,12 @@ import topic_compose.padd as padd_module
 import topic_compose.simplex as simplex_module
 from topic_compose.padd import _prox_inverse, _symmetrize
 from conftest import random_corpus, random_model
-from oracles import grid_min_quadratic, mean_reconstruction_loss, solve_one_document
+from oracles import (
+    dirichlet_second_moment,
+    grid_min_quadratic,
+    mean_reconstruction_loss,
+    solve_one_document,
+)
 
 
 def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
@@ -58,26 +63,43 @@ def ball_instance(distance):
     return TopicModel(B=m0.B, A=A), c, diag1.radius
 
 
-class TestDualStep:
-    def test_backtracking_step(self):
-        # the first trial steps tau0; an accepted trial doubles the step and
-        # a rejected one halves it, so on this instance the step bounces
-        m = random_model(N=20, K=3, seed=1)
-        c = random_corpus(N=20, M=40, seed=2)
-        cfg = PaddConfig(master_iters=8, tau0=0.25)
-        _, diag = padd_infer(m, c, cfg)
-        assert diag.rounds == list(range(1, 9))
-        assert diag.tau[:2] == [0.0, 0.25]
-        assert diag.accepted[0] and not all(diag.accepted)
-        for tau, accepted, tau_next in zip(diag.tau[1:], diag.accepted[1:], diag.tau[2:]):
-            assert tau_next == (2.0 * tau if accepted else tau / 2.0)
+def drawn_instance(K, M, length):
+    """M documents of `length` words drawn from a flat Dirichlet over
+    random_model(N=60, K, seed=7, concentration=0.05)'s topics, with A that
+    prior's second moment; returns the model, the corpus and the cap."""
+    B = random_model(N=60, K=K, seed=7, concentration=0.05).B
+    model = TopicModel(B=B, A=dirichlet_second_moment(np.ones(K)))
+    corpus = synthesize(model, DirichletPrior.symmetric(K, float(K)), M, FixedLength(length),
+                        seed=3).corpus
+    return model, corpus, padd_module.PRICE_CAP * np.linalg.eigvalsh(B.T @ B)[0]
 
-    def test_trial_price_is_shrunk_gradient_step(self, monkeypatch):
+
+class TestDualStep:
+    @pytest.mark.parametrize("K, M, length, tau0", [(5, 3000, 100, 1.0), (4, 2000, 50, 16.0)])
+    def test_backtracking_step(self, K, M, length, tau0):
+        # the first trial steps tau0; a rejected trial halves the step, and
+        # an accepted one doubles it unless it followed a rejection or its
+        # price reached the cap
+        m, c, cap = drawn_instance(K, M, length)
+        _, diag = padd_infer(m, c, PaddConfig(tau0=tau0))
+        assert diag.tau[:2] == [0.0, tau0]
+        assert diag.accepted[0] and not all(diag.accepted)
+        rows = list(zip(diag.accepted, diag.tau, diag.dual_norm))
+        assert len(rows) > 3
+        for (ok_before, _, _), (ok, tau, norm), (_, tau_next, _) in zip(rows, rows[1:], rows[2:]):
+            capped = norm >= cap * (1.0 - 1e-12)
+            assert tau_next == (tau / 2.0 if not ok else tau if capped or not ok_before
+                                else 2.0 * tau)
+
+    @pytest.mark.parametrize("tau0, capped", [(0.01, False), (0.1, True)])
+    def test_trial_price_is_shrunk_gradient_step(self, tau0, capped, monkeypatch):
         # the first trial price is the gradient step (moment - A) * tau0 / 2,
-        # moved toward 0 by tau0 * radius / 2 in Frobenius norm
+        # moved toward 0 by tau0 * radius / 2 in Frobenius norm, with its
+        # norm then capped at PRICE_CAP * lambda_min(B^T B)
         m = random_model(N=20, K=3, seed=3)
         c = random_corpus(N=20, M=30, seed=4)
         W1 = padd_infer(m, c, PaddConfig(master_iters=1))[0].W
+        cap = padd_module.PRICE_CAP * np.linalg.eigvalsh(m.B.T @ m.B)[0]
         prox, quadratics = padd_module._prox_inverse, []
 
         def spy(Q, what):
@@ -85,13 +107,32 @@ class TestDualStep:
             return prox(Q, what)
 
         monkeypatch.setattr(padd_module, "_prox_inverse", spy)
-        _, diag = padd_infer(m, c, PaddConfig(master_iters=2, tau0=0.1))
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=2, tau0=tau0))
         excess = _symmetrize(W1 @ W1.T) / c.M - m.A
-        step = 0.05 * excess
+        step = tau0 / 2.0 * excess
         norm = np.linalg.norm(step)
-        want = step * (1.0 - 0.05 * diag.radius / norm)
+        shrunk = norm - tau0 / 2.0 * diag.radius
+        assert (shrunk > cap) == capped
+        want = step * (min(shrunk, cap) / norm)
         npt.assert_allclose(quadratics[1] - m.B.T @ m.B, want, rtol=0.0, atol=1e-15)
-        assert diag.dual_norm == [0.0, pytest.approx(norm - 0.05 * diag.radius, rel=1e-12)]
+        assert diag.dual_norm == [0.0, pytest.approx(min(shrunk, cap), rel=1e-12)]
+
+    def test_dual_residual_vanishes_only_at_the_dual_optimum(self):
+        residual = padd_module._dual_residual
+        u = np.diag([0.6, 0.8])
+        v = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)  # orthogonal to u
+        zero = np.zeros((2, 2))
+        # at zero price, the gap beyond the radius
+        assert residual(zero, False, 3.0 * u, 1.0) == pytest.approx(2.0)
+        assert residual(zero, False, 0.5 * u, 1.0) == 0.0
+        # inside the cap, the excess must be the radius along the price
+        assert residual(2.0 * u, False, u, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert residual(2.0 * u, False, 3.0 * u, 1.0) == pytest.approx(2.0)
+        # on the cap, an excess beyond the radius along the price is absorbed,
+        # and what is left is the part across it
+        assert residual(2.0 * u, True, 3.0 * u, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert residual(2.0 * u, True, 3.0 * u + 0.5 * v, 1.0) == pytest.approx(0.5)
+        assert residual(2.0 * u, True, 0.5 * u, 1.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("K, M, seed", [(3, 40, 1), (4, 200, 3), (10, 500, 3)])
     def test_dual_value_never_falls_between_accepted_rows(self, K, M, seed):
@@ -310,21 +351,27 @@ class TestPaddInfer:
         assert diag.rounds == [1, 2, 3, 4, 5]
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_dual_pulls_the_moment_toward_a_misspecified_A(self):
-        # PADD trusts A: here A's diagonal is about 0.14, twice the
-        # corpus's 0.065, and the dual pulls the solutions' moment toward
-        # it at the cost of the reconstruction
+    def test_price_cap_bounds_the_pull_of_a_misspecified_A(self):
+        # A's diagonal is about 0.14, twice the corpus's 0.065, farther than
+        # any price within the cap can pull: the price stops on the cap,
+        # every Q keeps nine tenths of B^T B's smallest eigenvalue, and the
+        # solutions move only a little toward A
         B = random_model(N=100, K=5, seed=17, concentration=0.05).B
         A = random_model(N=100, K=5, seed=17).A
         synth = synthesize(TopicModel(B=B, A=A), DirichletPrior.symmetric(5, 5.0), 500,
                            FixedLength(60), seed=1)
         m = TopicModel(B=B, A=A)
+        lo = np.linalg.eigvalsh(B.T @ B)[0]
+        cap = padd_module.PRICE_CAP * lo
         comp1, _ = padd_infer(m, synth.corpus, PaddConfig(master_iters=1))
-        comp, diag = padd_infer(m, synth.corpus, PaddConfig(master_iters=5))
-        assert diag.constraint_gap[-1] < diag.constraint_gap[0] / 2.0
-        assert diag.mean_loss[-1] > diag.mean_loss[0]
+        comp, diag = padd_infer(m, synth.corpus)
+        assert len(diag.rounds) < PaddConfig().master_iters
+        assert diag.accepted[-1] and diag.dual_norm[-1] == pytest.approx(cap, rel=1e-12)
+        assert max(diag.dual_norm) <= cap * (1.0 + 1e-12)
+        assert min(diag.prox_min_eig) >= (lo - cap) * (1.0 - 1e-12)
+        assert diag.radius < diag.constraint_gap[-1] < diag.constraint_gap[0]
         l1 = [np.abs(W - synth.Wstar.W).sum(axis=0).mean() for W in (comp1.W, comp.W)]
-        assert l1[1] > l1[0]
+        assert l1[1] < 1.05 * l1[0]
 
     def test_noiseless_grid_instance_recovered(self):
         model, corpus, Wstar = grid_truth_instance(K=3, M=40, seed=7)
@@ -391,35 +438,25 @@ class TestPaddInfer:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         # rows past the first price the constraint; their dual value is
         # summed from every block
-        assert len(json.loads(runs[0][1])["dual_value"]) == 4
+        assert len(json.loads(runs[0][1])["dual_value"]) > 1
 
     @pytest.mark.parametrize("tau0", [1.0, 2.0, 500.0, 1.7e308])
-    def test_indefinite_trial_is_halved_without_warning(self, tau0, monkeypatch):
+    def test_large_step_is_capped_without_warning(self, tau0):
         # these steps on the per-document price are 20, 40 and 10,000 on the
-        # old scale of the summed price (tau0 * M / 2 at M = 40), where
-        # every run raised the indefinite-Q error at round 2; a trial whose
-        # Q fails the check now halves the step without a solve
+        # old scale of the summed price (tau0 * M / 2 at M = 40), where an
+        # uncapped step made Q indefinite at round 2; the cap keeps every Q
+        # positive definite, and a capped step is not lengthened
         m = random_model(N=20, K=3, seed=1)
         c = random_corpus(N=20, M=40, seed=2)
-        prox, failed = padd_module._prox_inverse, []
-
-        def spy(Q, what):
-            try:
-                return prox(Q, what)
-            except RuntimeError:
-                failed.append(float(np.linalg.eigvalsh(Q)[0]))
-                raise
-
-        monkeypatch.setattr(padd_module, "_prox_inverse", spy)
+        lo = np.linalg.eigvalsh(m.B.T @ m.B)[0]
+        cap = padd_module.PRICE_CAP * lo
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             comp, diag = padd_infer(m, c, PaddConfig(tau0=tau0, master_iters=6))
-        assert diag.rounds == list(range(1, 7))
-        # the first trial at tau0 = 1 stays positive definite
-        assert (len(failed) > 0) == (tau0 > 1.0)
-        assert all(lo < 0.0 for lo in failed)
-        assert min(diag.prox_min_eig) > 0.0
-        assert diag.tau[1] <= min(tau0, 1.0)
+        assert len(diag.rounds) > 2 and all(diag.accepted)
+        assert diag.tau[1:] == [tau0] * (len(diag.rounds) - 1)
+        assert diag.dual_norm[1:] == pytest.approx([cap] * (len(diag.rounds) - 1), rel=1e-12)
+        assert min(diag.prox_min_eig) >= (lo - cap) * (1.0 - 1e-12)
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
 
     def test_indefinite_prox_raises_without_warning(self):
@@ -463,7 +500,8 @@ class TestPaddInfer:
             npt.assert_array_equal(Q, Q.T)
 
     def test_iteration_budget_loss_and_round_one_eigenvalue(self, monkeypatch):
-        m, c, _ = ball_instance(2.0)
+        m = random_model(N=200, K=10, seed=3)
+        c = random_corpus(N=200, M=500, seed=4)
         calls, per_round = [], []
         project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
 
@@ -480,10 +518,12 @@ class TestPaddInfer:
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
         monkeypatch.setattr(padd_module, "_solve_slaves", counted)
         comp, diag = padd_infer(m, c)
-        # the spectral step with resumed Douglas-Rachford state takes 260
-        # projections over 15 solves here; a unit step (rho = 1) takes 2,251
-        assert len(diag.rounds) == 15
-        assert len(calls) <= 300
+        # A here is farther than the capped price can pull, so the master
+        # stops once the price stops moving: 44 projections over 3 solves.
+        # Fifteen rounds of the version 0.8 schedule took 173, and an
+        # uncapped price took 1,833 as Q neared singularity
+        assert len(diag.rounds) < 15
+        assert len(calls) <= 450
         # one block: each solve's largest iteration count is its projections
         assert diag.dr_iters == per_round
         accepted = [i for i, ok in enumerate(diag.accepted) if ok]
@@ -524,8 +564,7 @@ class TestPaddInfer:
     def test_sort_orders_carry_across_rounds(self, monkeypatch):
         # every round starts its projections from the sort orders the
         # previous round left, so only columns whose order changed are
-        # sorted again; a round from a fresh order re-sorts about all 500.
-        # Small steps keep each round's solutions close to the last's.
+        # sorted again; a round from a fresh order re-sorts about all 500
         m = random_model(N=200, K=10, seed=3)
         c = random_corpus(N=200, M=500, seed=4)
         resorted, per_round = [], []
@@ -543,7 +582,7 @@ class TestPaddInfer:
 
         monkeypatch.setattr(simplex_module.np, "argsort", spy)
         monkeypatch.setattr(padd_module, "_solve_slaves", counted)
-        _, diag = padd_infer(m, c, PaddConfig(tau0=1e-6))
-        assert len(per_round) == len(diag.rounds) == 15
+        _, diag = padd_infer(m, c)
+        assert len(per_round) == len(diag.rounds) > 1
         assert per_round[0] > 0
         assert max(per_round[1:]) < 100
