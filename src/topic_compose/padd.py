@@ -58,13 +58,13 @@ class PaddConfig:
     master stops earlier once the constraint holds or the price stops
     moving. tau0 is the first trial step on the per-document price; later
     steps halve after a rejected trial and double after an accepted one,
-    unless it followed a rejection or its price reached the cap. The class constants are
-    not settings: slave_iters caps each solve's Douglas-Rachford
-    iterations, and slave_tol is the per-document stopping threshold on a
-    Douglas-Rachford step, the larger of the infinity norms of the change
-    in the iterate and of the gap between the prox point and the iterate.
-    Nor is the Douglas-Rachford step: every solve derives it from the
-    spectrum of its slave quadratic.
+    unless it followed a rejection or its price reached the cap. The class
+    constants are not settings: slave_iters caps each solve's
+    Douglas-Rachford iterations, and slave_tol is the per-document
+    stopping threshold on a Douglas-Rachford step, the larger of the
+    infinity norms of the change in the iterate and of the gap between the
+    prox point and the iterate. Nor is the Douglas-Rachford step: every
+    solve derives it from the spectrum of its slave quadratic.
     """
 
     master_iters: int = 15
