@@ -17,7 +17,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
+# unused here, but bench/tracing.py patches tc_padd.word_topic_posterior
+from .model import CompositionMatrix, normalize_corpus, word_topic_posterior  # noqa: F401
 from .parallel import map_chunks
 from .simplex import project_simplex_columns
 
@@ -233,14 +234,14 @@ def padd_infer(model, corpus, config=None, threads=1):
     proximal ascent: a trial price shrinks Gamma + s (moment - A) / 2
     toward 0 by s * radius / 2 in Frobenius norm and caps its norm. Every
     document is re-solved at the trial price from the last accepted
-    Douglas-Rachford state (the first solve, at Gamma = 0, starts from the
-    posterior estimate). The trial is accepted if phi did not fall, else
-    it is discarded; s starts at tau0, halves after a rejection and
-    doubles after an acceptance that neither followed a rejection nor
-    reached the cap. The
-    master stops once an accepted solve's gap ||moment - A|| is at most
-    the radius, once its `_dual_residual` is below DUAL_TOL * radius, or
-    after config.master_iters solves.
+    Douglas-Rachford state; the first, at Gamma = 0, starts from each
+    slave's unconstrained minimizer (B^T B)^-1 B^T h_m projected onto the
+    simplex. The trial is accepted if phi did not fall, else it is
+    discarded; s starts at tau0, halves after a rejection and doubles
+    after an acceptance that neither followed a rejection nor reached the
+    cap. The master stops once an accepted solve's gap ||moment - A|| is
+    at most the radius, once its `_dual_residual` is below DUAL_TOL *
+    radius, or after config.master_iters solves.
 
     The cap keeps lambda_min(Q) >= 0.9 lambda_min(B^T B), so a trial's Q
     fails `_prox_inverse`'s check only when B^T B's condition exceeds about
@@ -255,17 +256,17 @@ def padd_infer(model, corpus, config=None, threads=1):
     K, M = model.K, corpus.M
     Ht = normalize_corpus(corpus)
     B = model.B
-    # F = B^T Ht and the posterior start come from one sparse product
-    F, start = np.split(np.vstack([B.T, word_topic_posterior(model)]) @ Ht, 2)
+    F = B.T @ Ht
     BtB = B.T @ B
     h_sq = float(np.dot(Ht.data, Ht.data))  # sum of ||h_m||^2
     # each column's sort order, carried from projection to projection
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
-    W = project_simplex_columns(start, order=order)
-    Qaux, rho = W, 1.0  # the first solve starts at q = w
-    trial, capped, s, phi, grow = np.zeros((K, K)), False, config.tau0, -math.inf, True
     G, rho_trial, min_eig = _prox_inverse(BtB, "slave quadratic Q = B^T B")
     cap = PRICE_CAP * min_eig
+    # after the check, so a singular B^T B raises its RuntimeError
+    W = project_simplex_columns(np.linalg.solve(BtB, F), order=order)
+    Qaux, rho = W, 1.0  # the first solve starts at q = w
+    trial, capped, s, phi, grow = np.zeros((K, K)), False, config.tau0, -math.inf, True
 
     for t in range(1, config.master_iters + 1):
         if t > 1:

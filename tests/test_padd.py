@@ -16,7 +16,6 @@ from topic_compose import (
     padd_infer,
     project_simplex_columns,
     synthesize,
-    word_topic_posterior,
     normalize_corpus,
 )
 import topic_compose.padd as padd_module
@@ -31,12 +30,14 @@ from oracles import (
 )
 
 
-def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
-    """Noiseless identifiable setup: B = I, compositions on the 1/grid
-    lattice, documents sampled exactly proportional to B w*."""
+def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100, B=None):
+    """Noiseless identifiable setup: B (default I, else square),
+    compositions on the 1/grid lattice, documents sampled exactly
+    proportional to B w*."""
+    B = np.eye(K) if B is None else np.asarray(B)
     rng = np.random.default_rng(seed)
     Wstar = rng.multinomial(grid, rng.dirichlet(np.ones(K)), size=M).T / grid
-    counts_full = (Wstar * doc_len).round().astype(np.int64)  # exact by construction
+    counts_full = (B @ Wstar * doc_len).round().astype(np.int64)  # exact by construction
     docs, words, counts = [], [], []
     for m in range(M):
         idx = np.nonzero(counts_full[:, m])[0]
@@ -46,7 +47,7 @@ def grid_truth_instance(K, M, seed, doc_len=10_000, grid=100):
     corpus = Corpus(docs=docs, words=words, counts=counts, M=M, N=K)
     P = Wstar @ Wstar.T
     A = (P + P.T) / (2.0 * M)
-    model = TopicModel(B=np.eye(K), A=A)
+    model = TopicModel(B=B, A=A)
     return model, corpus, Wstar
 
 
@@ -384,14 +385,39 @@ class TestPaddInfer:
             obj = float(((model.B @ comp.W[:, m] - Wstar[:, m]) ** 2).sum())
             assert obj <= obj_grid + 1e-9
 
+    def test_noiseless_overlapping_topics_recovered_by_the_first_start(self):
+        # every h_m is exactly B w*_m with B square and invertible, so the
+        # least-squares start is w* itself: one Douglas-Rachford iteration
+        # confirms it and the moment is A, so the master stops at once
+        B = [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+        model, corpus, Wstar = grid_truth_instance(K=3, M=30, seed=7, doc_len=500, grid=10,
+                                                   B=B)
+        comp, diag = padd_infer(model, corpus)
+        assert diag.rounds == [1] and diag.dr_iters == [1]
+        assert np.abs(comp.W - Wstar).max() <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-5, 3e-6])
+    def test_ill_conditioned_topics_give_finite_compositions(self, eps):
+        # column 2 is nearly column 0, so B^T B passes the condition check
+        # (3.4e10 and 3.7e11) and the least-squares start is far off the
+        # simplex before its projection
+        b = random_model(N=20, K=4, seed=1).B.T
+        B = np.column_stack([b[0], b[1], (1.0 - eps) * b[0] + eps * b[3]])
+        m = TopicModel(B=B, A=np.full((3, 3), 1.0 / 9))
+        c = random_corpus(N=20, M=40, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp, _ = padd_infer(m, c)
+        assert np.isfinite(comp.W).all()
+        npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
+
     def test_matches_single_document_solver_when_dual_is_zero(self):
         m = random_model(N=15, K=3, seed=8)
         c = random_corpus(N=15, M=12, seed=9)
         cfg = PaddConfig(master_iters=1)
         comp, _ = padd_infer(m, c, cfg)
-        Ht = normalize_corpus(c)
-        W0 = word_topic_posterior(m) @ Ht
-        F = m.B.T @ Ht
+        F = m.B.T @ normalize_corpus(c)
+        W0 = np.linalg.solve(m.B.T @ m.B, F)
         for j in range(c.M):
             w = solve_one_document(m.B.T @ m.B, F[:, j], W0[:, j],
                                    max_iters=cfg.slave_iters, tol=cfg.slave_tol)
