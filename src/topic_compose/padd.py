@@ -6,9 +6,10 @@ asking their empirical topic-topic second moment to lie within sampling
 error of the model's A. The master prices that constraint with a symmetric
 dual matrix, bounded so that every document's problem stays strongly
 convex, and climbs the dual value by backtracking proximal steps; for a
-fixed price the documents decouple, and each one is solved by relaxed
-Douglas-Rachford splitting that alternates a closed-form quadratic prox
-with simplex projection.
+fixed price the documents decouple. A document whose minimizer on the
+simplex's affine hull is strictly positive is solved by that closed form;
+every other one by relaxed Douglas-Rachford splitting that alternates a
+closed-form quadratic prox with simplex projection.
 """
 
 import math
@@ -22,14 +23,16 @@ from .model import CompositionMatrix, normalize_corpus, word_topic_posterior  # 
 from .parallel import map_chunks
 from .simplex import project_simplex_columns
 
-# Documents are solved in column blocks of a fixed number of entries, so
-# block boundaries depend only on K and M and results do not depend on the
-# worker count. Each Douglas-Rachford iteration makes about 40 NumPy calls
-# per block, plus one per topic for the projection's prefix sums; 25,600
-# entries (512 documents at K=50, 2,560 at K=10) keep the fixed cost of
-# those calls small against their work. Even so a second thread speeds
-# PADD up by at most a fifth on two cores at these sizes (README,
-# "Determinism").
+# The documents a solve does not settle in closed form (its boundary
+# columns) run Douglas-Rachford in column blocks of a fixed number of
+# entries, so block boundaries depend only on K and the number of boundary
+# columns, and results do not depend on the worker count. Each iteration
+# makes about 40 NumPy calls per block, plus one per topic for the
+# projection's prefix sums; 25,600 entries (512 documents at K=50, 2,560 at
+# K=10) keep the fixed cost of those calls small against their work. A
+# padd-k10 batch of 1,024 documents leaves about 290 boundary columns, one
+# block; a second thread speeds PADD up by at most a fifth on two cores at
+# the sizes in README, "Determinism".
 SLAVE_ENTRIES = 25_600
 
 # Douglas-Rachford relaxation factor, in (0, 2). In projections per batch it
@@ -96,6 +99,7 @@ class PaddDiagnostics:
     dual_norm: list = field(default_factory=list)
     mean_final_step: list = field(default_factory=list)
     docs_converged: list = field(default_factory=list)
+    closed_form: list = field(default_factory=list)
     dr_iters: list = field(default_factory=list)
     prox_min_eig: list = field(default_factory=list)
 
@@ -198,22 +202,62 @@ def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
     return max_iters
 
 
-def _solve_slaves(P, C, W0, Q0, order, config, threads):
-    """Solve every slave from (W0, Q0), updating Q0 in place; returns the
-    solve's W, Qaux, final steps and the most iterations of any block."""
+def _affine_fit(Q, F):
+    """Each column's minimizer of w^T Q w / 2 - f^T w on the simplex's
+    affine hull {sum w = 1}, X = Q^-1 (F - 1 nu), and the multipliers nu
+    (one per column) that make every column of X sum to 1. With u = Q^-1 1
+    and s = 1^T u, nu = (u^T F - 1) / s and X = (Q^-1 - u u^T / s) F + u / s:
+    one K-row product and no K x M temporary."""
+    Qinv = np.linalg.inv(Q)
+    u = Qinv.sum(axis=1)
+    u_s = u / u.sum()
+    X = (Qinv - np.outer(u, u_s)) @ F
+    X += u_s[:, None]
+    return X, (u @ F - 1.0) / u.sum()
+
+
+def _solve_slaves(P, C, X, shift, W0, Q0, order, config, threads):
+    """Solve every slave from (W0, Q0), updating Q0 and order in place;
+    returns the solve's W (in X's memory), Qaux, final steps, the most
+    iterations of any block (0 if none ran) and the number of columns
+    settled in closed form.
+
+    X is each column's affine minimizer and shift its nu / rho. Where X is
+    strictly positive it is the column's simplex minimizer, and (X, X +
+    shift) is a Douglas-Rachford fixed point: the prox point of 2X - q is X,
+    and q projects onto X. Such a column is settled there, with no
+    iteration, if that pair passes _dr_block's own step test on the prox
+    point. The other columns run _dr_block, gathered into blocks of their
+    own, or in place when no column is settled.
+    """
     K, M = C.shape
-    W, Qaux = np.empty((K, M)), np.empty((K, M))
-    steps = np.empty(M)
-    iters = []
+    W, Qaux, steps = X, np.empty((K, M)), np.empty(M)
+    settled = (X > 0.0).all(axis=0)
+    if settled.any():
+        np.add(X, shift, out=Qaux)
+        d = P @ (2.0 * X - Qaux)
+        d += C
+        d -= X
+        np.abs(d, out=d).max(axis=0, out=steps)
+        settled &= steps <= config.slave_tol
+    rest = np.flatnonzero(~settled)
+    if rest.size < M:
+        Cr, W0r, Q0r, order_r = C[:, rest], W0[:, rest], Q0[:, rest], order[:, rest]
+        Wr, Qr, steps_r = np.empty((K, rest.size)), np.empty((K, rest.size)), np.empty(rest.size)
+    else:
+        Cr, W0r, Q0r, order_r, Wr, Qr, steps_r = C, W0, Q0, order, W, Qaux, steps
+    iters = [0]
 
     def run(span):
         s = slice(*span)
-        iters.append(_dr_block(P, C[:, s], W0[:, s], Q0[:, s], order[:, s],
+        iters.append(_dr_block(P, Cr[:, s], W0r[:, s], Q0r[:, s], order_r[:, s],
                                config.slave_iters, config.slave_tol,
-                               W[:, s], Qaux[:, s], steps[s]))
+                               Wr[:, s], Qr[:, s], steps_r[s]))
 
-    map_chunks(M, max(1, SLAVE_ENTRIES // K), run, threads)
-    return W, Qaux, steps, max(iters)
+    map_chunks(rest.size, max(1, SLAVE_ENTRIES // K), run, threads)
+    if rest.size < M:
+        W[:, rest], Qaux[:, rest], steps[rest], order[:, rest] = Wr, Qr, steps_r, order_r
+    return W, Qaux, steps, max(iters), M - rest.size
 
 
 def padd_infer(model, corpus, config=None, threads=1):
@@ -233,10 +277,12 @@ def padd_infer(model, corpus, config=None, threads=1):
     prices of Frobenius norm at most PRICE_CAP * lambda_min(B^T B), by
     proximal ascent: a trial price shrinks Gamma + s (moment - A) / 2
     toward 0 by s * radius / 2 in Frobenius norm and caps its norm. Every
-    document is re-solved at the trial price from the last accepted
-    Douglas-Rachford state; the first, at Gamma = 0, starts from each
-    slave's unconstrained minimizer (B^T B)^-1 B^T h_m projected onto the
-    simplex. The trial is accepted if phi did not fall, else it is
+    solve first forms each slave's minimizer on the simplex's affine hull,
+    X = Q^-1 (F - 1 nu), and settles the documents whose X is strictly
+    positive there (`_solve_slaves`). The others are re-solved at the trial
+    price from the last accepted Douglas-Rachford state; in the first
+    solve, at Gamma = 0, from X projected onto the simplex, with q = w.
+    The trial is accepted if phi did not fall, else it is
     discarded; s starts at tau0, halves after a rejection and doubles
     after an acceptance that neither followed a rejection nor reached the
     cap. The master stops once an accepted solve's gap ||moment - A|| is
@@ -263,19 +309,29 @@ def padd_infer(model, corpus, config=None, threads=1):
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
     G, rho_trial, min_eig = _prox_inverse(BtB, "slave quadratic Q = B^T B")
     cap = PRICE_CAP * min_eig
-    # after the check, so a singular B^T B raises its RuntimeError
-    W = project_simplex_columns(np.linalg.solve(BtB, F), order=order)
-    Qaux, rho = W, 1.0  # the first solve starts at q = w
     trial, capped, s, phi, grow = np.zeros((K, K)), False, config.tau0, -math.inf, True
 
     for t in range(1, config.master_iters + 1):
         if t > 1:
             trial, capped = _prox_step(Gamma + (s / 2.0) * excess, s * radius / 2.0, cap)
             G, rho_trial, min_eig = _prox_inverse(BtB + trial, "slave quadratic Q")
+        # after the check, so a singular Q raises its RuntimeError
+        X, nu = _affine_fit(BtB + trial, F)
+        if t == 1:
+            # the first solve starts at q = w = X, projected where X is not
+            # strictly positive; elsewhere X already lies on the simplex
+            rest = np.flatnonzero(~(X > 0.0).all(axis=0))
+            if rest.size < M:
+                W, order_r = X.copy(), order[:, rest]
+                W[:, rest] = project_simplex_columns(X[:, rest], order=order_r)
+                order[:, rest] = order_r
+            else:
+                W = project_simplex_columns(X, order=order)
+            Qaux, rho = W, rho_trial
         # at a fixed point q - w = (F - Qw) / rho; keep that gradient
         Q0 = W + (rho / rho_trial) * (Qaux - W)
-        W_t, Qaux_t, steps, dr_iters = _solve_slaves(rho_trial * G, G @ F, W, Q0, order,
-                                                     config, threads)
+        W_t, Qaux_t, steps, dr_iters, closed_form = _solve_slaves(
+            rho_trial * G, G @ F, X, nu / rho_trial, W, Q0, order, config, threads)
         # mean ||B w_m - h_m||^2, expanded so Ht is never densified
         loss = float(np.einsum("ij,ij->", BtB @ W_t, W_t)
                      - 2.0 * np.einsum("ij,ij->", W_t, F) + h_sq) / M
@@ -293,7 +349,7 @@ def padd_infer(model, corpus, config=None, threads=1):
         diagnostics.append(
             t, s if t > 1 else 0.0, accepted, gap, loss, phi_t, dual_norm,
             float(steps.mean()), int(np.count_nonzero(steps <= config.slave_tol)),
-            dr_iters, min_eig,
+            closed_form, dr_iters, min_eig,
         )
         if accepted:
             Gamma, W, Qaux, rho, excess, phi = trial, W_t, Qaux_t, rho_trial, excess_t, phi_t

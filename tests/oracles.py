@@ -208,17 +208,31 @@ def grid_min_quadratic(B, h, step):
     return W[:, j], float(obj[j])
 
 
-def solve_one_document(Q, f, w0, max_iters=PaddConfig.slave_iters, tol=PaddConfig.slave_tol):
-    """Minimize w^T Q w / 2 - f^T w over the simplex from w0 with PADD's
-    own prox and Douglas-Rachford block on one column. Raises
-    RuntimeError, as a master round does, unless Q is positive definite."""
+def solve_one_document(Q, f, w0, q0=None, max_iters=PaddConfig.slave_iters,
+                       tol=PaddConfig.slave_tol):
+    """Minimize w^T Q w / 2 - f^T w over the simplex from w0 projected onto
+    it and the auxiliary q0 (default: that projection) with PADD's own prox
+    and Douglas-Rachford block on one column. Raises RuntimeError, as a
+    master round does, unless Q is positive definite."""
     G, rho, _ = _prox_inverse(Q, "Q")
     order = np.arange(len(w0))[:, None]
     w = project_simplex_columns(w0[:, None], order=order)
+    q = w.copy() if q0 is None else np.array(q0, dtype=np.float64)[:, None]
     out = np.empty_like(w)
-    _dr_block(rho * G, G @ f[:, None], w, w.copy(), order, max_iters, tol,
+    _dr_block(rho * G, G @ f[:, None], w, q, order, max_iters, tol,
               out, np.empty_like(w), np.empty(1))
     return out[:, 0]
+
+
+def affine_minimizer(Q, F):
+    """Each column's minimizer of w^T Q w / 2 - f^T w subject to sum w = 1,
+    and its multiplier nu, from the bordered KKT system
+    [[Q, 1], [1^T, 0]] [w; nu] = [f; 1], solved densely."""
+    K = Q.shape[0]
+    kkt = np.block([[Q, np.ones((K, 1))], [np.ones((1, K)), np.zeros((1, 1))]])
+    F = np.asarray(F, dtype=np.float64).reshape(K, -1)
+    sol = np.linalg.solve(kkt, np.vstack([F, np.ones((1, F.shape[1]))]))
+    return sol[:K], sol[K]
 
 
 def mean_reconstruction_loss(B, W, corpus):

@@ -23,6 +23,7 @@ import topic_compose.simplex as simplex_module
 from topic_compose.padd import _prox_inverse, _symmetrize
 from conftest import random_corpus, random_model
 from oracles import (
+    affine_minimizer,
     dirichlet_second_moment,
     grid_min_quadratic,
     mean_reconstruction_loss,
@@ -262,6 +263,49 @@ class TestProxInverse:
             _prox_inverse(Q, "Q at master round 4")
 
 
+class TestClosedFormSettle:
+    def test_settled_column_is_a_douglas_rachford_fixed_point(self):
+        # one iteration from (X, X + nu / rho) moves nothing: the prox point
+        # of 2X - q is X, and q projects back onto X
+        m = random_model(N=200, K=10, seed=3)
+        c = random_corpus(N=200, M=500, seed=4)
+        Q = m.B.T @ m.B
+        F = m.B.T @ normalize_corpus(c)
+        X, nu = padd_module._affine_fit(Q, F)
+        X_kkt, nu_kkt = affine_minimizer(Q, F)
+        npt.assert_allclose(X, X_kkt, rtol=0.0, atol=1e-14)
+        npt.assert_allclose(nu, nu_kkt, rtol=0.0, atol=1e-15)
+        interior = (X > 0.0).all(axis=0)
+        assert np.count_nonzero(interior) > 50
+        G, rho, _ = _prox_inverse(Q, "Q")
+        Xi = X[:, interior]
+        W, steps = np.empty_like(Xi), np.empty(Xi.shape[1])
+        iters = padd_module._dr_block(rho * G, G @ F[:, interior], Xi, Xi + nu[interior] / rho,
+                                      np.argsort(-Xi, axis=0), 1, PaddConfig.slave_tol,
+                                      W, np.empty_like(W), steps)
+        assert iters == 1
+        assert steps.max() <= PaddConfig.slave_tol
+        assert np.abs(W - Xi).max() <= 1e-15
+
+    def test_no_column_with_a_zero_or_negative_entry_is_settled(self):
+        # at Q = I and F = X every column is a Douglas-Rachford fixed point
+        # at q = X (nu = 0), but only the strictly positive first one is
+        # settled; the others, with a zero and a negative entry, run
+        # Douglas-Rachford to their projections onto the simplex
+        X = np.array([[0.2, 0.6, 0.7], [0.3, 0.4, 0.4], [0.5, 0.0, -0.1]])
+        G, rho, _ = _prox_inverse(np.eye(3), "Q")
+        W0 = project_simplex_columns(X)
+        order = np.repeat(np.arange(3)[:, None], 3, axis=1)
+        W, Qaux, steps, iters, settled = padd_module._solve_slaves(
+            rho * G, G @ X, X, np.zeros(3), W0, W0.copy(), order, PaddConfig(), 1)
+        assert settled == 1 and iters > 0
+        assert W[:, 0].tobytes() == X[:, 0].tobytes()
+        assert Qaux[:, 0].tobytes() == X[:, 0].tobytes()
+        npt.assert_allclose(W[:, 1:], [[0.6, 0.65], [0.4, 0.35], [0.0, 0.0]],
+                            rtol=0.0, atol=PaddConfig.slave_tol)
+        assert steps.max() <= PaddConfig.slave_tol
+
+
 class TestPaddInfer:
     def test_single_topic_short_circuit(self):
         m = TopicModel(B=np.ones((4, 1)) / 4, A=[[1.0]])
@@ -412,16 +456,30 @@ class TestPaddInfer:
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
 
     def test_matches_single_document_solver_when_dual_is_zero(self):
-        m = random_model(N=15, K=3, seed=8)
-        c = random_corpus(N=15, M=12, seed=9)
+        # a strictly positive affine minimizer X is settled as it is (all 12
+        # columns at K=3, 5 at K=4), where one iteration from q = X + nu / rho
+        # leaves it; every other column runs Douglas-Rachford from its
+        # projection, at q = w
         cfg = PaddConfig(master_iters=1)
-        comp, _ = padd_infer(m, c, cfg)
-        F = m.B.T @ normalize_corpus(c)
-        W0 = np.linalg.solve(m.B.T @ m.B, F)
-        for j in range(c.M):
-            w = solve_one_document(m.B.T @ m.B, F[:, j], W0[:, j],
-                                   max_iters=cfg.slave_iters, tol=cfg.slave_tol)
-            npt.assert_allclose(comp.W[:, j], w, atol=1e-9)
+        for K in (3, 4):
+            m = random_model(N=15, K=K, seed=8)
+            c = random_corpus(N=15, M=12, seed=9)
+            comp, diag = padd_infer(m, c, cfg)
+            Q = m.B.T @ m.B
+            F = m.B.T @ normalize_corpus(c)
+            X, nu = affine_minimizer(Q, F)
+            rho = _prox_inverse(Q, "Q")[1]
+            interior = (X > 0.0).all(axis=0)
+            assert diag.closed_form == [np.count_nonzero(interior)] and interior.any()
+            for j in range(c.M):
+                if interior[j]:
+                    w = solve_one_document(Q, F[:, j], X[:, j], q0=X[:, j] + nu[j] / rho,
+                                           max_iters=1)
+                    npt.assert_allclose(w, X[:, j], rtol=0.0, atol=1e-15)
+                else:
+                    w = solve_one_document(Q, F[:, j], X[:, j],
+                                           max_iters=cfg.slave_iters, tol=cfg.slave_tol)
+                npt.assert_allclose(comp.W[:, j], w, atol=1e-9)
 
     def test_columns_on_simplex_and_diagnostics_finite(self):
         m = random_model(N=25, K=4, seed=10)
@@ -450,11 +508,21 @@ class TestPaddInfer:
         _, diag = padd_infer(model, synth.corpus, PaddConfig(master_iters=8))
         assert diag.constraint_gap[-1] <= diag.constraint_gap[0] + 1e-12
 
-    @pytest.mark.parametrize("K, M", [(10, 5200), (7, 7400), (4, 6500)])
-    def test_thread_count_does_not_change_result_across_blocks(self, K, M, monkeypatch):
-        # every corpus spans several slave blocks, the last one partial
+    @pytest.mark.parametrize("K, M, mean_len, blocks", [
+        pytest.param(10, 5200, 40, 2, id="10-5200"),
+        pytest.param(7, 7400, 40, 2, id="7-7400"),
+        pytest.param(4, 6500, 40, 1, id="4-6500"),
+        pytest.param(4, 13800, 2, 2, id="4-13800-short"),
+    ])
+    def test_thread_count_does_not_change_result_across_blocks(self, K, M, mean_len, blocks,
+                                                                monkeypatch):
+        # every corpus spans several slave blocks, the last one partial; the
+        # first solve settles most of the 4-6500 corpus in closed form and
+        # runs Douglas-Rachford on one block of the rest, so the 4-13800
+        # corpus, whose two-word documents leave the simplex's interior more
+        # often, spans two blocks of them
         m = random_model(60, K, seed=20)
-        c = random_corpus(60, M, seed=21)
+        c = random_corpus(60, M, seed=21, mean_len=mean_len)
         monkeypatch.setattr(PaddConfig, "slave_iters", 20)
         cfg = PaddConfig(master_iters=4)
         runs = []
@@ -462,9 +530,12 @@ class TestPaddInfer:
             comp, diag = padd_infer(m, c, cfg, threads=n)
             runs.append((comp.W.tobytes(), json.dumps(vars(diag))))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+        results = json.loads(runs[0][1])
+        boundary = M - results["closed_form"][0]
+        assert -(-boundary // (padd_module.SLAVE_ENTRIES // K)) == blocks
         # rows past the first price the constraint; their dual value is
         # summed from every block
-        assert len(json.loads(runs[0][1])["dual_value"]) > 1
+        assert len(results["dual_value"]) > 1
 
     @pytest.mark.parametrize("tau0", [1.0, 2.0, 500.0, 1.7e308])
     def test_large_step_is_capped_without_warning(self, tau0):
