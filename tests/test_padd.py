@@ -305,6 +305,23 @@ class TestClosedFormSettle:
                             rtol=0.0, atol=PaddConfig.slave_tol)
         assert steps.max() <= PaddConfig.slave_tol
 
+    @pytest.mark.parametrize("K, mean_len, fits", [(20, 3, 1), (10, 2, 3)])
+    def test_affine_fit_skipped_once_a_solve_settles_nothing(self, K, mean_len, fits,
+                                                             monkeypatch):
+        # at K=20 no three-word document is interior, so only the first
+        # solve forms X; at K=10 every solve settles a few documents
+        fit = padd_module._affine_fit
+        calls = []
+        monkeypatch.setattr(padd_module, "_affine_fit",
+                            lambda Q, F: calls.append(1) or fit(Q, F))
+        m = random_model(60, K, seed=20)
+        c = random_corpus(60, 300 if K == 20 else 200, seed=21, mean_len=mean_len)
+        comp, diag = padd_infer(m, c, PaddConfig(master_iters=4))
+        assert len(diag.rounds) > 1 and all(diag.accepted)
+        assert (max(diag.closed_form) == 0) == (fits == 1)
+        assert len(calls) == fits
+        npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
+
 
 class TestPaddInfer:
     def test_single_topic_short_circuit(self):
@@ -458,8 +475,8 @@ class TestPaddInfer:
     def test_matches_single_document_solver_when_dual_is_zero(self):
         # a strictly positive affine minimizer X is settled as it is (all 12
         # columns at K=3, 5 at K=4), where one iteration from q = X + nu / rho
-        # leaves it; every other column runs Douglas-Rachford from its
-        # projection, at q = w
+        # leaves it; every other column runs Douglas-Rachford from w, its
+        # projection, at q = X
         cfg = PaddConfig(master_iters=1)
         for K in (3, 4):
             m = random_model(N=15, K=K, seed=8)
@@ -477,7 +494,7 @@ class TestPaddInfer:
                                            max_iters=1)
                     npt.assert_allclose(w, X[:, j], rtol=0.0, atol=1e-15)
                 else:
-                    w = solve_one_document(Q, F[:, j], X[:, j],
+                    w = solve_one_document(Q, F[:, j], X[:, j], q0=X[:, j],
                                            max_iters=cfg.slave_iters, tol=cfg.slave_tol)
                 npt.assert_allclose(comp.W[:, j], w, atol=1e-9)
 
@@ -516,11 +533,11 @@ class TestPaddInfer:
     ])
     def test_thread_count_does_not_change_result_across_blocks(self, K, M, mean_len, blocks,
                                                                 monkeypatch):
-        # every corpus spans several slave blocks, the last one partial; the
-        # first solve settles most of the 4-6500 corpus in closed form and
-        # runs Douglas-Rachford on one block of the rest, so the 4-13800
-        # corpus, whose two-word documents leave the simplex's interior more
-        # often, spans two blocks of them
+        # the first solve's boundary columns span two slave blocks, the last
+        # one partial, in every case but 4-6500: it settles most of that
+        # corpus in closed form and runs Douglas-Rachford on one block of
+        # the rest. The 4-13800 corpus's two-word documents leave the
+        # simplex's interior more often, so its rest spans two blocks
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21, mean_len=mean_len)
         monkeypatch.setattr(PaddConfig, "slave_iters", 20)
