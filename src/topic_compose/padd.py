@@ -27,7 +27,7 @@ from .simplex import project_simplex_columns
 # columns) run Douglas-Rachford in column blocks of a fixed number of
 # entries, so block boundaries depend only on K and the number of boundary
 # columns, and results do not depend on the worker count. Each iteration
-# makes about 40 NumPy calls per block, plus one per topic for the
+# makes about 35 NumPy calls per block, plus one per topic for the
 # projection's prefix sums; 25,600 entries (512 documents at K=50, 2,560 at
 # K=10) keep the fixed cost of those calls small against their work. A
 # padd-k10 batch of 1,024 documents leaves about 290 boundary columns, one
@@ -64,11 +64,12 @@ class PaddConfig:
     steps halve after a rejected trial and double after an accepted one,
     unless it followed a rejection or its price reached the cap. The class
     constants are not settings: slave_iters caps each solve's
-    Douglas-Rachford iterations, and slave_tol is the per-document
-    stopping threshold on a Douglas-Rachford step, the larger of the
-    infinity norms of the change in the iterate and of the gap between the
-    prox point and the iterate. Nor is the Douglas-Rachford step: every
-    solve derives it from the spectrum of its slave quadratic.
+    Douglas-Rachford iterations, and slave_tol is the threshold that every
+    document's Douglas-Rachford step in a block must meet at the same
+    iteration for the block to stop; a step is the larger of the infinity
+    norms of the change in the iterate and of the gap between the prox
+    point and the iterate. Nor is the Douglas-Rachford step: every solve
+    derives it from the spectrum of its slave quadratic.
     """
 
     master_iters: int = 15
@@ -159,7 +160,7 @@ def _prox_inverse(Q, what):
     return _symmetrize(np.linalg.inv(Q + rho * np.eye(Q.shape[0]))), rho, lo
 
 
-def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
+def _dr_block(P, C, w, q, order, max_iters, tol):
     """Relaxed Douglas-Rachford on a block of columns, from the start pair
     w and auxiliary q. w need not lie on the simplex: it enters only the
     first prox point and step. q and `order`, each column's sort order for
@@ -168,17 +169,15 @@ def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
     The quadratic's prox step is the affine map p = P (2w - q) + C. A
     column's step is the larger of |w_new - w| and |p - w| (infinity
     norms), so it converges only once the projection and the prox agree.
-    Iterates the whole block until every column's step falls below tol or
-    the cap is reached, and writes each column's projected w, its q and its
-    step at its first converged iterate (else the last) into W, Qaux and
-    steps. Returns the number of iterations run. The block matches
-    column-by-column runs only to rounding: BLAS picks its kernel by the
-    product's width, so (P @ X)[:, j] and P @ X[:, j:j+1] differ in the
-    last bits (at K=10 only a single column does; from K=25 on, other
-    widths differ too).
+    Iterates the whole block until every column's step is at most tol at
+    the same iterate, or until the cap, and returns that iterate's
+    projected w, its steps and the number of iterations run. The block
+    matches a column-by-column run of the same number of iterations only
+    to rounding: BLAS picks its kernel by the product's width, so
+    (P @ X)[:, j] and P @ X[:, j:j+1] differ in the last bits (at K=10
+    only a single column does; from K=25 on, other widths differ too).
     """
     work = np.empty_like(q)  # holds 2w - q, then RELAXATION * d, then |w_new - w|
-    active = np.ones(w.shape[1], dtype=bool)
     for iters in range(1, max_iters + 1):
         np.subtract(np.multiply(w, 2.0, out=work), q, out=work)
         d = P @ work
@@ -189,17 +188,9 @@ def _dr_block(P, C, w, q, order, max_iters, tol, W, Qaux, steps):
         np.abs(np.subtract(w_new, w, out=work), out=work)
         step = np.maximum(work.max(axis=0), np.abs(d, out=d).max(axis=0))
         w = w_new
-        newly = active & (step <= tol)
-        np.copyto(W, w, where=newly)
-        np.copyto(Qaux, q, where=newly)
-        np.copyto(steps, step, where=newly)
-        active ^= newly
-        if not active.any():
-            return iters
-    np.copyto(W, w, where=active)
-    np.copyto(Qaux, q, where=active)
-    np.copyto(steps, step, where=active)
-    return max_iters
+        if step.max() <= tol:
+            break
+    return w, step, iters
 
 
 def _affine_fit(Q, F):
@@ -217,10 +208,10 @@ def _affine_fit(Q, F):
 
 
 def _solve_slaves(P, C, X, shift, W0, Q0, order, config, threads):
-    """Solve every slave from (W0, Q0), updating order in place; returns
-    the solve's W (in X's memory if X is given), Qaux, final steps, the
-    most iterations of any block (0 if none ran) and the number of columns
-    settled in closed form.
+    """Solve every slave from (W0, Q0), updating Q0 and order in place;
+    returns the solve's W (in X's memory if X is given), Q0 as its Qaux,
+    final steps, the most iterations of any block (0 if none ran) and the
+    number of columns settled in closed form.
 
     X is each column's affine minimizer and shift its nu / rho, or both are
     None to settle nothing. Where X is strictly positive it is the column's
@@ -228,39 +219,39 @@ def _solve_slaves(P, C, X, shift, W0, Q0, order, config, threads):
     the prox point of 2X - q is X, and q projects onto X. Such a column is
     settled there, with no iteration, if that pair passes _dr_block's own
     step test on the prox point. The other columns run _dr_block, gathered
-    into blocks of their own; when none is settled they run in place, as
-    gathering and scattering every column made K=50 solves of 1,024
-    documents about 5% slower.
+    into blocks of their own and scattered back; when none is settled they
+    run in place, as gathering and scattering every column made K=50
+    solves of 1,024 documents about 5% slower.
     """
     K, M = C.shape
     W = np.empty((K, M)) if X is None else X
-    Qaux, steps = np.empty((K, M)), np.empty(M)
+    steps = np.empty(M)
     settled = np.zeros(M, dtype=bool) if X is None else (X > 0.0).all(axis=0)
     if settled.any():
-        np.add(X, shift, out=Qaux)
-        d = P @ (2.0 * X - Qaux)
+        Qs = X + shift
+        d = P @ (2.0 * X - Qs)
         d += C
         d -= X
         np.abs(d, out=d).max(axis=0, out=steps)
         settled &= steps <= config.slave_tol
+        np.copyto(Q0, Qs, where=settled)
     rest = np.flatnonzero(~settled)
-    if rest.size < M:
-        Cr, W0r, Q0r, order_r = C[:, rest], W0[:, rest], Q0[:, rest], order[:, rest]
-        Wr, Qr, steps_r = np.empty((K, rest.size)), np.empty((K, rest.size)), np.empty(rest.size)
-    else:
-        Cr, W0r, Q0r, order_r, Wr, Qr, steps_r = C, W0, Q0, order, W, Qaux, steps
+    gather = rest.size < M
+    Cr, W0r, Q0r, order_r = (a[:, rest] if gather else a for a in (C, W0, Q0, order))
+    Wr, steps_r = (np.empty((K, rest.size)), np.empty(rest.size)) if gather else (W, steps)
     iters = [0]
 
     def run(span):
         s = slice(*span)
-        iters.append(_dr_block(P, Cr[:, s], W0r[:, s], Q0r[:, s], order_r[:, s],
-                               config.slave_iters, config.slave_tol,
-                               Wr[:, s], Qr[:, s], steps_r[s]))
+        Wr[:, s], steps_r[s], block_iters = _dr_block(
+            P, Cr[:, s], W0r[:, s], Q0r[:, s], order_r[:, s],
+            config.slave_iters, config.slave_tol)
+        iters.append(block_iters)
 
     map_chunks(rest.size, max(1, SLAVE_ENTRIES // K), run, threads)
-    if rest.size < M:
-        W[:, rest], Qaux[:, rest], steps[rest], order[:, rest] = Wr, Qr, steps_r, order_r
-    return W, Qaux, steps, max(iters), M - rest.size
+    if gather:
+        W[:, rest], Q0[:, rest], steps[rest], order[:, rest] = Wr, Q0r, steps_r, order_r
+    return W, Q0, steps, max(iters), M - rest.size
 
 
 def padd_infer(model, corpus, config=None, threads=1):

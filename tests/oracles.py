@@ -212,16 +212,15 @@ def solve_one_document(Q, f, w0, q0=None, max_iters=PaddConfig.slave_iters,
                        tol=PaddConfig.slave_tol):
     """Minimize w^T Q w / 2 - f^T w over the simplex from w0 projected onto
     it and the auxiliary q0 (default: that projection) with PADD's own prox
-    and Douglas-Rachford block on one column. Raises RuntimeError, as a
-    master round does, unless Q is positive definite."""
+    and Douglas-Rachford block on one column; a tol below 0 runs exactly
+    max_iters iterations. Raises RuntimeError, as a master round does,
+    unless Q is positive definite."""
     G, rho, _ = _prox_inverse(Q, "Q")
     order = np.arange(len(w0))[:, None]
     w = project_simplex_columns(w0[:, None], order=order)
     q = w.copy() if q0 is None else np.array(q0, dtype=np.float64)[:, None]
-    out = np.empty_like(w)
-    _dr_block(rho * G, G @ f[:, None], w, q, order, max_iters, tol,
-              out, np.empty_like(w), np.empty(1))
-    return out[:, 0]
+    w, _, _ = _dr_block(rho * G, G @ f[:, None], w, q, order, max_iters, tol)
+    return w[:, 0]
 
 
 def affine_minimizer(Q, F):

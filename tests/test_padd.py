@@ -76,6 +76,27 @@ def drawn_instance(K, M, length):
     return model, corpus, padd_module.PRICE_CAP * np.linalg.eigvalsh(B.T @ B)[0]
 
 
+def near_boundary_instance(exact=40, noisy=200):
+    """random_model(N=60, K=20, seed=20) with `noisy` three-word documents,
+    none of them interior, and `exact` documents of 1e11 words whose word
+    frequencies are B v for a v with one entry of -1e-8: the first solve's
+    Douglas-Rachford start is within about 1e-8 of their solutions, so
+    they pass the step test at the first iteration, while the noisy
+    documents take dozens; returns the model and the corpus."""
+    m = random_model(N=60, K=20, seed=20)
+    rng = np.random.default_rng(21)
+    V = rng.dirichlet(np.ones(20), size=exact).T
+    V[rng.integers(20, size=exact), np.arange(exact)] = -1e-8
+    V /= V.sum(axis=0)
+    counts = np.rint(m.B @ V * 1e11).astype(np.int64)
+    c = random_corpus(N=60, M=noisy, seed=21, mean_len=3)
+    corpus = Corpus(docs=np.concatenate([c.docs, noisy + np.repeat(np.arange(exact), 60)]),
+                    words=np.concatenate([c.words, np.tile(np.arange(60), exact)]),
+                    counts=np.concatenate([c.counts, counts.T.ravel()]),
+                    M=noisy + exact, N=60)
+    return m, corpus
+
+
 class TestDualStep:
     @pytest.mark.parametrize("K, M, length, tau0", [(5, 3000, 100, 1.0), (4, 2000, 50, 16.0)])
     def test_backtracking_step(self, K, M, length, tau0):
@@ -279,10 +300,9 @@ class TestClosedFormSettle:
         assert np.count_nonzero(interior) > 50
         G, rho, _ = _prox_inverse(Q, "Q")
         Xi = X[:, interior]
-        W, steps = np.empty_like(Xi), np.empty(Xi.shape[1])
-        iters = padd_module._dr_block(rho * G, G @ F[:, interior], Xi, Xi + nu[interior] / rho,
-                                      np.argsort(-Xi, axis=0), 1, PaddConfig.slave_tol,
-                                      W, np.empty_like(W), steps)
+        W, steps, iters = padd_module._dr_block(rho * G, G @ F[:, interior], Xi,
+                                                Xi + nu[interior] / rho, np.argsort(-Xi, axis=0),
+                                                1, PaddConfig.slave_tol)
         assert iters == 1
         assert steps.max() <= PaddConfig.slave_tol
         assert np.abs(W - Xi).max() <= 1e-15
@@ -321,6 +341,58 @@ class TestClosedFormSettle:
         assert (max(diag.closed_form) == 0) == (fits == 1)
         assert len(calls) == fits
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
+
+
+class TestDouglasRachfordBlock:
+    @staticmethod
+    def first_solve_block(m, c):
+        """The first solve's Douglas-Rachford operands at Gamma = 0 and its
+        start (project(X), X) for every column."""
+        Q = m.B.T @ m.B
+        F = m.B.T @ normalize_corpus(c)
+        G, rho, _ = _prox_inverse(Q, "Q")
+        X, _ = padd_module._affine_fit(Q, F)
+        order = np.repeat(np.arange(m.K)[:, None], c.M, axis=1)
+        return rho * G, G @ F, project_simplex_columns(X, order=order), X, order
+
+    def test_block_returns_one_iterate_for_all_its_columns(self):
+        # the near-exact documents pass the step test long before the noisy
+        # ones; every column is returned at the block's last iterate, as a
+        # run of that many iterations without the early stop returns it
+        P, C, w, q, order = self.first_solve_block(*near_boundary_instance())
+        _, first, _ = padd_module._dr_block(P, C, w, q.copy(), order.copy(), 1, -math.inf)
+        early = first <= PaddConfig.slave_tol
+        assert 0 < np.count_nonzero(early) < early.size
+        q1, order1 = q.copy(), order.copy()
+        w1, steps1, iters = padd_module._dr_block(P, C, w, q1, order1, PaddConfig.slave_iters,
+                                                  PaddConfig.slave_tol)
+        assert 1 < iters < PaddConfig.slave_iters
+        assert steps1.max() <= PaddConfig.slave_tol
+        q2, order2 = q.copy(), order.copy()
+        w2, steps2, iters2 = padd_module._dr_block(P, C, w, q2, order2, iters, -math.inf)
+        assert iters2 == iters
+        for got, want in ((w1, w2), (q1, q2), (steps1, steps2), (order1, order2)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_diagnostics_at_the_slave_cap_read_the_last_iterate(self, monkeypatch):
+        # three iterations pass the near-exact documents but not the noisy
+        # ones; the diagnostics count and average the steps of the third
+        monkeypatch.setattr(PaddConfig, "slave_iters", 3)
+        m, c = near_boundary_instance()
+        block, starts = padd_module._dr_block, []
+
+        def spy(P, C, w, q, order, max_iters, tol):
+            starts.append((P, C, w, q.copy(), order.copy()))
+            return block(P, C, w, q, order, max_iters, tol)
+
+        monkeypatch.setattr(padd_module, "_dr_block", spy)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=1))
+        assert diag.closed_form == [0] and diag.dr_iters == [3] and len(starts) == 1
+        _, last, _ = block(*starts[0], 3, -math.inf)
+        passed = int(np.count_nonzero(last <= PaddConfig.slave_tol))
+        assert 0 < passed < c.M
+        assert diag.docs_converged == [passed]
+        assert diag.mean_final_step == [float(last.mean())]
 
 
 class TestPaddInfer:
@@ -476,7 +548,8 @@ class TestPaddInfer:
         # a strictly positive affine minimizer X is settled as it is (all 12
         # columns at K=3, 5 at K=4), where one iteration from q = X + nu / rho
         # leaves it; every other column runs Douglas-Rachford from w, its
-        # projection, at q = X
+        # projection, at q = X, in one block that stops only once all of them
+        # pass, so each matches a run of that block's iteration count
         cfg = PaddConfig(master_iters=1)
         for K in (3, 4):
             m = random_model(N=15, K=K, seed=8)
@@ -495,7 +568,7 @@ class TestPaddInfer:
                     npt.assert_allclose(w, X[:, j], rtol=0.0, atol=1e-15)
                 else:
                     w = solve_one_document(Q, F[:, j], X[:, j], q0=X[:, j],
-                                           max_iters=cfg.slave_iters, tol=cfg.slave_tol)
+                                           max_iters=diag.dr_iters[0], tol=-math.inf)
                 npt.assert_allclose(comp.W[:, j], w, atol=1e-9)
 
     def test_columns_on_simplex_and_diagnostics_finite(self):
