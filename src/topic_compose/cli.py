@@ -63,6 +63,19 @@ def _positive_int(text):
     return v
 
 
+def _checked_float(check):
+    """An argparse type: a float that `check`, a library constructor, does
+    not reject with ValueError; argparse then names the flag and exits 2
+    before any file is read or written."""
+    def parse(text):
+        try:
+            check(float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return float(text)
+    return parse
+
+
 def _length(text):
     """--len value: an integer or poisson:<mean>; the length models own the
     range rule."""
@@ -177,7 +190,7 @@ def cmd_infer(args):
             resolved.update(dataclasses.asdict(tcfg))
             results = {"inverse_magnitude": inverse.magnitude, "inverse_bias": inverse.bias}
         elif args.method == "padd":
-            pcfg = PaddConfig(master_iters=args.master_iters, tau0=args.tau0)
+            pcfg = PaddConfig(master_iters=args.master_iters)
             comp, diagnostics = padd_infer(model, corpus, pcfg, threads=args.threads)
             results = vars(diagnostics)
             resolved.update(dataclasses.asdict(pcfg))
@@ -224,7 +237,8 @@ def build_parser():
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
     ps.add_argument("--prior", choices=("dirichlet", "logistic-normal"),
                     default="dirichlet")
-    ps.add_argument("--alpha-scale", type=float, default=None,
+    ps.add_argument("--alpha-scale", type=_checked_float(lambda v: DirichletPrior([v])),
+                    default=None,
                     help="dirichlet: total concentration, split evenly over topics "
                          f"(default {ALPHA_SCALE})")
     ps.add_argument("--mu", help="logistic-normal: TSV vector for the mean")
@@ -243,14 +257,13 @@ def build_parser():
     pi.add_argument("--seed", type=int, default=0,
                     help="only the rand method consumes randomness")
     pi.add_argument("--threads", type=_positive_int, default=1)
-    pi.add_argument("--delta", type=float, default=TliConfig.delta,
-                    help="tli: allowed bias of the left inverse")
-    pi.add_argument("--threshold-divisor", type=float, default=TliConfig.threshold_divisor,
+    pi.add_argument("--delta", type=_checked_float(lambda v: TliConfig(delta=v)),
+                    default=TliConfig.delta, help="tli: allowed bias of the left inverse")
+    pi.add_argument("--threshold-divisor", default=TliConfig.threshold_divisor,
+                    type=_checked_float(lambda v: TliConfig(threshold_divisor=v)),
                     help="tli: scales down the worst-case noise threshold")
-    pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters)
-    pi.add_argument("--tau0", type=float, default=PaddConfig.tau0,
-                    help="padd: first trial step on the per-document dual price; "
-                         "later steps double or halve")
+    pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters,
+                    help="padd: most slave solves, rejected trials included")
     pi.set_defaults(func=cmd_infer)
 
     pe = sub.add_parser("eval", help="score predicted compositions against truth")

@@ -13,6 +13,7 @@ closed-form quadratic prox with simplex projection.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -53,6 +54,9 @@ PRICE_CAP = 0.1
 # of the radius, and on the cap it is a gradient that points straight out.
 DUAL_TOL = 0.01
 
+# The master's first trial step on the per-document price (`padd_infer`).
+FIRST_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class PaddConfig:
@@ -60,28 +64,23 @@ class PaddConfig:
 
     master_iters caps the slave solves, rejected trial steps included; the
     master stops earlier once the constraint holds or the price stops
-    moving. tau0 is the first trial step on the per-document price; later
-    steps halve after a rejected trial and double after an accepted one,
-    unless it followed a rejection or its price reached the cap. The class
-    constants are not settings: slave_iters caps each solve's
-    Douglas-Rachford iterations, and slave_tol is the threshold that every
-    document's Douglas-Rachford step in a block must meet at the same
-    iteration for the block to stop; a step is the larger of the infinity
-    norms of the change in the iterate and of the gap between the prox
-    point and the iterate. Nor is the Douglas-Rachford step: every solve
-    derives it from the spectrum of its slave quadratic.
+    moving. The class constants are not settings: slave_iters caps each
+    solve's Douglas-Rachford iterations, and slave_tol is the threshold
+    that every document's Douglas-Rachford step in a block must meet at the
+    same iteration for the block to stop; a step is the larger of the
+    infinity norms of the change in the iterate and of the gap between the
+    prox point and the iterate. Nor are the steps: the master's first is
+    FIRST_STEP, and every solve derives its Douglas-Rachford step from the
+    spectrum of its slave quadratic.
     """
 
     master_iters: int = 15
-    tau0: float = 1.0
     slave_iters: ClassVar[int] = 150
     slave_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
-        if self.master_iters < 1:
-            raise ValueError("master_iters must be >= 1")
-        if not (self.tau0 > 0.0 and math.isfinite(self.tau0)):
-            raise ValueError(f"tau0 must be > 0, got {self.tau0!r}")
+        if not (isinstance(self.master_iters, numbers.Integral) and self.master_iters >= 1):
+            raise ValueError(f"master_iters must be an integer >= 1, got {self.master_iters!r}")
 
 
 @dataclass
@@ -277,12 +276,12 @@ def padd_infer(model, corpus, config=None, threads=1):
     none, no later solve forms X. The others are re-solved at the trial
     price from the last accepted Douglas-Rachford state; in the first
     solve, at Gamma = 0, from the state w = project(X), q = X. The trial
-    is accepted if phi did not fall, else it is
-    discarded; s starts at tau0, halves after a rejection and doubles
-    after an acceptance that neither followed a rejection nor reached the
-    cap. The master stops once an accepted solve's gap ||moment - A|| is
-    at most the radius, once its `_dual_residual` is below DUAL_TOL *
-    radius, or after config.master_iters solves.
+    is accepted if phi did not fall, else it is discarded; s starts at
+    FIRST_STEP, halves after a rejection and doubles after an acceptance
+    that neither followed a rejection nor reached the cap. The master
+    stops once an accepted solve's gap ||moment - A|| is at most the
+    radius, once its `_dual_residual` is below DUAL_TOL * radius, or after
+    config.master_iters solves.
 
     The cap keeps lambda_min(Q) >= 0.9 lambda_min(B^T B), so a trial's Q
     fails `_prox_inverse`'s check only when B^T B's condition exceeds about
@@ -304,7 +303,7 @@ def padd_infer(model, corpus, config=None, threads=1):
     order = np.repeat(np.arange(K)[:, None], M, axis=1)
     G, rho_trial, min_eig = _prox_inverse(BtB, "slave quadratic Q = B^T B")
     cap = PRICE_CAP * min_eig
-    trial, capped, s, phi, grow = np.zeros((K, K)), False, config.tau0, -math.inf, True
+    trial, capped, s, phi, grow = np.zeros((K, K)), False, FIRST_STEP, -math.inf, True
     settle = True  # cleared by an accepted solve that settles no document
 
     for t in range(1, config.master_iters + 1):

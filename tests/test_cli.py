@@ -20,6 +20,7 @@ from topic_compose import (
     write_dense_tsv,
 )
 from topic_compose.cli import build_parser, main
+import topic_compose.padd as padd_module
 from topic_compose.padd import PRICE_CAP
 
 from conftest import random_corpus, random_model, write_model
@@ -236,7 +237,8 @@ class TestInfer:
                                       ("--gamma", "3.0"),
                                       ("--lambda", "1.5"),
                                       ("--slave-iters", "40"),
-                                      ("--diagnostics", "d.tsv")])
+                                      ("--diagnostics", "d.tsv"),
+                                      ("--tau0", "1.0")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
@@ -246,12 +248,12 @@ class TestInfer:
         assert run("infer", "--method", "tli", "--model", model_dir, "--corpus", corpus_path,
                    "--out", tmp_path / "o", "--tli-solver", "lp") == 2
 
-    def test_padd_large_tau0_is_capped(self, model_dir, corpus_path, tmp_path):
-        # a step that would make Q indefinite is capped instead of failing
+    def test_padd_large_tau0_is_capped(self, model_dir, corpus_path, tmp_path, monkeypatch):
+        # a first step that would make Q indefinite is capped instead of failing
         out = tmp_path / "o"
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 500.0)
         assert run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", out,
-                   "--tau0", "500", "--master-iters", 6) == 0
+                   "--corpus", corpus_path, "--out", out, "--master-iters", 6) == 0
         results = json.loads((out / "manifest.json").read_text())["results"]
         B = load_model(model_dir).B
         lo = np.linalg.eigvalsh(B.T @ B)[0]
@@ -563,11 +565,28 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ("synth", "--docs", 5, "--seed", "x"),
         ("synth", "--docs", 5, "--alpha-scale", "x"),
-        ("infer", "--method", "padd", "--corpus", "c.tsv", "--tau0", "x"),
+        ("infer", "--method", "padd", "--corpus", "c.tsv", "--master-iters", "x"),
         ("infer", "--method", "tli", "--corpus", "c.tsv", "--threshold-divisor", "x"),
     ])
     def test_non_numeric_value_is_usage_error(self, model_dir, tmp_path, argv):
         assert run(*argv, "--model", model_dir, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("synth", "--docs", 5, "--alpha-scale", "-1"), "--alpha-scale"),
+        (("synth", "--docs", 5, "--alpha-scale", "inf"), "--alpha-scale"),
+        (("infer", "--method", "tli", "--delta", "-1"), "--delta"),
+        (("infer", "--method", "tli", "--delta", "nan"), "--delta"),
+        (("infer", "--method", "tli", "--threshold-divisor", "0"), "--threshold-divisor"),
+        (("infer", "--method", "tli", "--threshold-divisor", "inf"), "--threshold-divisor"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, model_dir, corpus_path, tmp_path,
+                                               capsys, argv, flag):
+        # the library's own range check runs while the flags are parsed, so
+        # no output directory is made
+        corpus = ("--corpus", corpus_path) if argv[0] == "infer" else ()
+        assert run(*argv, *corpus, "--model", model_dir, "--out", tmp_path / "o") == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_zero(self, capsys):
@@ -635,7 +654,7 @@ MANIFEST_KEYS = {
     "infer-rand": ({"method", "model", "corpus", "threads"}, set()),
     "infer-tli": ({"method", "model", "corpus", "threads", "delta", "threshold_divisor"},
                   {"inverse_magnitude", "inverse_bias"}),
-    "infer-padd": ({"method", "model", "corpus", "threads", "master_iters", "tau0"},
+    "infer-padd": ({"method", "model", "corpus", "threads", "master_iters"},
                    {f.name for f in dataclasses.fields(PaddDiagnostics)}),
     "eval": ({"truth", "pred", "prior"}, set()),
 }

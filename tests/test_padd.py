@@ -98,14 +98,16 @@ def near_boundary_instance(exact=40, noisy=200):
 
 
 class TestDualStep:
-    @pytest.mark.parametrize("K, M, length, tau0", [(5, 3000, 100, 1.0), (4, 2000, 50, 16.0)])
-    def test_backtracking_step(self, K, M, length, tau0):
-        # the first trial steps tau0; a rejected trial halves the step, and
-        # an accepted one doubles it unless it followed a rejection or its
-        # price reached the cap
+    @pytest.mark.parametrize("K, M, length, first_step",
+                             [(5, 3000, 100, 1.0), (4, 2000, 50, 16.0)])
+    def test_backtracking_step(self, K, M, length, first_step, monkeypatch):
+        # the first trial steps FIRST_STEP; a rejected trial halves the
+        # step, and an accepted one doubles it unless it followed a
+        # rejection or its price reached the cap
         m, c, cap = drawn_instance(K, M, length)
-        _, diag = padd_infer(m, c, PaddConfig(tau0=tau0))
-        assert diag.tau[:2] == [0.0, tau0]
+        monkeypatch.setattr(padd_module, "FIRST_STEP", first_step)
+        _, diag = padd_infer(m, c)
+        assert diag.tau[:2] == [0.0, first_step]
         assert diag.accepted[0] and not all(diag.accepted)
         rows = list(zip(diag.accepted, diag.tau, diag.dual_norm))
         assert len(rows) > 3
@@ -114,11 +116,11 @@ class TestDualStep:
             assert tau_next == (tau / 2.0 if not ok else tau if capped or not ok_before
                                 else 2.0 * tau)
 
-    @pytest.mark.parametrize("tau0, capped", [(0.01, False), (0.1, True)])
-    def test_trial_price_is_shrunk_gradient_step(self, tau0, capped, monkeypatch):
-        # the first trial price is the gradient step (moment - A) * tau0 / 2,
-        # moved toward 0 by tau0 * radius / 2 in Frobenius norm, with its
-        # norm then capped at PRICE_CAP * lambda_min(B^T B)
+    @pytest.mark.parametrize("first_step, capped", [(0.01, False), (0.1, True)])
+    def test_trial_price_is_shrunk_gradient_step(self, first_step, capped, monkeypatch):
+        # the first trial price is the gradient step (moment - A) * s / 2 at
+        # s = FIRST_STEP, moved toward 0 by s * radius / 2 in Frobenius
+        # norm, with its norm then capped at PRICE_CAP * lambda_min(B^T B)
         m = random_model(N=20, K=3, seed=3)
         c = random_corpus(N=20, M=30, seed=4)
         W1 = padd_infer(m, c, PaddConfig(master_iters=1))[0].W
@@ -130,11 +132,12 @@ class TestDualStep:
             return prox(Q, what)
 
         monkeypatch.setattr(padd_module, "_prox_inverse", spy)
-        _, diag = padd_infer(m, c, PaddConfig(master_iters=2, tau0=tau0))
+        monkeypatch.setattr(padd_module, "FIRST_STEP", first_step)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=2))
         excess = _symmetrize(W1 @ W1.T) / c.M - m.A
-        step = tau0 / 2.0 * excess
+        step = first_step / 2.0 * excess
         norm = np.linalg.norm(step)
-        shrunk = norm - tau0 / 2.0 * diag.radius
+        shrunk = norm - first_step / 2.0 * diag.radius
         assert (shrunk > cap) == capped
         want = step * (min(shrunk, cap) / norm)
         npt.assert_allclose(quadratics[1] - m.B.T @ m.B, want, rtol=0.0, atol=1e-15)
@@ -158,10 +161,11 @@ class TestDualStep:
         assert residual(2.0 * u, True, 0.5 * u, 1.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("K, M, seed", [(3, 40, 1), (4, 200, 3), (10, 500, 3)])
-    def test_dual_value_never_falls_between_accepted_rows(self, K, M, seed):
+    def test_dual_value_never_falls_between_accepted_rows(self, K, M, seed, monkeypatch):
         m = random_model(N=60, K=K, seed=seed)
         c = random_corpus(N=60, M=M, seed=seed + 1)
-        _, diag = padd_infer(m, c, PaddConfig(master_iters=10, tau0=0.5))
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 0.5)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=10))
         phi = [v for v, ok in zip(diag.dual_value, diag.accepted) if ok]
         assert len(phi) > 2
         assert all(b >= a for a, b in zip(phi, phi[1:]))
@@ -183,7 +187,8 @@ class TestPaddConfig:
     def test_defaults(self):
         cfg = PaddConfig()
         assert padd_module.RELAXATION == 1.9
-        assert cfg.master_iters == 15 and cfg.tau0 == 1.0 and cfg.slave_iters == 150
+        assert padd_module.FIRST_STEP == 1.0
+        assert cfg.master_iters == 15 and cfg.slave_iters == 150
         assert cfg.slave_tol == 1e-7
 
     @pytest.mark.parametrize(
@@ -191,11 +196,11 @@ class TestPaddConfig:
         [
             {"master_iters": 0},
             {"master_iters": -1},
-            {"tau0": 0.0},
-            {"tau0": -1.0},
-            {"tau0": math.inf},
-            {"tau0": math.nan},
-            {"tau0": -math.inf},
+            {"master_iters": 1.5},
+            {"master_iters": math.nan},
+            {"master_iters": math.inf},
+            {"master_iters": "3"},
+            {"master_iters": None},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -203,7 +208,7 @@ class TestPaddConfig:
             PaddConfig(**kwargs)
 
     def test_slave_constants_are_not_settings(self):
-        assert [f.name for f in dataclasses.fields(PaddConfig)] == ["master_iters", "tau0"]
+        assert [f.name for f in dataclasses.fields(PaddConfig)] == ["master_iters"]
         with pytest.raises(TypeError):
             PaddConfig(slave_iters=5)
 
@@ -422,7 +427,7 @@ class TestPaddInfer:
         A_matched = (P + P.T) / (2.0 * comp1.M)
         return m0, c, comp1, TopicModel(B=m0.B, A=A_matched)
 
-    def test_zero_gap_keeps_dual_at_zero_and_stops(self, tight):
+    def test_zero_gap_keeps_dual_at_zero_and_stops(self, tight, monkeypatch):
         m0, c, comp1, m = self._matched_instance()
         comp2, diag = padd_infer(m, c, PaddConfig(master_iters=6))
         # round 1 re-derives the same solutions, inside the radius
@@ -430,29 +435,33 @@ class TestPaddInfer:
         assert diag.constraint_gap[0] <= 1e-9 < diag.radius
         assert diag.dual_norm == [0.0]
         npt.assert_allclose(comp2.W, comp1.W, atol=1e-9)
-        # the smallest tau0 makes every trial price underflow to exactly
-        # zero while the gap stays open, so the shrink meets a zero matrix
+        # the smallest first step makes every trial price underflow to
+        # exactly zero while the gap stays open, so the shrink meets a zero
+        # matrix
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 5e-324)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            comp4, diag4 = padd_infer(m0, c, PaddConfig(master_iters=4, tau0=5e-324))
+            comp4, diag4 = padd_infer(m0, c, PaddConfig(master_iters=4))
         assert diag4.dual_norm == [0.0] * 4
         assert min(diag4.constraint_gap) > 0.1
         npt.assert_allclose(comp4.W, comp1.W, atol=1e-9)
 
-    def test_met_constraint_stops_before_a_large_dual_step(self, tight):
+    def test_met_constraint_stops_before_a_large_dual_step(self, tight, monkeypatch):
         # the gap is ~1e-14 of ||A||, inside the radius, so the master
         # returns after round 1 without trying a step of 1e9
         _, c, comp1, m = self._matched_instance()
-        comp, diag = padd_infer(m, c, PaddConfig(master_iters=6, tau0=1e9))
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 1e9)
+        comp, diag = padd_infer(m, c, PaddConfig(master_iters=6))
         assert diag.rounds == [1]
         assert diag.constraint_gap[0] <= diag.radius
         npt.assert_allclose(comp.W, comp1.W, atol=1e-9)
 
-    def test_tiny_dual_step_does_not_stop_the_master(self):
+    def test_tiny_dual_step_does_not_stop_the_master(self, monkeypatch):
         # the stop looks at the constraint, not at the size of the dual move
         m = random_model(N=20, K=3, seed=5)
         c = random_corpus(N=20, M=30, seed=6)
-        _, diag = padd_infer(m, c, PaddConfig(master_iters=4, tau0=1e-12))
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 1e-12)
+        _, diag = padd_infer(m, c, PaddConfig(master_iters=4))
         assert diag.rounds == [1, 2, 3, 4]
         assert min(diag.constraint_gap) > diag.radius
 
@@ -582,7 +591,7 @@ class TestPaddInfer:
         for field in (diag.tau, diag.constraint_gap, diag.mean_loss, diag.dual_value,
                       diag.dual_norm, diag.mean_final_step, diag.prox_min_eig):
             assert np.isfinite(field).all()
-        assert diag.tau[:2] == [0.0, cfg.tau0]
+        assert diag.tau[:2] == [0.0, padd_module.FIRST_STEP]
         assert diag.accepted[0] is True
         assert 0 < min(diag.dr_iters) and max(diag.dr_iters) <= cfg.slave_iters
         assert 0.0 < diag.radius < diag.constraint_gap[0]
@@ -603,14 +612,18 @@ class TestPaddInfer:
         pytest.param(7, 7400, 40, 2, id="7-7400"),
         pytest.param(4, 6500, 40, 1, id="4-6500"),
         pytest.param(4, 13800, 2, 2, id="4-13800-short"),
+        pytest.param(20, 3000, 3, 3, id="20-3000-none"),
     ])
     def test_thread_count_does_not_change_result_across_blocks(self, K, M, mean_len, blocks,
                                                                 monkeypatch):
         # the first solve's boundary columns span two slave blocks, the last
-        # one partial, in every case but 4-6500: it settles most of that
-        # corpus in closed form and runs Douglas-Rachford on one block of
-        # the rest. The 4-13800 corpus's two-word documents leave the
-        # simplex's interior more often, so its rest spans two blocks
+        # one partial, in every case but 4-6500 and 20-3000: 4-6500 settles
+        # most of that corpus in closed form and runs Douglas-Rachford on
+        # one block of the rest. The 4-13800 corpus's two-word documents
+        # leave the simplex's interior more often, so its rest spans two
+        # blocks. At K=20 no three-word document is interior, so the first
+        # solve settles none and runs all 3,000 columns in place, in three
+        # blocks of at most 1,280
         m = random_model(60, K, seed=20)
         c = random_corpus(60, M, seed=21, mean_len=mean_len)
         monkeypatch.setattr(PaddConfig, "slave_iters", 20)
@@ -622,26 +635,28 @@ class TestPaddInfer:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         results = json.loads(runs[0][1])
         boundary = M - results["closed_form"][0]
+        assert (boundary == M) == (K == 20)
         assert -(-boundary // (padd_module.SLAVE_ENTRIES // K)) == blocks
         # rows past the first price the constraint; their dual value is
         # summed from every block
         assert len(results["dual_value"]) > 1
 
-    @pytest.mark.parametrize("tau0", [1.0, 2.0, 500.0, 1.7e308])
-    def test_large_step_is_capped_without_warning(self, tau0):
+    @pytest.mark.parametrize("first_step", [1.0, 2.0, 500.0, 1.7e308])
+    def test_large_step_is_capped_without_warning(self, first_step, monkeypatch):
         # these steps on the per-document price are 20, 40 and 10,000 on the
-        # old scale of the summed price (tau0 * M / 2 at M = 40), where an
+        # old scale of the summed price (s * M / 2 at M = 40), where an
         # uncapped step made Q indefinite at round 2; the cap keeps every Q
         # positive definite, and a capped step is not lengthened
         m = random_model(N=20, K=3, seed=1)
         c = random_corpus(N=20, M=40, seed=2)
         lo = np.linalg.eigvalsh(m.B.T @ m.B)[0]
         cap = padd_module.PRICE_CAP * lo
+        monkeypatch.setattr(padd_module, "FIRST_STEP", first_step)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            comp, diag = padd_infer(m, c, PaddConfig(tau0=tau0, master_iters=6))
+            comp, diag = padd_infer(m, c, PaddConfig(master_iters=6))
         assert len(diag.rounds) > 2 and all(diag.accepted)
-        assert diag.tau[1:] == [tau0] * (len(diag.rounds) - 1)
+        assert diag.tau[1:] == [first_step] * (len(diag.rounds) - 1)
         assert diag.dual_norm[1:] == pytest.approx([cap] * (len(diag.rounds) - 1), rel=1e-12)
         assert min(diag.prox_min_eig) >= (lo - cap) * (1.0 - 1e-12)
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
@@ -661,8 +676,8 @@ class TestPaddInfer:
         lo, hi = (float(v) for v in str(err.value).split("[")[1].rstrip("]").split(", "))
         assert abs(lo) < 1e-12 < hi
 
-    @pytest.mark.parametrize("tau0", [0.5, 1.0, 1.2, 2.0, 5.0])
-    def test_skew_that_the_model_accepts_does_not_stop_padd(self, tau0, monkeypatch):
+    @pytest.mark.parametrize("first_step", [0.5, 1.0, 1.2, 2.0, 5.0])
+    def test_skew_that_the_model_accepts_does_not_stop_padd(self, first_step, monkeypatch):
         # TopicModel accepts skew up to SYM_TOL; kept in A, it built up in
         # the dual round by round. It stores A as (A + A^T) / 2, so the dual
         # and every round's Q = B^T B + Lambda / M stay exactly symmetric.
@@ -678,8 +693,8 @@ class TestPaddInfer:
             return prox(Q, what)
 
         monkeypatch.setattr(padd_module, "_prox_inverse", spy)
-        comp, diag = padd_infer(m, random_corpus(N=40, M=200, seed=4),
-                                PaddConfig(tau0=tau0))
+        monkeypatch.setattr(padd_module, "FIRST_STEP", first_step)
+        comp, diag = padd_infer(m, random_corpus(N=40, M=200, seed=4))
         npt.assert_allclose(comp.W.sum(axis=0), 1.0, atol=1e-12)
         assert len(quadratics) == len(diag.rounds) > 1
         for Q in quadratics:
@@ -724,8 +739,8 @@ class TestPaddInfer:
         # a round that resumes the Douglas-Rachford state stops at once
         m = random_model(N=200, K=10, seed=3)
         c = random_corpus(N=200, M=500, seed=4)
-        cfg = dict(tau0=1e-12)
-        W1 = padd_infer(m, c, PaddConfig(master_iters=1, **cfg))[0].W
+        monkeypatch.setattr(padd_module, "FIRST_STEP", 1e-12)
+        W1 = padd_infer(m, c, PaddConfig(master_iters=1))[0].W
         calls, per_round = [], []
         project, solve = padd_module.project_simplex_columns, padd_module._solve_slaves
 
@@ -741,7 +756,7 @@ class TestPaddInfer:
 
         monkeypatch.setattr(padd_module, "project_simplex_columns", spy)
         monkeypatch.setattr(padd_module, "_solve_slaves", counted)
-        config = PaddConfig(master_iters=4, **cfg)
+        config = PaddConfig(master_iters=4)
         comp, _ = padd_infer(m, c, config)
         assert len(per_round) == 4
         assert max(per_round[1:]) <= 2
