@@ -237,7 +237,8 @@ def build_parser():
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
     ps.add_argument("--prior", choices=("dirichlet", "logistic-normal"),
                     default="dirichlet")
-    ps.add_argument("--alpha-scale", type=_checked_float(lambda v: DirichletPrior([v])),
+    ps.add_argument("--alpha-scale",
+                    type=_checked_float(lambda v: DirichletPrior.symmetric(1, v)),
                     default=None,
                     help="dirichlet: total concentration, split evenly over topics "
                          f"(default {ALPHA_SCALE})")

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .model import CompositionMatrix, normalize_corpus, word_topic_posterior
+from .model import CompositionMatrix, freeze_fields, normalize_corpus, word_topic_posterior
 from .parallel import map_chunks
 
 BIAS_TOL = 1e-6  # slack on the bias budget, and the largest rounding error a row may carry
@@ -65,8 +65,7 @@ class TliInverse:
             raise ValueError("Bdagger must be a matrix")
         if not np.isfinite(Bd).all():
             raise ValueError("Bdagger contains non-finite entries")
-        Bd.setflags(write=False)
-        object.__setattr__(self, "Bdagger", Bd)
+        freeze_fields(self, Bdagger=Bd)
         object.__setattr__(self, "magnitude", float(np.abs(Bd).max()))
 
 

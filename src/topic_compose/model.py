@@ -25,6 +25,14 @@ _FLOAT_FMT = "%.17g"   # round-trips float64 exactly
 WRITE_BLOCK = 8192
 
 
+def freeze_fields(record, **arrays):
+    """Set each keyword array, made read-only, as that field of the frozen
+    dataclass `record`; for use in its __post_init__."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 def _clean_nonnegative(X, name):
     """Validate entries of X are >= -NEG_TOL, clamping rounding noise to 0."""
     if not np.isfinite(X).all():
@@ -71,10 +79,7 @@ class TopicModel:
         total = float(A.sum())
         if abs(total - 1.0) > COL_SUM_TOL:
             raise ValueError(f"entries of A sum to {total!r}, expected 1")
-        B.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "A", A)
+        freeze_fields(self, B=B, A=A)
 
     @property
     def N(self):
@@ -103,8 +108,7 @@ class CompositionMatrix:
         j = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[j] - 1.0) > COMP_SUM_TOL:
             raise ValueError(f"composition column {j} sums to {float(sums[j])!r}, expected 1")
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
+        freeze_fields(self, W=W)
 
     @property
     def K(self):
@@ -165,13 +169,8 @@ class Corpus:
         if empty.any():
             raise ValueError(f"document {int(np.argmax(empty))} is empty")
         lengths = np.add.reduceat(counts, indptr[:-1])
-        for arr in (docs, words, counts, lengths, indptr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "docs", docs)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "indptr", indptr)
+        freeze_fields(self, docs=docs, words=words, counts=counts, lengths=lengths,
+                      indptr=indptr)
 
 
 def normalize_corpus(corpus):

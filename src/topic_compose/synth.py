@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SYM_TOL, CompositionMatrix, Corpus
+from .model import SYM_TOL, CompositionMatrix, Corpus, freeze_fields
 from .parallel import map_chunks
 
 EIG_CLAMP = -1e-10  # eigenvalues this far below zero mean a broken covariance
@@ -35,8 +35,7 @@ class DirichletPrior:
         a = np.array(self.alpha, dtype=np.float64).ravel()
         if a.size < 1 or not np.isfinite(a).all() or (a <= 0.0).any():
             raise ValueError("alpha must be a vector of positive finite values")
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
+        freeze_fields(self, alpha=a)
 
     @property
     def K(self):
@@ -46,6 +45,8 @@ class DirichletPrior:
     def symmetric(cls, K, mass):
         """Symmetric prior with total concentration `mass` split over K
         topics; small mass per topic gives sparse compositions."""
+        if not (mass > 0.0 and np.isfinite(mass)):
+            raise ValueError(f"total concentration must be positive and finite, got {mass!r}")
         return cls(np.full(K, mass / K))
 
     def draw(self, rows, rng):
@@ -90,11 +91,7 @@ class LogisticNormalPrior:
                     f"sigma is not positive semidefinite: smallest eigenvalue {vals.min():.3e}"
                 ) from None
             L = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
-        for a in (mu, sigma, L):
-            a.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "factor", L)
+        freeze_fields(self, mu=mu, sigma=sigma, factor=L)
 
     @property
     def K(self):

@@ -586,7 +586,11 @@ class TestParser:
         # no output directory is made
         corpus = ("--corpus", corpus_path) if argv[0] == "infer" else ()
         assert run(*argv, *corpus, "--model", model_dir, "--out", tmp_path / "o") == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        if flag == "--alpha-scale":
+            # the flag is one number, so the reason names it, not a vector
+            assert "total concentration must be positive and finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_zero(self, capsys):

@@ -35,6 +35,11 @@ class TestPriors:
         p = DirichletPrior.symmetric(4, 5.0)
         npt.assert_array_equal(p.alpha, [1.25] * 4)
 
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.inf, math.nan])
+    def test_symmetric_helper_rejects_bad_total_concentration(self, mass):
+        with pytest.raises(ValueError, match="total concentration must be positive and finite"):
+            DirichletPrior.symmetric(4, mass)
+
     def test_logistic_normal_shape_checks(self):
         with pytest.raises(ValueError, match="sigma"):
             LogisticNormalPrior(mu=[0.0, 0.0], sigma=np.eye(3))
