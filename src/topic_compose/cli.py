@@ -3,14 +3,15 @@
 `synth` and `infer` write `manifest.json` into their output directory and
 `eval` writes one named after its report (`report.tsv` gets
 `report.manifest.json`), so a pipeline run into one directory keeps every
-manifest. A manifest records the fully resolved configuration, the SHA-256
-digest of each input keyed by its path as given, each output's path
-relative to the manifest, the solver's `results` and timing, so any run can
-be reproduced bit-for-bit from it. Each subcommand returns what its
-manifest records; `main` times it and writes the manifest. Flag defaults
-are the library's own (`PaddConfig`, `TliConfig`); `--threads` is the only
-source of the worker count and defaults to 1. Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+manifest. Every output sits beside its manifest. A manifest records the
+fully resolved configuration, the SHA-256 digest of each input keyed by its
+path as given, each output's name, the solver's `results` and timing, so
+any run can be reproduced bit-for-bit from it. Each subcommand returns what
+its manifest records; `main` times it and writes the manifest. Flag
+defaults are the library's own (`PaddConfig`, `TliConfig`); `--threads` is
+the only source of the worker count and defaults to 1. Exit codes: 0
+success, 1 runtime failure (an output that would overwrite an input
+included), 2 usage error.
 """
 
 import argparse
@@ -97,15 +98,24 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _check_overwrite(manifest, inputs, outputs):
+    """Raise ValueError naming the first path the command would write, its
+    manifest included, that is one it reads; called before any file is
+    read or directory made."""
+    read = {os.path.realpath(p) for p in inputs}
+    for path in [manifest, *outputs]:
+        if os.path.realpath(path) in read:
+            raise ValueError(f"{path}: output would overwrite an input")
+
+
 def _write_manifest(path, subcommand, config, inputs, outputs, results, seed, elapsed):
-    here = os.path.dirname(os.path.abspath(path))
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
         "seed": seed,
         "input_digests": {p: _sha256(p) for p in inputs},
-        "outputs": [os.path.relpath(p, here) for p in outputs],
+        "outputs": [os.path.basename(p) for p in outputs],
         "results": results,
         "elapsed_seconds": elapsed,
     }
@@ -132,6 +142,12 @@ def _model_inputs(model_dir):
 
 
 def cmd_synth(args):
+    manifest = os.path.join(args.out, "manifest.json")
+    inputs = _model_inputs(args.model) + (
+        [args.mu, args.sigma] if args.prior == "logistic-normal" else []
+    )
+    outputs = [os.path.join(args.out, n) for n in ("corpus.tsv", "Wstar.tsv", "Astar.tsv")]
+    _check_overwrite(manifest, inputs, outputs)
     model = load_model(args.model)
     if args.prior == "dirichlet":
         alpha_scale = ALPHA_SCALE if args.alpha_scale is None else args.alpha_scale
@@ -145,9 +161,7 @@ def cmd_synth(args):
         prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
     out = synthesize(model, prior, args.docs, args.len, seed=args.seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
-    corpus_path = os.path.join(args.out, "corpus.tsv")
-    wstar_path = os.path.join(args.out, "Wstar.tsv")
-    astar_path = os.path.join(args.out, "Astar.tsv")
+    corpus_path, wstar_path, astar_path = outputs
     write_corpus_tsv(corpus_path, out.corpus)
     write_composition_tsv(wstar_path, out.Wstar)
     write_dense_tsv(astar_path, out.Astar)
@@ -158,18 +172,16 @@ def cmd_synth(args):
         "threads": args.threads,
         **prior_cfg,
     }
-    inputs = _model_inputs(args.model) + (
-        [args.mu, args.sigma] if args.prior == "logistic-normal" else []
-    )
-    return (os.path.join(args.out, "manifest.json"), resolved, inputs,
-            [corpus_path, wstar_path, astar_path], {})
+    return manifest, resolved, inputs, outputs, {}
 
 
 def cmd_infer(args):
+    manifest, w_path = (os.path.join(args.out, name) for name in ("manifest.json", "W.tsv"))
+    inputs = _model_inputs(args.model) + [args.corpus]
+    _check_overwrite(manifest, inputs, [w_path])
     model = load_model(args.model)
     corpus = read_corpus_tsv(args.corpus)
     os.makedirs(args.out, exist_ok=True)
-    w_path = os.path.join(args.out, "W.tsv")
     results = {}
     resolved = {
         "method": args.method,
@@ -199,29 +211,28 @@ def cmd_infer(args):
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"{args.method}: {exc}") from exc
     write_composition_tsv(w_path, comp)
-    return (os.path.join(args.out, "manifest.json"), resolved,
-            _model_inputs(args.model) + [args.corpus], [w_path], results)
+    return manifest, resolved, inputs, [w_path], results
 
 
 def cmd_eval(args):
+    stem = os.path.splitext(args.out)[0]
+    inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
+    manifest, outputs = stem + ".manifest.json", [args.out, stem + ".per_doc.tsv"]
+    _check_overwrite(manifest, inputs, outputs)
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
     K = truth.K
     prior = None if args.prior is None else _read_shaped_tsv(args.prior, "--prior", K, (K, K))
     report = evaluate_compositions(truth, pred, prior=prior)
-    stem = os.path.splitext(args.out)[0]
-    per_doc = args.per_doc or stem + ".per_doc.tsv"
-    for path in (args.out, per_doc):
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_report_tsv(report, args.out)
-    write_per_doc_tsv(report, per_doc)
+    write_per_doc_tsv(report, outputs[1])
     resolved = {
         "truth": args.truth,
         "pred": args.pred,
         "prior": args.prior,
     }
-    inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
-    return stem + ".manifest.json", resolved, inputs, [args.out, per_doc], {}
+    return manifest, resolved, inputs, outputs, {}
 
 
 def build_parser():
@@ -272,10 +283,7 @@ def build_parser():
     pe.add_argument("--pred", required=True)
     pe.add_argument("--prior", default=None,
                     help="optional topic-topic moment TSV for prior_dist")
-    pe.add_argument("--out", required=True, help="report TSV path")
-    pe.add_argument("--per-doc", default=None,
-                    help="per-document TSV path (default: --out with .per_doc.tsv, "
-                         "so run/report.tsv writes run/report.per_doc.tsv)")
+    pe.add_argument("--out", required=True, help="report TSV; per-doc table, manifest beside it")
     pe.set_defaults(func=cmd_eval)
     return parser
 

@@ -28,17 +28,18 @@ SMALL_MATRIX_VALUE = 1e-9
 class TliConfig:
     """Settings for the thresholded left-inverse estimator.
 
-    delta bounds the worst-case bias |B_dagger B - I| allowed when
-    minimizing the inverse's magnitude; threshold_divisor scales down the
-    worst-case noise level to reach a usable threshold.
+    delta, in [0, 1), bounds the worst-case bias |B_dagger B - I| allowed
+    when minimizing the inverse's magnitude (at 1 the zero row would meet
+    it); threshold_divisor scales down the worst-case noise level to reach
+    a usable threshold.
     """
 
     delta: float = 0.0
     threshold_divisor: float = 4.5
 
     def __post_init__(self):
-        if not (self.delta >= 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError(f"delta must be in [0, 1), got {self.delta!r}")
         if not (self.threshold_divisor > 0.0 and math.isfinite(self.threshold_divisor)):
             raise ValueError(f"threshold_divisor must be > 0, got {self.threshold_divisor!r}")
 
@@ -138,21 +139,17 @@ def tli_compute_inverse(model, config=None, threads=1):
     B = model.B
     N, K = B.shape
     delta = config.delta
-    if delta >= 1.0:
-        # b = 0 already meets the bias budget (and the rescaled program is unbounded)
-        Bd = np.zeros((K, N))
-    else:
-        kept = scipy.sparse.csc_array(np.where(np.abs(B.T) > SMALL_MATRIX_VALUE, B.T, 0.0))
-        if delta > 0.0:
-            kept = scipy.sparse.vstack([kept, -kept], format="csc")
-        bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
-        Bd = np.empty((K, N))
+    kept = scipy.sparse.csc_array(np.where(np.abs(B.T) > SMALL_MATRIX_VALUE, B.T, 0.0))
+    if delta > 0.0:
+        kept = scipy.sparse.vstack([kept, -kept], format="csc")
+    bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
+    Bd = np.empty((K, N))
 
-        def solve_rows(span):
-            for k in range(*span):
-                Bd[k] = _row_program(B, kept, bounds, k, delta)
+    def solve_rows(span):
+        for k in range(*span):
+            Bd[k] = _row_program(B, kept, bounds, k, delta)
 
-        map_chunks(K, 1, solve_rows, threads)
+    map_chunks(K, 1, solve_rows, threads)
     magnitudes = np.abs(Bd).max(axis=1)
     k = int(magnitudes.argmax())
     rounding = N * np.finfo(np.float64).eps * magnitudes[k]

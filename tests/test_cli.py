@@ -1,7 +1,11 @@
+import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,9 +390,8 @@ class TestEval:
     def test_per_doc_rows_are_one_based(self, truth_pred, tmp_path):
         tpath, W = truth_pred
         out = tmp_path / "report.tsv"
-        per_doc = tmp_path / "docs.tsv"
-        assert run("eval", "--truth", tpath, "--pred", tpath, "--out", out,
-                   "--per-doc", per_doc) == 0
+        per_doc = tmp_path / "report.per_doc.tsv"
+        assert run("eval", "--truth", tpath, "--pred", tpath, "--out", out) == 0
         lines = per_doc.read_text().splitlines()
         assert lines[0].startswith("doc\tprecision")
         assert len(lines) == 1 + W.shape[1]
@@ -410,20 +413,20 @@ class TestEval:
             assert manifest["outputs"] == [f"{report}.tsv", f"{report}.per_doc.tsv"]
 
     def test_per_doc_in_a_new_directory(self, truth_pred, tmp_path):
+        # eval into a new directory writes the report, the table and the manifest there
         tpath, _ = truth_pred
-        per_doc = tmp_path / "other" / "pd.tsv"
         assert run("eval", "--truth", tpath, "--pred", tpath,
-                   "--out", tmp_path / "run" / "r.tsv", "--per-doc", per_doc) == 0
-        assert per_doc.exists() and (tmp_path / "run" / "r.manifest.json").exists()
+                   "--out", tmp_path / "run" / "r.tsv") == 0
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "r.manifest.json", "r.per_doc.tsv", "r.tsv"]
 
     def test_manifest_records_outputs_relative_to_itself(self, truth_pred, tmp_path):
         tpath, _ = truth_pred
-        (tmp_path / "other").mkdir()
         assert run("eval", "--truth", tpath, "--pred", tpath,
-                   "--out", tmp_path / "run" / "r.tsv",
-                   "--per-doc", tmp_path / "other" / "pd.tsv") == 0
+                   "--out", tmp_path / "run" / "r.tsv") == 0
         manifest = json.loads((tmp_path / "run" / "r.manifest.json").read_text())
-        assert manifest["outputs"] == ["r.tsv", "../other/pd.tsv"]
+        assert manifest["outputs"] == ["r.tsv", "r.per_doc.tsv"]
+        assert all((tmp_path / "run" / name).is_file() for name in manifest["outputs"])
         assert manifest["results"] == {}
 
     def test_topic_count_mismatch_is_runtime_error(self, truth_pred, tmp_path, capsys):
@@ -500,6 +503,41 @@ class TestEval:
                    "--out", tmp_path / "o" / "report.tsv",
                    "--prominent-mass", "0.5") == 2
         assert not (tmp_path / "o").exists()
+
+    def test_per_doc_flag_is_usage_error(self, truth_pred, tmp_path):
+        # the per-document table always sits beside the report
+        tpath, _ = truth_pred
+        assert run("eval", "--truth", tpath, "--pred", tpath,
+                   "--out", tmp_path / "o" / "report.tsv",
+                   "--per-doc", tmp_path / "p" / "pd.tsv") == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("case", ["eval-out-is-pred", "eval-out-is-truth",
+                                  "infer-corpus-in-out"])
+def test_output_naming_an_input_is_runtime_error(model_dir, corpus_path, tmp_path,
+                                                 capsys, case):
+    rng = np.random.default_rng(3)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    if case == "infer-corpus-in-out":
+        target = run_dir / "W.tsv"
+        target.write_bytes(corpus_path.read_bytes())
+        argv = ("infer", "--method", "spi", "--model", model_dir, "--corpus", target,
+                "--out", run_dir)
+        manifest = run_dir / "manifest.json"
+    else:
+        truth, pred = run_dir / "Wstar.tsv", run_dir / "W.tsv"
+        for path in (truth, pred):
+            write_dense_tsv(str(path), rng.dirichlet(np.ones(3), size=6).T)
+        target = pred if case == "eval-out-is-pred" else truth
+        argv = ("eval", "--truth", truth, "--pred", pred, "--out", target)
+        manifest = target.with_suffix(".manifest.json")
+    before = target.read_bytes()
+    assert run(*argv) == 1
+    assert f"error: {target}: output would overwrite an input" in capsys.readouterr().err
+    assert target.read_bytes() == before
+    assert not manifest.exists()
 
 
 class TestParser:
@@ -579,6 +617,7 @@ class TestParser:
         (("infer", "--method", "tli", "--delta", "nan"), "--delta"),
         (("infer", "--method", "tli", "--threshold-divisor", "0"), "--threshold-divisor"),
         (("infer", "--method", "tli", "--threshold-divisor", "inf"), "--threshold-divisor"),
+        (("infer", "--method", "tli", "--delta", "1"), "--delta"),
     ])
     def test_out_of_range_value_is_usage_error(self, model_dir, corpus_path, tmp_path,
                                                capsys, argv, flag):
@@ -597,18 +636,46 @@ class TestParser:
         assert run("--help") == 0
         assert "synth" in capsys.readouterr().out
 
+    def test_readme_cli_section_names_every_flag(self):
+        # README's CLI section, up to the next level-2 heading, names exactly
+        # the parser's flags, so a flag added or removed shows up here
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        start = text.index("\n## CLI\n")
+        section = text[start:text.index("\n## ", start + 1)]
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {option for p in (parser, *subparsers.choices.values())
+                 for action in p._actions for option in action.option_strings
+                 if option.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags
+
 
 def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
     """The README's flow: infer and eval share one run directory, and two
     evals into it keep their own manifests."""
     data, run_dir = tmp_path / "data", tmp_path / "run"
-    assert run("synth", "--model", model_dir, "--out", data, "--docs", 20, "--seed", 4) == 0
-    assert run("infer", "--method", "spi", "--model", model_dir,
-               "--corpus", data / "corpus.tsv", "--out", run_dir) == 0
+    before = {}  # manifest path -> SHA-256 of each input before its command ran
+
+    def run_and_digest(manifest, *argv):
+        read = [value for flag, value in zip(argv, argv[1:])
+                if flag in ("--corpus", "--truth", "--pred", "--prior")]
+        if "--model" in argv:
+            read += [model_dir / "B.tsv", model_dir / "A.tsv"]
+        before[manifest] = {str(p): digest(p) for p in read}
+        return run(*argv)
+
+    assert run_and_digest(data / "manifest.json", "synth", "--model", model_dir,
+                          "--out", data, "--docs", 20, "--seed", 4) == 0
+    assert run_and_digest(run_dir / "manifest.json", "infer", "--method", "spi",
+                          "--model", model_dir, "--corpus", data / "corpus.tsv",
+                          "--out", run_dir) == 0
     infer_manifest = (run_dir / "manifest.json").read_text()
-    for report in ("report.tsv", "report2.tsv"):
-        assert run("eval", "--truth", data / "Wstar.tsv", "--pred", run_dir / "W.tsv",
-                   "--prior", model_dir / "A.tsv", "--out", run_dir / report) == 0
+    for report in ("report", "report2"):
+        assert run_and_digest(run_dir / f"{report}.manifest.json", "eval",
+                              "--truth", data / "Wstar.tsv", "--pred", run_dir / "W.tsv",
+                              "--prior", model_dir / "A.tsv",
+                              "--out", run_dir / f"{report}.tsv") == 0
     assert (run_dir / "manifest.json").read_text() == infer_manifest
     assert json.loads(infer_manifest)["subcommand"] == "infer"
     assert json.loads((data / "manifest.json").read_text())["subcommand"] == "synth"
@@ -616,6 +683,12 @@ def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
         manifest = json.loads((run_dir / f"{report}.manifest.json").read_text())
         assert manifest["subcommand"] == "eval"
         assert manifest["outputs"] == [f"{report}.tsv", f"{report}.per_doc.tsv"]
+    for path, digests in before.items():
+        manifest = json.loads(path.read_text())
+        # every output is a bare name of a file beside its manifest
+        for name in manifest["outputs"]:
+            assert os.path.basename(name) == name and (path.parent / name).is_file()
+        assert manifest["input_digests"] == digests
 
 
 def test_smoke_pipeline(tmp_path):

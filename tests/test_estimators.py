@@ -182,8 +182,9 @@ class TestTliInverse:
                 for d in (0.0, 0.01, 0.05)
             ]
             assert mags[0] + 1e-9 >= mags[1] >= mags[2] - 1e-9
-            # from delta = 1 on, the zero row already meets the bias budget
-            assert tli_compute_inverse(m, TliConfig(delta=1.0)).magnitude == 0.0
+            # from delta = 1 on, the zero row would already meet the bias budget
+            with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
+                tli_compute_inverse(m, TliConfig(delta=1.0))
 
     def test_magnitude_matches_recomputation(self):
         B = stochastic_matrix(20, 4, seed=7)
@@ -191,11 +192,13 @@ class TestTliInverse:
         inv = tli_compute_inverse(m, TliConfig())
         assert inv.magnitude == pytest.approx(np.abs(inv.Bdagger).max(), abs=1e-10)
 
-    def test_threads_do_not_change_result(self):
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_threads_do_not_change_result(self, delta):
+        # delta > 0 runs the 2K-row inequality programs on [B^T; -B^T]
         for B in (stochastic_matrix(30, 6, seed=8), NEAR_ANCHOR[0]):
             m = TopicModel(B=B, A=np.eye(B.shape[1]) / B.shape[1])
-            a = tli_compute_inverse(m, TliConfig(), threads=1)
-            b = tli_compute_inverse(m, TliConfig(), threads=4)
+            a = tli_compute_inverse(m, TliConfig(delta=delta), threads=1)
+            b = tli_compute_inverse(m, TliConfig(delta=delta), threads=4)
             npt.assert_array_equal(a.Bdagger, b.Bdagger)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 1e-10])
@@ -242,6 +245,9 @@ class TestTliConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="delta"):
             TliConfig(delta=-0.1)
+        for delta in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
+                TliConfig(delta=delta)
         with pytest.raises(ValueError, match="divisor"):
             TliConfig(threshold_divisor=0.0)
         # the left inverse is always the LP; there is no solver to pick
