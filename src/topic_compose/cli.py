@@ -1,17 +1,18 @@
 """Command-line front-end: synthesize corpora, infer compositions, evaluate.
 
-`synth` and `infer` write `manifest.json` into their output directory and
-`eval` writes one named after its report (`report.tsv` gets
-`report.manifest.json`), so a pipeline run into one directory keeps every
-manifest. Every output sits beside its manifest. A manifest records the
-fully resolved configuration, the SHA-256 digest of each input keyed by its
-path as given, each output's name, the solver's `results` and timing, so
-any run can be reproduced bit-for-bit from it. Each subcommand returns what
-its manifest records; `main` times it and writes the manifest. Flag
-defaults are the library's own (`PaddConfig`, `TliConfig`); `--threads` is
-the only source of the worker count and defaults to 1. Exit codes: 0
-success, 1 runtime failure (an output that would overwrite an input
-included), 2 usage error.
+`synth` and `infer` write `manifest.json` into their output directory, so
+they need separate ones, and `eval` writes one named after its report
+(`report.tsv` gets `report.manifest.json`), so it can share infer's. Every
+output sits beside its manifest, and a run replaces only files that an
+earlier run of the same subcommand recorded in that manifest. A manifest
+records the fully resolved configuration, the SHA-256 digest of each input
+keyed by its path as given, each output's name, the solver's `results` and
+timing, so any run can be reproduced bit-for-bit from it. Each subcommand
+returns what its manifest records; `main` times it and writes the
+manifest. Flag defaults are the library's own (`PaddConfig`, `TliConfig`);
+`--threads` is the only source of the worker count and defaults to 1.
+Exit codes: 0 success, 1 runtime failure (an output that would overwrite
+an input or another run's file included), 2 usage error.
 """
 
 import argparse
@@ -98,14 +99,26 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _check_overwrite(manifest, inputs, outputs):
+def _check_overwrite(subcommand, manifest, inputs, outputs):
     """Raise ValueError naming the first path the command would write, its
-    manifest included, that is one it reads; called before any file is
-    read or directory made."""
+    manifest included, that it reads, or that already exists and is not
+    that manifest or an output it lists from an earlier run of the same
+    subcommand; called before any file is read or directory made. Every
+    output sits beside the manifest, so a bare name identifies it."""
     read = {os.path.realpath(p) for p in inputs}
+    try:
+        with open(manifest, encoding="ascii") as fh:
+            record = json.load(fh)
+        same = record["subcommand"] == subcommand
+        owned = [os.path.basename(manifest), *record["outputs"]] if same else []
+    except (OSError, ValueError, KeyError, TypeError):
+        owned = []
     for path in [manifest, *outputs]:
         if os.path.realpath(path) in read:
             raise ValueError(f"{path}: output would overwrite an input")
+        if os.path.exists(path) and os.path.basename(path) not in owned:
+            raise ValueError(f"{path}: exists, and {manifest} records no {subcommand} run "
+                             "that wrote it")
 
 
 def _write_manifest(path, subcommand, config, inputs, outputs, results, seed, elapsed):
@@ -147,7 +160,7 @@ def cmd_synth(args):
         [args.mu, args.sigma] if args.prior == "logistic-normal" else []
     )
     outputs = [os.path.join(args.out, n) for n in ("corpus.tsv", "Wstar.tsv", "Astar.tsv")]
-    _check_overwrite(manifest, inputs, outputs)
+    _check_overwrite(args.subcommand, manifest, inputs, outputs)
     model = load_model(args.model)
     if args.prior == "dirichlet":
         alpha_scale = ALPHA_SCALE if args.alpha_scale is None else args.alpha_scale
@@ -178,7 +191,7 @@ def cmd_synth(args):
 def cmd_infer(args):
     manifest, w_path = (os.path.join(args.out, name) for name in ("manifest.json", "W.tsv"))
     inputs = _model_inputs(args.model) + [args.corpus]
-    _check_overwrite(manifest, inputs, [w_path])
+    _check_overwrite(args.subcommand, manifest, inputs, [w_path])
     model = load_model(args.model)
     corpus = read_corpus_tsv(args.corpus)
     os.makedirs(args.out, exist_ok=True)
@@ -193,10 +206,7 @@ def cmd_infer(args):
         if args.method == "spi":
             comp = spi_infer(model, corpus)
         elif args.method == "tli":
-            tcfg = TliConfig(
-                delta=args.delta,
-                threshold_divisor=args.threshold_divisor,
-            )
+            tcfg = TliConfig(threshold_divisor=args.threshold_divisor)
             inverse = tli_compute_inverse(model, tcfg, threads=args.threads)
             comp = tli_infer(inverse, model, corpus, tcfg)
             resolved.update(dataclasses.asdict(tcfg))
@@ -218,7 +228,7 @@ def cmd_eval(args):
     stem = os.path.splitext(args.out)[0]
     inputs = [args.truth, args.pred] + ([args.prior] if args.prior else [])
     manifest, outputs = stem + ".manifest.json", [args.out, stem + ".per_doc.tsv"]
-    _check_overwrite(manifest, inputs, outputs)
+    _check_overwrite(args.subcommand, manifest, inputs, outputs)
     truth = read_composition_tsv(args.truth)
     pred = read_composition_tsv(args.pred)
     K = truth.K
@@ -269,8 +279,6 @@ def build_parser():
     pi.add_argument("--seed", type=int, default=0,
                     help="only the rand method consumes randomness")
     pi.add_argument("--threads", type=_positive_int, default=1)
-    pi.add_argument("--delta", type=_checked_float(lambda v: TliConfig(delta=v)),
-                    default=TliConfig.delta, help="tli: allowed bias of the left inverse")
     pi.add_argument("--threshold-divisor", default=TliConfig.threshold_divisor,
                     type=_checked_float(lambda v: TliConfig(threshold_divisor=v)),
                     help="tli: scales down the worst-case noise threshold")

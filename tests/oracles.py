@@ -60,15 +60,15 @@ def simplex_argsort_reference(V):
     return np.maximum(V - theta[None, :], 0.0)
 
 
-def linf_left_inverse_oracle(B, k, delta=0.0, feas_tol=1e-9):
-    """Minimum-infinity-norm row of an approximate left inverse, solved by
-    enumerating vertices of the feasible polyhedron.
+def linf_left_inverse_oracle(B, k, feas_tol=1e-9):
+    """Minimum-infinity-norm row of a left inverse, solved by enumerating
+    vertices of the feasible polyhedron.
 
     Variables are z = (b, t) with t bounding |b_j|. All constraints are
     collected as rows a·z <= rhs; every vertex is the solution of some
     nonsingular (N+1)-subset of active rows, so enumerating subsets and
-    checking feasibility finds the optimum. With delta = 0 the K bias
-    constraints are equalities and always active.
+    checking feasibility finds the optimum. The K constraints B^T b = e_k
+    are equalities, each kept as a pair of rows, and always active.
     """
     B = np.asarray(B, dtype=np.float64)
     N, K = B.shape
@@ -84,27 +84,20 @@ def linf_left_inverse_oracle(B, k, delta=0.0, feas_tol=1e-9):
         rhs.append(0.0)
     target = np.zeros(K)
     target[k] = 1.0
-    for l in range(K):  # (B^T b)_l <= target_l + delta and >= target_l - delta
+    for l in range(K):  # (B^T b)_l = target_l as <= and >= rows
         a = np.zeros(N + 1)
         a[:N] = B[:, l]
         rows.append(a)
-        rhs.append(target[l] + delta)
+        rhs.append(target[l])
         a = np.zeros(N + 1)
         a[:N] = -B[:, l]
-        rhs.append(delta - target[l])
+        rhs.append(-target[l])
         rows.append(a)
     A = np.array(rows)
     r = np.array(rhs)
-    if delta == 0.0:
-        always = [2 * N + 2 * l for l in range(K)]
-        pool = range(2 * N)
-        pick = N + 1 - K
-    else:
-        always = []
-        pool = range(len(rows))
-        pick = N + 1
+    always = [2 * N + 2 * l for l in range(K)]
     best_t, best_b = np.inf, None
-    for combo in itertools.combinations(pool, pick):
+    for combo in itertools.combinations(range(2 * N), N + 1 - K):
         active = always + list(combo)
         try:
             z = np.linalg.solve(A[active], r[active])
@@ -121,13 +114,12 @@ def linf_left_inverse_oracle(B, k, delta=0.0, feas_tol=1e-9):
     return best_t, best_b
 
 
-def linf_left_inverse_lp(B, k, delta=0.0):
-    """Minimum-infinity-norm row of an approximate left inverse, solved as
-    the direct LP over (b, t): minimize t subject to |b_j| <= t as 2N
-    constraint rows plus the K bias rows (equalities when delta = 0, else
-    2K inequalities). Reaches sizes vertex enumeration cannot. Uses HiGHS's
-    interior-point method (with crossover): its dual simplex stops with
-    status 4 on some near-anchor rows of this form.
+def linf_left_inverse_lp(B, k):
+    """Minimum-infinity-norm row of a left inverse, solved as the direct LP
+    over (b, t): minimize t subject to |b_j| <= t as 2N constraint rows
+    plus the K equality rows B^T b = e_k. Reaches sizes vertex enumeration
+    cannot. Uses HiGHS's interior-point method (with crossover): its dual
+    simplex stops with status 4 on some near-anchor rows of this form.
     """
     B = np.asarray(B, dtype=np.float64)
     N, K = B.shape
@@ -139,44 +131,32 @@ def linf_left_inverse_lp(B, k, delta=0.0):
     target = np.zeros(K)
     target[k] = 1.0
     bias_rows = sparse.hstack([sparse.csr_array(B.T), sparse.csr_array((K, 1))], format="csr")
-    if delta == 0.0:
-        res = scipy.optimize.linprog(
-            c, A_ub=bound_rows, b_ub=np.zeros(2 * N), A_eq=bias_rows, b_eq=target,
-            bounds=(None, None), method="highs-ipm",
-        )
-    else:
-        A_ub = sparse.vstack([bound_rows, bias_rows, -bias_rows], format="csr")
-        b_ub = np.concatenate([np.zeros(2 * N), target + delta, delta - target])
-        res = scipy.optimize.linprog(
-            c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs-ipm"
-        )
+    res = scipy.optimize.linprog(
+        c, A_ub=bound_rows, b_ub=np.zeros(2 * N), A_eq=bias_rows, b_eq=target,
+        bounds=(None, None), method="highs-ipm",
+    )
     if res.status != 0:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return res.x[N], res.x[:N]
 
 
-def dense_charnes_cooper_row(B, k, delta=0.0):
+def dense_charnes_cooper_row(B, k):
     """Row k of TLI's left inverse from the Charnes-Cooper program of
     `estimators._row_program` with a dense constraint matrix: every entry
-    of [B^T, -delta] (and of [-B^T, -delta] below it when delta > 0) goes
-    to HiGHS, which itself drops those with |a| <= 1e-9. Same objective,
-    bounds, right-hand side and options as the library, so its bytes are
-    the library's as long as HiGHS drops exactly what the library does.
+    of [B^T, -e_k] goes to HiGHS, which itself drops those with
+    |a| <= 1e-9. Same objective, bounds, right-hand side and options as the
+    library, so its bytes are the library's as long as HiGHS drops exactly
+    what the library does.
     """
     B = np.asarray(B, dtype=np.float64)
     N, K = B.shape
-    slack = np.full((K, 1), -delta)
-    A = np.hstack([B.T, slack]) if delta == 0.0 else np.block([[B.T, slack], [-B.T, slack]])
-    A[k, N] -= 1.0
-    if delta > 0.0:
-        A[K + k, N] += 1.0
+    A = np.hstack([B.T, np.zeros((K, 1))])
+    A[k, N] = -1.0
     objective = np.zeros(N + 1)
     objective[N] = -1.0
     bounds = np.array([(-1.0, 1.0)] * N + [(0.0, np.inf)])
-    rhs = np.zeros(A.shape[0])
-    constraints = {"A_eq": A, "b_eq": rhs} if delta == 0.0 else {"A_ub": A, "b_ub": rhs}
-    res = scipy.optimize.linprog(objective, bounds=bounds, method="highs",
-                                 options={"presolve": False}, **constraints)
+    res = scipy.optimize.linprog(objective, A_eq=A, b_eq=np.zeros(K), bounds=bounds,
+                                 method="highs", options={"presolve": False})
     if res.status != 0:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return res.x[:N] / res.x[N]

@@ -224,7 +224,7 @@ def test_criterion_4_left_inverse_lp(identity_model):
         got = tli_compute_inverse(TopicModel(B=B, A=np.full((2, 2), 0.25)),
                                   TliConfig()).Bdagger
         for k in range(2):
-            t_oracle, _ = linf_left_inverse_oracle(B, k, delta=0.0)
+            t_oracle, _ = linf_left_inverse_oracle(B, k)
             worst = max(worst, abs(float(np.abs(got[k]).max()) - t_oracle))
     elapsed = time.perf_counter() - t0
     ok = identity_exact and worst <= 1e-6

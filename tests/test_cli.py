@@ -249,8 +249,11 @@ class TestInfer:
                    "--corpus", corpus_path, "--out", tmp_path / "o", *flag) == 2
 
     def test_tli_removed_solver_flag_is_usage_error(self, model_dir, corpus_path, tmp_path):
-        assert run("infer", "--method", "tli", "--model", model_dir, "--corpus", corpus_path,
-                   "--out", tmp_path / "o", "--tli-solver", "lp") == 2
+        # the left inverse is always the exact LP: no solver choice, no bias budget
+        for flag in (("--tli-solver", "lp"), ("--delta", "0")):
+            assert run("infer", "--method", "tli", "--model", model_dir, "--corpus",
+                       corpus_path, "--out", tmp_path / "o", *flag) == 2
+            assert not (tmp_path / "o").exists()
 
     def test_padd_large_tau0_is_capped(self, model_dir, corpus_path, tmp_path, monkeypatch):
         # a first step that would make Q indefinite is capped instead of failing
@@ -540,6 +543,55 @@ def test_output_naming_an_input_is_runtime_error(model_dir, corpus_path, tmp_pat
     assert not manifest.exists()
 
 
+def _snapshot(*dirs):
+    """Each file's bytes by path, over the files in `dirs`."""
+    return {p: p.read_bytes() for d in dirs for p in d.iterdir()}
+
+
+def _pipeline(model_dir, data, run_dir):
+    """synth into `data`, then infer and eval into `run_dir`, as README's flow."""
+    return [
+        ("synth", "--model", model_dir, "--out", data, "--docs", 6, "--seed", 2),
+        ("infer", "--method", "spi", "--model", model_dir, "--corpus", data / "corpus.tsv",
+         "--out", run_dir),
+        ("eval", "--truth", data / "Wstar.tsv", "--pred", run_dir / "W.tsv",
+         "--out", run_dir / "report.tsv"),
+    ]
+
+
+@pytest.mark.parametrize("case", ["eval-over-an-evals-table", "eval-over-infers-manifest",
+                                  "infer-into-synths-directory"])
+def test_output_over_another_runs_file_is_runtime_error(model_dir, tmp_path, capsys, case):
+    data, run_dir = tmp_path / "data", tmp_path / "run"
+    synth, infer, evaluate = _pipeline(model_dir, data, run_dir)
+    for argv in (synth, infer, evaluate):
+        assert run(*argv) == 0
+    target = {"eval-over-an-evals-table": run_dir / "report.per_doc.tsv",
+              "eval-over-infers-manifest": run_dir / "manifest.json",
+              "infer-into-synths-directory": data / "manifest.json"}[case]
+    argv = infer[:-1] + (data,) if case.startswith("infer") else evaluate[:-1] + (target,)
+    before = _snapshot(data, run_dir)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert f"error: {target}: exists, and " in capsys.readouterr().err
+    # no file changed and none was made
+    assert _snapshot(data, run_dir) == before
+
+
+def test_rerun_into_the_same_place_succeeds(model_dir, tmp_path):
+    data, run_dir = tmp_path / "data", tmp_path / "run"
+    steps = _pipeline(model_dir, data, run_dir)
+    for argv in steps:
+        assert run(*argv) == 0
+    before = _snapshot(data, run_dir)
+    for argv in steps:
+        assert run(*argv) == 0
+    after = _snapshot(data, run_dir)
+    assert after.keys() == before.keys()
+    # a manifest records the run's time; every other file is byte-identical
+    assert all(after[p] == before[p] for p in before if not p.name.endswith("manifest.json"))
+
+
 class TestParser:
     def test_no_subcommand_is_usage_error(self):
         assert run() == 2
@@ -613,11 +665,8 @@ class TestParser:
     @pytest.mark.parametrize("argv, flag", [
         (("synth", "--docs", 5, "--alpha-scale", "-1"), "--alpha-scale"),
         (("synth", "--docs", 5, "--alpha-scale", "inf"), "--alpha-scale"),
-        (("infer", "--method", "tli", "--delta", "-1"), "--delta"),
-        (("infer", "--method", "tli", "--delta", "nan"), "--delta"),
         (("infer", "--method", "tli", "--threshold-divisor", "0"), "--threshold-divisor"),
         (("infer", "--method", "tli", "--threshold-divisor", "inf"), "--threshold-divisor"),
-        (("infer", "--method", "tli", "--delta", "1"), "--delta"),
     ])
     def test_out_of_range_value_is_usage_error(self, model_dir, corpus_path, tmp_path,
                                                capsys, argv, flag):
@@ -729,7 +778,7 @@ MANIFEST_KEYS = {
                               set()),
     "infer-spi": ({"method", "model", "corpus", "threads"}, set()),
     "infer-rand": ({"method", "model", "corpus", "threads"}, set()),
-    "infer-tli": ({"method", "model", "corpus", "threads", "delta", "threshold_divisor"},
+    "infer-tli": ({"method", "model", "corpus", "threads", "threshold_divisor"},
                   {"inverse_magnitude", "inverse_bias"}),
     "infer-padd": ({"method", "model", "corpus", "threads", "master_iters"},
                    {f.name for f in dataclasses.fields(PaddDiagnostics)}),

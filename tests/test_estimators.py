@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,9 @@ import scipy.sparse
 from topic_compose import (
     Corpus,
     TliConfig,
+    TliInverse,
     TopicModel,
+    padd_infer,
     spi_infer,
     tli_compute_inverse,
     tli_infer,
@@ -81,7 +84,7 @@ class TestTliInverse:
         B = np.hstack([col, col])
         m = TopicModel(B=B, A=np.eye(2) / 2)
         with pytest.raises(RuntimeError, match="singular value"):
-            tli_compute_inverse(m, TliConfig(delta=0.0))
+            tli_compute_inverse(m, TliConfig())
 
     def test_near_singular_errors_name_the_cause(self):
         # B^T c = s e_k is then met only within solver tolerance: either no
@@ -90,25 +93,15 @@ class TestTliInverse:
             col, other = stochastic_matrix(6, 2, seed=seed).T
             B = np.column_stack([col, (1 - 1e-10) * col + 1e-10 * other])
             m = TopicModel(B=B, A=np.eye(2) / 2)
-            for delta in (0.0, 0.05):
-                with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
-                    tli_compute_inverse(m, TliConfig(delta=delta))
+            with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
+                tli_compute_inverse(m, TliConfig())
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
-    def test_near_singular_sweep_always_errors(self, delta):
+    def test_near_singular_sweep_always_errors(self):
         # whichever optimal vertex HiGHS returns, a row of magnitude ~1e10
         # cannot have its bias certified
         for seed in range(16):
             with pytest.raises(RuntimeError, match="singular value|bias .* on topic"):
-                tli_compute_inverse(near_singular_model(seed), TliConfig(delta=delta))
-
-    @pytest.mark.parametrize("delta", [0.5, 0.6])
-    def test_near_singular_with_a_bounded_inverse_is_accepted(self, delta):
-        # a bias budget this large admits rows of magnitude 0.4-0.5
-        for seed in range(16):
-            inv = tli_compute_inverse(near_singular_model(seed), TliConfig(delta=delta))
-            assert inv.magnitude <= 0.5 + 1e-9
-            assert inv.bias <= delta + 1e-6
+                tli_compute_inverse(near_singular_model(seed), TliConfig())
 
     @pytest.mark.parametrize("scale, certified", [(1e6, True), (1e12, False)],
                              ids=["certified", "uncertified"])
@@ -121,7 +114,7 @@ class TestTliInverse:
         v = np.linalg.svd(B.T)[2][-1]
         npt.assert_allclose(B.T @ v, 0.0, atol=1e-12)
         monkeypatch.setattr(estimators, "_row_program",
-                            lambda B, kept, bounds, k, delta: exact[k] + scale * v)
+                            lambda B, kept, bounds, k: exact[k] + scale * v)
         m = TopicModel(B=B, A=np.eye(2) / 2)
         if certified:
             inv = tli_compute_inverse(m, TliConfig())
@@ -140,51 +133,28 @@ class TestTliInverse:
     def test_matches_vertex_enumeration_oracle(self, seed):
         B = stochastic_matrix(6, 2, seed=seed)
         m = TopicModel(B=B, A=np.eye(2) / 2)
-        inv = tli_compute_inverse(m, TliConfig(delta=0.0))
+        inv = tli_compute_inverse(m, TliConfig())
         for k in range(2):
-            t_star, _ = linf_left_inverse_oracle(B, k, delta=0.0)
+            t_star, _ = linf_left_inverse_oracle(B, k)
             assert np.abs(inv.Bdagger[k]).max() == pytest.approx(t_star, abs=1e-6)
         npt.assert_allclose(inv.Bdagger @ B, np.eye(2), atol=1e-9)
-
-    def test_oracle_with_bias_budget(self):
-        B = stochastic_matrix(5, 2, seed=9)
-        m = TopicModel(B=B, A=np.eye(2) / 2)
-        delta = 0.05
-        inv = tli_compute_inverse(m, TliConfig(delta=delta))
-        assert np.abs(inv.Bdagger @ B - np.eye(2)).max() <= delta + 1e-9
-        for k in range(2):
-            t_star, _ = linf_left_inverse_oracle(B, k, delta=delta)
-            assert np.abs(inv.Bdagger[k]).max() == pytest.approx(t_star, abs=1e-6)
 
     def test_bias_residual_within_delta(self):
         for seed in range(4):
             B = stochastic_matrix(40, 8, seed=seed)
             m = random_model(N=40, K=8, seed=seed + 50)
             m = TopicModel(B=B, A=m.A)
-            inv = tli_compute_inverse(m, TliConfig(delta=0.0))
+            inv = tli_compute_inverse(m, TliConfig())
             assert np.abs(inv.Bdagger @ B - np.eye(8)).max() <= 1e-6
         for B in NEAR_ANCHOR:
             m = TopicModel(B=B, A=np.eye(8) / 8)
-            for delta in (0.0, 0.01):
-                inv = tli_compute_inverse(m, TliConfig(delta=delta))
-                residual = np.abs(inv.Bdagger @ B - np.eye(8)).max()
-                assert residual <= delta + 1e-6
-                assert inv.bias == pytest.approx(residual, abs=1e-12)
-                for k in range(8):
-                    t_ref, _ = linf_left_inverse_lp(B, k, delta)
-                    assert np.abs(inv.Bdagger[k]).max() == pytest.approx(t_ref, abs=1e-6)
-
-    def test_magnitude_monotone_in_delta(self):
-        for B in [stochastic_matrix(25, 5, seed=seed) for seed in range(3)] + NEAR_ANCHOR:
-            m = TopicModel(B=B, A=np.eye(B.shape[1]) / B.shape[1])
-            mags = [
-                tli_compute_inverse(m, TliConfig(delta=d)).magnitude
-                for d in (0.0, 0.01, 0.05)
-            ]
-            assert mags[0] + 1e-9 >= mags[1] >= mags[2] - 1e-9
-            # from delta = 1 on, the zero row would already meet the bias budget
-            with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
-                tli_compute_inverse(m, TliConfig(delta=1.0))
+            inv = tli_compute_inverse(m, TliConfig())
+            residual = np.abs(inv.Bdagger @ B - np.eye(8)).max()
+            assert residual <= 1e-6
+            assert inv.bias == pytest.approx(residual, abs=1e-12)
+            for k in range(8):
+                t_ref, _ = linf_left_inverse_lp(B, k)
+                assert np.abs(inv.Bdagger[k]).max() == pytest.approx(t_ref, abs=1e-6)
 
     def test_magnitude_matches_recomputation(self):
         B = stochastic_matrix(20, 4, seed=7)
@@ -192,43 +162,38 @@ class TestTliInverse:
         inv = tli_compute_inverse(m, TliConfig())
         assert inv.magnitude == pytest.approx(np.abs(inv.Bdagger).max(), abs=1e-10)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05])
-    def test_threads_do_not_change_result(self, delta):
-        # delta > 0 runs the 2K-row inequality programs on [B^T; -B^T]
+    def test_threads_do_not_change_result(self):
         for B in (stochastic_matrix(30, 6, seed=8), NEAR_ANCHOR[0]):
             m = TopicModel(B=B, A=np.eye(B.shape[1]) / B.shape[1])
-            a = tli_compute_inverse(m, TliConfig(delta=delta), threads=1)
-            b = tli_compute_inverse(m, TliConfig(delta=delta), threads=4)
+            a = tli_compute_inverse(m, TliConfig(), threads=1)
+            b = tli_compute_inverse(m, TliConfig(), threads=4)
             npt.assert_array_equal(a.Bdagger, b.Bdagger)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 1e-10])
-    def test_kept_entries_give_the_dense_program_bytes(self, delta):
+    def test_kept_entries_give_the_dense_program_bytes(self):
         # HiGHS drops every entry with |a| <= 1e-9 from the dense program
-        # itself, so handing it only the kept ones changes no byte; at
-        # delta = 1e-10 it drops the s column's slack entries too
+        # itself, so handing it only the kept ones changes no byte
         B = NEAR_ANCHOR[0]
         assert (B <= HIGHS_SMALL).mean() >= 0.5
-        inv = tli_compute_inverse(TopicModel(B=B, A=np.eye(8) / 8), TliConfig(delta=delta))
-        reference = np.array([dense_charnes_cooper_row(B, k, delta) for k in range(8)])
+        inv = tli_compute_inverse(TopicModel(B=B, A=np.eye(8) / 8), TliConfig())
+        reference = np.array([dense_charnes_cooper_row(B, k) for k in range(8)])
         assert inv.Bdagger.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05])
-    def test_programs_hold_only_the_entries_highs_keeps(self, monkeypatch, delta):
+    def test_programs_hold_only_the_entries_highs_keeps(self, monkeypatch):
         B = NEAR_ANCHOR[0]
         N, K = B.shape
         linprog = scipy.optimize.linprog
         matrices = []
 
         def spy(*args, **kwargs):
-            matrices.append(kwargs["A_eq"] if delta == 0.0 else kwargs["A_ub"])
+            matrices.append(kwargs["A_eq"])
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(estimators.scipy.optimize, "linprog", spy)
-        tli_compute_inverse(TopicModel(B=B, A=np.eye(K) / K), TliConfig(delta=delta))
+        tli_compute_inverse(TopicModel(B=B, A=np.eye(K) / K), TliConfig())
         assert len(matrices) == K
         for A in matrices:
             assert scipy.sparse.issparse(A)
-            assert A.shape == (K if delta == 0.0 else 2 * K, N + 1)
+            assert A.shape == (K, N + 1)
             assert (np.abs(A.data) > HIGHS_SMALL).all()
 
     def test_lp_magnitude_at_most_least_squares_inverse(self):
@@ -243,16 +208,14 @@ class TestTliInverse:
 
 class TestTliConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="delta"):
-            TliConfig(delta=-0.1)
-        for delta in (1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
-                TliConfig(delta=delta)
         with pytest.raises(ValueError, match="divisor"):
             TliConfig(threshold_divisor=0.0)
-        # the left inverse is always the LP; there is no solver to pick
+        # the left inverse is always the exact LP; there is no solver to
+        # pick and no bias to allow
         with pytest.raises(TypeError, match="solver"):
             TliConfig(solver="lp")
+        with pytest.raises(TypeError, match="delta"):
+            TliConfig(delta=0.0)
 
 
 class TestTliInfer:
@@ -304,11 +267,23 @@ class TestTliInfer:
 
     def test_negative_raw_mass_removed(self, identity_model):
         # hand-built inverse producing raw [1.05, -0.05]
-        from topic_compose import TliInverse
-
         m = identity_model(2)
         Bd = np.array([[1.05, 0.0], [0.0, -0.05]])
-        inv = TliInverse(Bdagger=Bd, delta=0.0)
+        inv = TliInverse(Bdagger=Bd)
         c = Corpus(docs=[0, 0], words=[0, 1], counts=[999, 1], M=1, N=2)
         W = tli_infer(inv, m, c, TliConfig()).W
         assert W[1, 0] == 0.0 and W[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("method, corpus_N, inverse_shape, message", [
+    ("tli", 3, (2, 2), "corpus vocabulary 3 != model vocabulary 2"),
+    ("tli", 2, (2, 3), "inverse has shape (2, 3), expected (2, 2)"),
+    ("padd", 3, None, "corpus vocabulary 3 != model vocabulary 2"),
+], ids=["tli-vocabulary", "tli-inverse-shape", "padd-vocabulary"])
+def test_mismatched_input_rejected(tiny_model, method, corpus_N, inverse_shape, message):
+    corpus = random_corpus(N=corpus_N, M=3, seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if method == "tli":
+            tli_infer(TliInverse(np.ones(inverse_shape)), tiny_model, corpus)
+        else:
+            padd_infer(tiny_model, corpus)

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -250,6 +251,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="header"):
             read_dense_tsv(path)
 
+    def test_corpus_header_mismatch(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("1\t2\t2\n1\t1\t3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header says 2 entries, body has shape (1, 3)")):
+            read_corpus_tsv(path)
+
     @pytest.mark.parametrize("text, error", [
         ("2\t2\n0.5\t0.5\n\n0.5\n", "line 4: expected 2 fields, got 1"),
         ("1\t2\n# note\n0.5\tx\n", "line 3: cannot read 'x' as float64"),
@@ -363,7 +371,7 @@ ARRAY_RECORDS = {
     "TopicModel": lambda: TopicModel(B=np.eye(2), A=np.eye(2) / 2),
     "CompositionMatrix": _composition,
     "Corpus": _corpus,
-    "TliInverse": lambda: TliInverse(np.eye(2), delta=0.0),
+    "TliInverse": lambda: TliInverse(np.eye(2)),
     "DirichletPrior": lambda: DirichletPrior.symmetric(3, 5.0),
     "LogisticNormalPrior": lambda: LogisticNormalPrior(np.zeros(2), np.eye(2)),
     "SynthOutput": lambda: SynthOutput(_corpus(), _composition(), np.eye(2) / 2),
@@ -376,3 +384,44 @@ def test_array_records_compare_by_identity(make):
     a, b = make(), make()
     assert (a == b) is False
     assert (a == a) is True
+
+
+# each input check of the records and of the dense writer: the call and its message
+INVALID_INPUTS = {
+    "Corpus-unequal-lengths": (lambda: Corpus(docs=[0, 0], words=[0], counts=[1, 1], M=1, N=2),
+                               "docs, words and counts must have equal lengths"),
+    "Corpus-no-documents": (lambda: Corpus(docs=[], words=[], counts=[], M=0, N=2),
+                            "corpus dimensions M=0, N=2 must be positive"),
+    "Corpus-no-words": (lambda: Corpus(docs=[], words=[], counts=[], M=1, N=0),
+                        "corpus dimensions M=1, N=0 must be positive"),
+    "Corpus-document-out-of-range": (lambda: Corpus(docs=[1], words=[0], counts=[1], M=1, N=2),
+                                     "document index out of range [0, 1)"),
+    "Corpus-word-out-of-range": (lambda: Corpus(docs=[0], words=[2], counts=[1], M=1, N=2),
+                                 "word index out of range [0, 2)"),
+    "TopicModel-non-finite-B": (lambda: TopicModel(B=[[np.nan], [1.0]], A=[[1.0]]),
+                                "B contains non-finite entries"),
+    "TopicModel-B-not-a-matrix": (lambda: TopicModel(B=[0.5, 0.5], A=[[1.0]]),
+                                  "B must be a matrix, got ndim=1"),
+    "TopicModel-no-topics": (lambda: TopicModel(B=np.zeros((2, 0)), A=np.zeros((0, 0))),
+                             "model must have at least one topic"),
+    "TopicModel-A-wrong-shape": (lambda: TopicModel(B=np.eye(2), A=np.eye(3) / 3),
+                                 "A has shape (3, 3), expected (2, 2) to match B"),
+    "CompositionMatrix-not-a-matrix": (lambda: CompositionMatrix([0.5, 0.5]),
+                                       "W must be a matrix"),
+    "CompositionMatrix-no-documents": (lambda: CompositionMatrix(np.zeros((2, 0))),
+                                       "W has degenerate shape (2, 0)"),
+    "TliInverse-not-a-matrix": (lambda: TliInverse(np.ones(2)), "Bdagger must be a matrix"),
+    "TliInverse-non-finite": (lambda: TliInverse([[1.0, np.inf]]),
+                              "Bdagger contains non-finite entries"),
+    "LogisticNormalPrior-non-finite-mu": (lambda: LogisticNormalPrior([0.0, np.nan], np.eye(2)),
+                                          "mu must be a finite vector"),
+    # raises before the file is opened
+    "write_dense_tsv-not-a-matrix": (lambda: write_dense_tsv(os.devnull, np.ones(3)),
+                                     "expected a matrix"),
+}
+
+
+@pytest.mark.parametrize("call, message", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys())
+def test_invalid_input_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -35,6 +35,15 @@ class TestKnownValues:
         with pytest.raises(ValueError, match="non-finite"):
             project_vector([np.inf, 0.0])
 
+    @pytest.mark.parametrize("V, message", [
+        (np.ones(3), "expected a matrix, got ndim=1"),
+        (np.ones((2, 2, 2)), "expected a matrix, got ndim=3"),
+        (np.ones((0, 4)), "vectors must have at least one component"),
+    ], ids=["vector", "3-d", "no-components"])
+    def test_invalid_shape_rejected(self, V, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            project_simplex_columns(V)
+
 
 class TestProperties:
     def test_on_simplex_many_sizes(self):

@@ -3,12 +3,11 @@
     PYTHONPATH=src python3 tools/output_digests.py --seed 1 --slots 0-7 --threads 2
 
 For each workload's model (bench/inputs.py, read back from its TSV files
-as the benchmark reads it), two `tli.Bdagger` lines, slot `-`, for TLI's
-left inverse at the default TliConfig and at delta = 0.05, whose row
-programs have 2K rows. For each pool slot of the padd-k10 and tli-k50
-inputs, one line each for SPI's, TLI's and PADD's W and for PADD's
-diagnostics, as the JSON of their fields with sorted keys, which is how a
-manifest's `results` records them; for the cli-pipeline inputs, one line
+as the benchmark reads it), one `tli.Bdagger` line, slot `-`, for TLI's
+left inverse. For each pool slot of the padd-k10 and tli-k50 inputs, one
+line each for SPI's, TLI's and PADD's W and for PADD's diagnostics, as the
+JSON of their fields with sorted keys, which is how a manifest's `results`
+records them; for the cli-pipeline inputs, one line
 for each file that `synth`, `infer --method spi` and `eval --prior` write
 through cli.main, as the benchmark runs them, except the manifests, which
 record paths and timing. Two source trees whose runs print the same lines give
@@ -48,13 +47,6 @@ def slot_range(text):
     return range(int(first), int(last or first) + 1)
 
 
-def biased_inverse_row(name, m, threads):
-    """The digest line of TLI's left inverse at delta = 0.05."""
-    inverse = estimators.tli_compute_inverse(m, estimators.TliConfig(delta=0.05),
-                                             threads=threads)
-    return name, "-", "tli.Bdagger.delta=0.05", digest(inverse.Bdagger.tobytes())
-
-
 def batch_digests(name, data, slots, threads, work):
     work.mkdir()
     inputs.write_model(work, data)
@@ -62,7 +54,6 @@ def batch_digests(name, data, slots, threads, work):
     tli_config = estimators.TliConfig()
     inverse = estimators.tli_compute_inverse(m, tli_config, threads=threads)
     yield name, "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
-    yield biased_inverse_row(name, m, threads)
     for slot in slots:
         b = data.batches[slot]
         corpus = model.Corpus(docs=b.docs, words=b.words, counts=b.counts, M=b.M, N=b.N)
@@ -82,7 +73,6 @@ def cli_digests(data, slots, threads, work):
     loaded = model.load_model(str(m))
     inverse = estimators.tli_compute_inverse(loaded, threads=threads)
     yield "cli-pipeline", "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
-    yield biased_inverse_row("cli-pipeline", loaded, threads)
     for slot in slots:
         out = work / f"slot{slot}"
         steps = (
