@@ -156,22 +156,21 @@ def _model_inputs(model_dir):
 
 def cmd_synth(args):
     manifest = os.path.join(args.out, "manifest.json")
-    inputs = _model_inputs(args.model) + (
-        [args.mu, args.sigma] if args.prior == "logistic-normal" else []
-    )
+    inputs = _model_inputs(args.model) + (args.logistic_normal or [])
     outputs = [os.path.join(args.out, n) for n in ("corpus.tsv", "Wstar.tsv", "Astar.tsv")]
     _check_overwrite(args.subcommand, manifest, inputs, outputs)
     model = load_model(args.model)
-    if args.prior == "dirichlet":
+    if args.logistic_normal is None:
         alpha_scale = ALPHA_SCALE if args.alpha_scale is None else args.alpha_scale
         prior = DirichletPrior.symmetric(model.K, alpha_scale)
         prior_cfg = {"prior": "dirichlet", "alpha": prior.alpha.tolist()}
     else:
         K = model.K
-        mu = _read_shaped_tsv(args.mu, "--mu", K, (K, 1), (1, K))
-        sigma = _read_shaped_tsv(args.sigma, "--sigma", K, (K, K))
+        mu_path, sigma_path = args.logistic_normal
+        mu = _read_shaped_tsv(mu_path, "--logistic-normal MU", K, (K, 1), (1, K))
+        sigma = _read_shaped_tsv(sigma_path, "--logistic-normal SIGMA", K, (K, K))
         prior = LogisticNormalPrior(mu=mu, sigma=sigma)
-        prior_cfg = {"prior": "logistic-normal", "mu": args.mu, "sigma": args.sigma}
+        prior_cfg = {"prior": "logistic-normal", "mu": mu_path, "sigma": sigma_path}
     out = synthesize(model, prior, args.docs, args.len, seed=args.seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     corpus_path, wstar_path, astar_path = outputs
@@ -256,15 +255,14 @@ def build_parser():
     ps.add_argument("--model", required=True, help="directory with B.tsv and A.tsv")
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
-    ps.add_argument("--prior", choices=("dirichlet", "logistic-normal"),
-                    default="dirichlet")
-    ps.add_argument("--alpha-scale",
-                    type=_checked_float(lambda v: DirichletPrior.symmetric(1, v)),
-                    default=None,
-                    help="dirichlet: total concentration, split evenly over topics "
-                         f"(default {ALPHA_SCALE})")
-    ps.add_argument("--mu", help="logistic-normal: TSV vector for the mean")
-    ps.add_argument("--sigma", help="logistic-normal: TSV matrix for the covariance")
+    prior = ps.add_mutually_exclusive_group()
+    prior.add_argument("--alpha-scale",
+                       type=_checked_float(lambda v: DirichletPrior.symmetric(1, v)),
+                       default=None,
+                       help="dirichlet, the default prior: total concentration, split "
+                            f"evenly over topics (default {ALPHA_SCALE})")
+    prior.add_argument("--logistic-normal", nargs=2, metavar=("MU", "SIGMA"),
+                       help="logistic-normal prior: mean and covariance TSV files")
     ps.add_argument("--len", type=_length, default="150",
                     help="document length: integer or poisson:<mean>")
     ps.add_argument("--seed", type=int, default=0)
@@ -296,25 +294,9 @@ def build_parser():
     return parser
 
 
-def _check_prior_flags(parser, args):
-    """synth takes the flags of its --prior and no others."""
-    if args.prior == "dirichlet":
-        other = {"--mu": args.mu, "--sigma": args.sigma}
-    else:
-        if None in (args.mu, args.sigma):
-            parser.error("synth --prior logistic-normal requires --mu and --sigma")
-        other = {"--alpha-scale": args.alpha_scale}
-    for flag, value in other.items():
-        if value is not None:
-            parser.error(f"synth --prior {args.prior} does not take {flag}")
-
-
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand == "synth":
-            _check_prior_flags(parser, args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -223,16 +223,12 @@ def write_dense_tsv(path, X):
 
 
 def _read_header(fh, path, fields):
-    """The first line's `fields` nonnegative integers, or ValueError
-    naming path."""
+    """The first line's `fields` nonnegative integers, written in digits
+    alone, or ValueError naming path."""
     header = fh.readline().split()
-    try:
-        sizes = [int(v) for v in header]
-    except ValueError:
-        sizes = []
-    if len(sizes) != fields or min(sizes) < 0:
+    if len(header) != fields or not all(v.isdigit() for v in header):
         raise ValueError(f"{path}: malformed header {header!r}")
-    return sizes
+    return [int(v) for v in header]
 
 
 def _fields(line):
@@ -272,16 +268,32 @@ def _first_bad_line(fh, path, dtype, cols):
             return f"{path}: line {number}: expected {cols} fields, got {len(fields)}"
         for value in fields:
             try:
+                if "_" in value:  # float() and int() read '1_0'; loadtxt does not
+                    raise ValueError(value)
                 parse(value)
             except ValueError:
                 return f"{path}: line {number}: cannot read {value!r} as {np.dtype(dtype)}"
     return None
 
 
+def _read_tsv(path, fields, dtype, cols=None):
+    """The header's `fields` sizes, and the body as a 2-D dtype array of
+    `cols` columns (by default the header's last size). A byte that is not
+    ASCII raises ValueError naming path and the byte's line."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            sizes = _read_header(fh, path, fields)
+            return sizes, _read_body(fh, path, dtype, cols or sizes[-1])
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            number, line = next(p for p in enumerate(fh, start=1) if not p[1].isascii())
+        byte = next(b for b in line if b > 0x7F)
+        raise ValueError(f"{path}: line {number}: cannot read byte {byte:#04x} "
+                         "as ASCII") from None
+
+
 def read_dense_tsv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        rows, cols = _read_header(fh, path, 2)
-        X = _read_body(fh, path, np.float64, cols)
+    (rows, cols), X = _read_tsv(path, 2, np.float64)
     if X.size == 0:
         X = X.reshape(rows, cols) if rows * cols == 0 else X
     if X.shape != (rows, cols):
@@ -309,9 +321,7 @@ def write_corpus_tsv(path, corpus):
 
 
 def read_corpus_tsv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        M, N, nnz = _read_header(fh, path, 3)
-        body = _read_body(fh, path, np.int64, 3)
+    (M, N, nnz), body = _read_tsv(path, 3, np.int64, cols=3)
     if body.shape != (nnz, 3):
         raise ValueError(f"{path}: header says {nnz} entries, body has shape {body.shape}")
     docs, words, counts = body[:, 0], body[:, 1], body[:, 2]

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from topic_compose import (
     write_corpus_tsv,
     write_dense_tsv,
 )
+from topic_compose import cli
 from topic_compose.cli import build_parser, main
 import topic_compose.padd as padd_module
 from topic_compose.padd import PRICE_CAP
@@ -88,28 +91,35 @@ class TestSynth:
     def test_logistic_normal_requires_mu_sigma(self, model_dir, tmp_path, capsys):
         mu = tmp_path / "mu.tsv"
         write_dense_tsv(str(mu), np.zeros((3, 1)))
-        for flags in ((), ("--mu", mu)):
+        for paths in ((), (mu,)):
             code = run("synth", "--model", model_dir, "--out", tmp_path / "o",
-                       "--docs", 5, "--prior", "logistic-normal", *flags)
+                       "--docs", 5, "--logistic-normal", *paths)
             assert code == 2
-            assert "requires --mu and --sigma" in capsys.readouterr().err
+            assert "argument --logistic-normal: expected 2 arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("prior, flag", [("dirichlet", "--mu"), ("dirichlet", "--sigma"),
+                                             ("dirichlet", "--prior"),
+                                             ("dirichlet", "--logistic-normal"),
                                              ("logistic-normal", "--alpha-scale")])
     def test_flag_of_the_other_prior_is_usage_error(self, model_dir, tmp_path, capsys,
                                                     prior, flag):
+        # the files do not exist, so a run that read one would exit 1, not 2
         mu, sigma = tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
-        write_dense_tsv(str(mu), np.zeros((3, 1)))
-        write_dense_tsv(str(sigma), np.eye(3) * 0.4)
-        argv = ["synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
-                "--prior", prior]
-        if prior == "logistic-normal":
-            argv += ["--mu", mu, "--sigma", sigma]
-        # --alpha-scale at its own default still names a Dirichlet run
-        value = {"--mu": mu, "--sigma": sigma, "--alpha-scale": 5.0}[flag]
-        assert run(*argv, flag, value) == 2
-        assert f"synth --prior {prior} does not take {flag}" in capsys.readouterr().err
+        argv = ["synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5]
+        # a Dirichlet run takes no prior flag, or --alpha-scale, which at its
+        # own default still names a Dirichlet run
+        given = {"dirichlet": ["--alpha-scale", 5.0] if flag == "--logistic-normal" else [],
+                 "logistic-normal": ["--logistic-normal", mu, sigma]}[prior]
+        value = {"--mu": [mu], "--sigma": [sigma], "--prior": ["dirichlet"],
+                 "--alpha-scale": [5.0], "--logistic-normal": [mu, sigma]}[flag]
+        assert run(*argv, *given, flag, *value) == 2
+        err = capsys.readouterr().err
+        if given:
+            assert f"argument {flag}: not allowed with argument {given[0]}" in err
+        else:
+            # --logistic-normal MU SIGMA says what --prior, --mu and --sigma did
+            assert f"unrecognized arguments: {flag} {value[0]}" in err
         assert not (tmp_path / "o").exists()
 
     def test_alpha_scale_defaults_to_five(self, model_dir, tmp_path):
@@ -122,19 +132,19 @@ class TestSynth:
         assert (digest(tmp_path / "default" / "corpus.tsv")
                 == digest(tmp_path / "explicit" / "corpus.tsv"))
 
-    @pytest.mark.parametrize("flag, mu_shape, sigma_shape", [
-        ("--mu", (4, 1), (3, 3)),
-        ("--sigma", (3, 1), (2, 2)),
+    @pytest.mark.parametrize("metavar, mu_shape, sigma_shape", [
+        ("MU", (4, 1), (3, 3)),
+        ("SIGMA", (3, 1), (2, 2)),
     ])
     def test_wrong_size_prior_file_is_runtime_error_naming_it(
-            self, model_dir, tmp_path, capsys, flag, mu_shape, sigma_shape):
+            self, model_dir, tmp_path, capsys, metavar, mu_shape, sigma_shape):
         mu, sigma = tmp_path / "mu.tsv", tmp_path / "sigma.tsv"
         write_dense_tsv(str(mu), np.zeros(mu_shape))
         write_dense_tsv(str(sigma), np.eye(*sigma_shape))
         assert run("synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
-                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == 1
-        bad = mu if flag == "--mu" else sigma
-        assert f"error: {bad}: {flag} needs" in capsys.readouterr().err
+                   "--logistic-normal", mu, sigma) == 1
+        bad = mu if metavar == "MU" else sigma
+        assert f"error: {bad}: --logistic-normal {metavar} needs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mu_shape, code", [((2, 2), 1), ((1, 4), 0), ((4, 1), 0)],
                              ids=["2x2", "1xK", "Kx1"])
@@ -144,9 +154,10 @@ class TestSynth:
         write_dense_tsv(str(mu), np.zeros(mu_shape))
         write_dense_tsv(str(sigma), np.eye(4) * 0.4)
         assert run("synth", "--model", mdir, "--out", tmp_path / "o", "--docs", 5,
-                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == code
+                   "--logistic-normal", mu, sigma) == code
         if code:
-            assert (f"error: {mu}: --mu needs a 4x1 or 1x4 matrix for 4 topics, "
+            assert (f"error: {mu}: --logistic-normal MU needs a 4x1 or 1x4 matrix "
+                    "for 4 topics, "
                     "got shape (2, 2)") in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
@@ -157,7 +168,7 @@ class TestSynth:
         write_dense_tsv(str(sigma), np.eye(3) * 0.4)
         out = tmp_path / "ln"
         assert run("synth", "--model", model_dir, "--out", out, "--docs", 10,
-                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == 0
+                   "--logistic-normal", mu, sigma) == 0
         corpus = read_corpus_tsv(str(out / "corpus.tsv"))
         assert corpus.M == 10
         manifest = json.loads((out / "manifest.json").read_text())
@@ -169,7 +180,7 @@ class TestSynth:
         write_dense_tsv(str(mu), np.zeros((3, 1)))
         write_dense_tsv(str(sigma), np.diag([1.0, 1.0, -1.0]))
         assert run("synth", "--model", model_dir, "--out", tmp_path / "o", "--docs", 5,
-                   "--prior", "logistic-normal", "--mu", mu, "--sigma", sigma) == 1
+                   "--logistic-normal", mu, sigma) == 1
         assert "semidefinite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -700,6 +711,26 @@ class TestParser:
         assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags
 
 
+def test_module_entry_point_prints_usage():
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "topic_compose.cli", "synth", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    usage = " ".join(proc.stdout.split())
+    assert "[--alpha-scale ALPHA_SCALE | --logistic-normal MU SIGMA]" in usage
+
+
+def test_broken_pipe_exits_one_without_manifest(model_dir, tmp_path, monkeypatch, capsys):
+    def closed_pipe(*args):
+        raise BrokenPipeError
+    monkeypatch.setattr(cli, "write_corpus_tsv", closed_pipe)
+    out = tmp_path / "o"
+    assert run("synth", "--model", model_dir, "--out", out, "--docs", 5) == 1
+    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_pipeline_keeps_every_manifest(model_dir, tmp_path):
     """The README's flow: infer and eval share one run directory, and two
     evals into it keep their own manifests."""
@@ -797,8 +828,8 @@ def test_manifest_records_only_what_a_user_sets(model_dir, corpus_path, tmp_path
     name, _, variant = case.partition("-")
     out = tmp_path / "o"
     argv = {
-        "synth": ["synth", "--model", model_dir, "--out", out, "--docs", 5, "--prior", variant]
-        + (["--mu", mu, "--sigma", sigma] if variant == "logistic-normal" else []),
+        "synth": ["synth", "--model", model_dir, "--out", out, "--docs", 5]
+        + (["--logistic-normal", mu, sigma] if variant == "logistic-normal" else []),
         "infer": ["infer", "--method", variant, "--model", model_dir,
                   "--corpus", corpus_path, "--out", out],
         "eval": ["eval", "--truth", truth, "--pred", truth, "--prior", model_dir / "A.tsv",

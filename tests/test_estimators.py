@@ -129,6 +129,20 @@ class TestTliInverse:
             assert f"topic {int(mag.argmax())} has magnitude {mag.max():.3g}" in message
             assert f"smallest singular value of B is {smin:.3e}" in message
 
+    def test_bias_above_tolerance_is_runtime_error_naming_the_topic(self, monkeypatch):
+        # a row of small magnitude, so rounding is certified, whose bias is
+        # 1e-3: only the residual check can refuse it
+        B = stochastic_matrix(6, 2, seed=3)
+        rows = np.linalg.pinv(B)
+        rows[1] *= 1.0 + 1e-3
+        monkeypatch.setattr(estimators, "_row_program", lambda B, kept, bounds, k: rows[k])
+        bias = np.abs(rows @ B - np.eye(2)).max()
+        assert bias > 1e-6 and np.abs(rows).max() < 1e3
+        with pytest.raises(RuntimeError) as err:
+            tli_compute_inverse(TopicModel(B=B, A=np.eye(2) / 2), TliConfig())
+        assert str(err.value) == (f"left inverse has bias {bias:.9g} on topic 1, above 1e-06; "
+                                  "B is too ill-conditioned")
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_vertex_enumeration_oracle(self, seed):
         B = stochastic_matrix(6, 2, seed=seed)

@@ -263,12 +263,21 @@ class TestFileFormats:
         ("1\t2\n# note\n0.5\tx\n", "line 3: cannot read 'x' as float64"),
         ("a\t2\n0.5\t0.5\n", "malformed header ['a', '2']"),
         ("2\t-1\n", "malformed header ['2', '-1']"),
+        # float() and int() read digit-group underscores; the readers do not
+        ("1\t2\n0.5\t1_0\n", "line 2: cannot read '1_0' as float64"),
+        ("1\t2\t1\n1\t2\t1_0\n", "line 2: cannot read '1_0' as int64"),
+        ("1_0\t2\n", "malformed header ['1_0', '2']"),
+        ("1_0\t2\t1\n1\t1\t3\n", "malformed header ['1_0', '2', '1']"),
+        ("1\t2\n0.5\t\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
+        ("1\t2\t1\n1\t2\t\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
     ])
     def test_dense_parse_error_names_file_and_line(self, tmp_path, text, error):
+        # a header of three fields is a corpus's
+        read = read_corpus_tsv if text.split("\n")[0].count("\t") == 2 else read_dense_tsv
         path = tmp_path / "bad.tsv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
-            read_dense_tsv(path)
+            read(path)
 
     def test_empty_dense_body_reads_without_warning(self, tmp_path):
         path = tmp_path / "empty.tsv"
