@@ -34,6 +34,7 @@ from .metrics import (
     write_report_tsv,
 )
 from .model import (
+    from_file,
     load_model,
     read_composition_tsv,
     read_corpus_tsv,
@@ -140,13 +141,16 @@ def _write_manifest(path, subcommand, config, inputs, outputs, results, seed, el
 
 
 def _read_shaped_tsv(path, flag, K, *shapes):
-    """The matrix in the file given to `flag`, whose shape must be one of
-    `shapes`; a file of another shape raises ValueError naming it."""
+    """The finite matrix in the file given to `flag`, whose shape must be
+    one of `shapes`; another file raises ValueError naming it and flag."""
     X = read_dense_tsv(path)
+    wanted = " or ".join(f"{r}x{c}" for r, c in shapes)
     if X.shape not in shapes:
-        wanted = " or ".join(f"{r}x{c}" for r, c in shapes)
         raise ValueError(f"{path}: {flag} needs a {wanted} matrix for {K} topics, "
                          f"got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{path}: {flag} must be a finite {wanted} matrix, "
+                         "got a non-finite entry")
     return X
 
 
@@ -169,7 +173,8 @@ def cmd_synth(args):
         mu_path, sigma_path = args.logistic_normal
         mu = _read_shaped_tsv(mu_path, "--logistic-normal MU", K, (K, 1), (1, K))
         sigma = _read_shaped_tsv(sigma_path, "--logistic-normal SIGMA", K, (K, K))
-        prior = LogisticNormalPrior(mu=mu, sigma=sigma)
+        # mu and sigma are finite and shaped, so what is left to reject is sigma's
+        prior = from_file(f"{sigma_path}: --logistic-normal SIGMA", LogisticNormalPrior, mu, sigma)
         prior_cfg = {"prior": "logistic-normal", "mu": mu_path, "sigma": sigma_path}
     out = synthesize(model, prior, args.docs, args.len, seed=args.seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)

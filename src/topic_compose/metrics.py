@@ -34,7 +34,8 @@ def prior_distance(A0, comp):
     K = W.shape[0]
     A0 = np.asarray(A0, dtype=np.float64)
     if A0.shape != (K, K) or not np.isfinite(A0).all():
-        raise ValueError(f"prior must be a finite {K}x{K} matrix, got shape {A0.shape}")
+        got = f"shape {A0.shape}" if A0.shape != (K, K) else "a non-finite entry"
+        raise ValueError(f"prior must be a finite {K}x{K} matrix, got {got}")
     return float(np.linalg.norm(A0 - (W @ W.T) / W.shape[1]))
 
 

@@ -222,12 +222,12 @@ def write_dense_tsv(path, X):
         np.savetxt(fh, X, fmt=_FLOAT_FMT, delimiter="\t")
 
 
-def _read_header(fh, path, fields):
-    """The first line's `fields` nonnegative integers, written in digits
-    alone, or ValueError naming path."""
-    header = fh.readline().split()
+def _sizes(line, fields):
+    """The header line's `fields` nonnegative integers, written in digits
+    alone; ValueError if it is not that."""
+    header = line.split()
     if len(header) != fields or not all(v.isdigit() for v in header):
-        raise ValueError(f"{path}: malformed header {header!r}")
+        raise ValueError(f"malformed header {header!r}")
     return [int(v) for v in header]
 
 
@@ -238,39 +238,32 @@ def _fields(line):
     return text.split("\t") if text else []
 
 
-def _read_body(fh, path, dtype, cols):
-    """The lines after the header as a 2-D array of dtype, read by loadtxt.
-
-    A body without data lines gives a 0 x cols array, without loadtxt's
-    no-data warning. A body loadtxt cannot read raises ValueError naming
-    path and, where a rescan finds it, the first bad line.
-    """
-    start = fh.tell()
-    if not any(_fields(line) for line in iter(fh.readline, "")):
-        return np.empty((0, cols), dtype=dtype)
-    fh.seek(start)
-    try:
-        return np.loadtxt(fh, dtype=dtype, delimiter="\t", ndmin=2)
-    except ValueError as exc:
-        fh.seek(start)
-        raise ValueError(_first_bad_line(fh, path, dtype, cols) or f"{path}: {exc}") from None
-
-
-def _first_bad_line(fh, path, dtype, cols):
-    """What is wrong with the first body line left in fh that has other
-    than cols fields or a field that does not parse as dtype, naming path
-    and the line's number in the file (the header is line 1); None if no
-    line is."""
-    parse = float if np.dtype(dtype).kind == "f" else int
-    for number, line in enumerate(iter(fh.readline, ""), start=2):
-        fields = _fields(line)
-        if fields and len(fields) != cols:
-            return f"{path}: line {number}: expected {cols} fields, got {len(fields)}"
-        for value in fields:
+def _first_bad_line(path, fields, dtype, cols):
+    """What is wrong with the first line of path, in file order, that has a
+    byte that is not ASCII, is a malformed header, or is a body line with
+    other than cols fields (by default the header's last size) or a field
+    loadtxt cannot read as dtype, naming path and the line (the header is
+    line 1); None if no line is. Bytes that are not ASCII are read as
+    surrogates, so lines split where the strict read splits them."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.isascii():  # byte b reads as the surrogate U+DC00 + b
+                byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
+                return f"{path}: line {number}: cannot read byte {byte:#04x} as ASCII"
+            if number == 1:
+                try:
+                    cols = cols or _sizes(line, fields)[-1]
+                except ValueError as exc:
+                    return f"{path}: {exc}"
+                continue
+            values = _fields(line)
+            if values and len(values) != cols:
+                return f"{path}: line {number}: expected {cols} fields, got {len(values)}"
             try:
-                if "_" in value:  # float() and int() read '1_0'; loadtxt does not
-                    raise ValueError(value)
-                parse(value)
+                for value in values:
+                    if not value:  # loadtxt warns on an empty field rather than raising
+                        raise ValueError(value)
+                    np.loadtxt([value], dtype=dtype, delimiter="\t")
             except ValueError:
                 return f"{path}: line {number}: cannot read {value!r} as {np.dtype(dtype)}"
     return None
@@ -278,18 +271,29 @@ def _first_bad_line(fh, path, dtype, cols):
 
 def _read_tsv(path, fields, dtype, cols=None):
     """The header's `fields` sizes, and the body as a 2-D dtype array of
-    `cols` columns (by default the header's last size). A byte that is not
-    ASCII raises ValueError naming path and the byte's line."""
+    `cols` columns (by default the header's last size) read by loadtxt; a
+    body without data lines gives a 0 x cols array, without loadtxt's
+    no-data warning. A file that does not read raises ValueError naming
+    path and, where the rescan finds one, the first bad line."""
     try:
         with open(path, encoding="ascii") as fh:
-            sizes = _read_header(fh, path, fields)
-            return sizes, _read_body(fh, path, dtype, cols or sizes[-1])
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            number, line = next(p for p in enumerate(fh, start=1) if not p[1].isascii())
-        byte = next(b for b in line if b > 0x7F)
-        raise ValueError(f"{path}: line {number}: cannot read byte {byte:#04x} "
-                         "as ASCII") from None
+            sizes = _sizes(fh.readline(), fields)
+            start = fh.tell()
+            if not any(_fields(line) for line in iter(fh.readline, "")):
+                return sizes, np.empty((0, cols or sizes[-1]), dtype=dtype)
+            fh.seek(start)
+            return sizes, np.loadtxt(fh, dtype=dtype, delimiter="\t", ndmin=2)
+    except ValueError as exc:  # a UnicodeDecodeError is one
+        raise ValueError(_first_bad_line(path, fields, dtype, cols) or f"{path}: {exc}") from None
+
+
+def from_file(source, make, *args, **kwargs):
+    """make(*args, **kwargs), a record built from what was read from
+    `source`; a ValueError it raises is raised again prefixed by source."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def read_dense_tsv(path):
@@ -327,7 +331,7 @@ def read_corpus_tsv(path):
     docs, words, counts = body[:, 0], body[:, 1], body[:, 2]
     if body.size and (docs.min() < 1 or words.min() < 1):
         raise ValueError(f"{path}: document and word ids are 1-based")
-    return Corpus(docs=docs - 1, words=words - 1, counts=counts, M=M, N=N)
+    return from_file(path, Corpus, docs=docs - 1, words=words - 1, counts=counts, M=M, N=N)
 
 
 def write_composition_tsv(path, comp):
@@ -337,11 +341,7 @@ def write_composition_tsv(path, comp):
 def read_composition_tsv(path):
     """Read a composition matrix; a file that is not one raises
     ValueError naming path."""
-    W = read_dense_tsv(path)
-    try:
-        return CompositionMatrix(W)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return from_file(path, CompositionMatrix, read_dense_tsv(path))
 
 
 def load_model(directory):
@@ -355,10 +355,8 @@ def load_model(directory):
     B = read_dense_tsv(os.path.join(directory, "B.tsv"))
     path = os.path.join(directory, "A.tsv")
     A = read_dense_tsv(path)
-    skew = float(np.abs(A - A.T).max(initial=0.0)) if A.shape[0] == A.shape[1] else 0.0
+    square = A.shape[0] == A.shape[1]
+    skew = float(np.abs(A - A.T).max(initial=0.0)) if square else 0.0
     if skew > COL_SUM_TOL:
         raise ValueError(f"{path}: A is not symmetric: max |A - A^T| = {skew:.3e}")
-    try:
-        return TopicModel(B=B, A=(A + A.T) / 2.0)
-    except ValueError as exc:
-        raise ValueError(f"{directory}: {exc}") from None
+    return from_file(directory, TopicModel, B=B, A=(A + A.T) / 2.0 if square else A)

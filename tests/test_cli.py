@@ -554,6 +554,70 @@ def test_output_naming_an_input_is_runtime_error(model_dir, corpus_path, tmp_pat
     assert not manifest.exists()
 
 
+# Each file the CLI reads, by its flag or model file name: a value its dtype
+# cannot hold, a value that makes what is built from the file invalid, and
+# how that error starts. Either goes in the first field of line 2.
+BAD_FIELDS = {
+    "B.tsv": ("1_0", "-0.5", "B has a negative entry"),
+    "A.tsv": ("1_0", "0.5", "entries of A sum to"),
+    "--corpus": ("99999999999999999999", "21", "document index out of range [0, 20)"),
+    "MU": ("1_0", "nan", "--logistic-normal MU must be a finite 3x1 or 1x3 matrix"),
+    "SIGMA": ("1_0", "-1", "--logistic-normal SIGMA: sigma is not positive semidefinite"),
+    "--truth": ("1_0", "2", "composition column 0 sums to"),
+    "--pred": ("1_0", "2", "composition column 0 sums to"),
+    "--prior": ("1_0", "nan", "--prior must be a finite 3x3 matrix"),
+}
+
+
+@pytest.mark.parametrize("defect", ["byte-after-bad-line", "header", "field", "record"])
+@pytest.mark.parametrize("name", list(BAD_FIELDS))
+def test_bad_input_file_is_runtime_error_naming_it(tmp_path, capsys, name, defect):
+    mdir, out = tmp_path / "model", tmp_path / "o"
+    write_model(mdir, random_model(N=12, K=3, seed=11))
+    files = {"B.tsv": mdir / "B.tsv", "A.tsv": mdir / "A.tsv",
+             "--corpus": tmp_path / "corpus.tsv", "MU": tmp_path / "mu.tsv",
+             "SIGMA": tmp_path / "sigma.tsv", "--truth": tmp_path / "truth.tsv",
+             "--pred": tmp_path / "pred.tsv", "--prior": tmp_path / "prior.tsv"}
+    write_corpus_tsv(str(files["--corpus"]), random_corpus(N=12, M=20, seed=5))
+    write_dense_tsv(str(files["MU"]), np.zeros((3, 1)))
+    write_dense_tsv(str(files["SIGMA"]), np.eye(3) * 0.4)
+    rng = np.random.default_rng(3)
+    for n in ("--truth", "--pred"):
+        write_dense_tsv(str(files[n]), rng.dirichlet(np.ones(3), size=8).T)
+    write_dense_tsv(str(files["--prior"]), np.eye(3) / 3)
+    argv = {"B.tsv": ["infer", "--method", "spi", "--model", mdir,
+                      "--corpus", files["--corpus"], "--out", out],
+            "MU": ["synth", "--model", mdir, "--out", out, "--docs", 5,
+                   "--logistic-normal", files["MU"], files["SIGMA"]],
+            "--truth": ["eval", "--truth", files["--truth"], "--pred", files["--pred"],
+                        "--prior", files["--prior"], "--out", out / "report.tsv"]}
+    argv["A.tsv"] = argv["--corpus"] = argv["B.tsv"]
+    argv["SIGMA"] = argv["MU"]
+    argv["--pred"] = argv["--prior"] = argv["--truth"]
+
+    path = files[name]
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    rest = "".join(rest)
+    unreadable, invalid, record_error = BAD_FIELDS[name]
+    dtype = "int64" if name == "--corpus" else "float64"
+    cols = first.count("\t") + 1
+    text, named, error = {
+        "byte-after-bad-line": (header + "1\t2\t3\t4\t5\n" + first + rest + "caf\u00e9\n",
+                                path, f"line 2: expected {cols} fields, got 5"),
+        "header": ("a" + header.lstrip("0123456789") + first + rest,
+                   path, "malformed header ['a', "),
+        "field": (header + re.sub(r"^[^\t\n]*", unreadable, first) + rest,
+                  path, f"line 2: cannot read '{unreadable}' as {dtype}"),
+        # what a model file builds is named by the model's directory
+        "record": (header + re.sub(r"^[^\t\n]*", invalid, first) + rest,
+                   mdir if path.parent == mdir else path, record_error),
+    }[defect]
+    path.write_bytes(text.encode("utf-8"))
+    assert run(*argv[name]) == 1
+    assert f"error: {named}: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _snapshot(*dirs):
     """Each file's bytes by path, over the files in `dirs`."""
     return {p: p.read_bytes() for d in dirs for p in d.iterdir()}

@@ -288,6 +288,15 @@ class TestTliInfer:
         W = tli_infer(inv, m, c, TliConfig()).W
         assert W[1, 0] == 0.0 and W[0, 0] == 1.0
 
+    def test_overflowing_estimate_is_runtime_error(self, identity_model):
+        # frequencies 0.4 and 0.6 weight two largest floats; their sum
+        # rounds past the largest float to inf
+        inv = TliInverse(Bdagger=np.full((2, 2), np.finfo(float).max))
+        c = Corpus(docs=[0, 0], words=[0, 1], counts=[2, 3], M=1, N=2)
+        with pytest.raises(RuntimeError, match="^left-inverse estimate produced non-finite "
+                                               "entries$"):
+            tli_infer(inv, identity_model(2), c, TliConfig())
+
 
 @pytest.mark.parametrize("method, corpus_N, inverse_shape, message", [
     ("tli", 3, (2, 2), "corpus vocabulary 3 != model vocabulary 2"),

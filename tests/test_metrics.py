@@ -178,9 +178,10 @@ class TestPriorDistance:
         W = CompositionMatrix(np.array([[0.2, 0.8], [0.8, 0.2]]))
         A0 = np.full((2, 2), 0.25)
         A0[0, 1] = bad
-        with pytest.raises(ValueError, match="finite 2x2"):
+        error = "^prior must be a finite 2x2 matrix, got a non-finite entry$"
+        with pytest.raises(ValueError, match=error):
             prior_distance(A0, W)
-        with pytest.raises(ValueError, match="finite 2x2"):
+        with pytest.raises(ValueError, match=error):
             evaluate_compositions(W, W, prior=A0)
 
 

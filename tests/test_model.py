@@ -270,6 +270,17 @@ class TestFileFormats:
         ("1_0\t2\t1\n1\t1\t3\n", "malformed header ['1_0', '2', '1']"),
         ("1\t2\n0.5\t\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
         ("1\t2\t1\n1\t2\t\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
+        # the first bad line in file order, wherever the decoder stops
+        pytest.param("40\t2\n0.5\t0.5\n0.5\n" + "0.5\t0.5\n" * 37 + "0.5\t\u00e9\n",
+                     "line 3: expected 2 fields, got 1", id="short-line-3-before-byte-line-41"),
+        ("a\t2\n\u00e9\n", "malformed header ['a', '2']"),
+        # loadtxt judges a field: this count overflows int64
+        ("1\t1\t1\n1\t1\t99999999999999999999\n",
+         "line 2: cannot read '99999999999999999999' as int64"),
+        ("1\t2\n0.5\t\n", "line 2: cannot read '' as float64"),
+        ("1\t2\n0.5\t0.5 # caf\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
+        ("1\t2\u00e9\n0.5\t0.5\n", "line 1: cannot read byte 0xc3 as ASCII"),
+        ("", "malformed header []"),
     ])
     def test_dense_parse_error_names_file_and_line(self, tmp_path, text, error):
         # a header of three fields is a corpus's
@@ -278,6 +289,20 @@ class TestFileFormats:
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
             read(path)
+
+    def test_error_no_line_explains_names_file(self, tmp_path):
+        # every line reads, but a 0 x 10**19 array is larger than NumPy allows
+        path = tmp_path / "huge.tsv"
+        path.write_text("0\t10000000000000000000\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as info:
+            read_dense_tsv(path)
+        assert not re.search(r": line \d+: ", str(info.value))
+
+    def test_corpus_record_error_names_file(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("2\t2\t1\n5\t2\t1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: document index "):
+            read_corpus_tsv(path)
 
     def test_empty_dense_body_reads_without_warning(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -346,6 +371,14 @@ class TestFileFormats:
         write_model(tmp_path, TopicModel(B=np.eye(2), A=np.eye(2) / 2))
         write_dense_tsv(tmp_path / "A.tsv", [[0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(ValueError, match=r"A\.tsv: A is not symmetric"):
+            load_model(tmp_path)
+
+    def test_non_square_A_file_rejected(self, tmp_path):
+        # symmetrizing would broadcast a 1 x 3 A to the 3 x 3 all-1/9 matrix
+        write_model(tmp_path, TopicModel(B=np.eye(3), A=np.eye(3) / 3))
+        write_dense_tsv(tmp_path / "A.tsv", np.full((1, 3), 1 / 9))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: A has shape (1, 3), expected (3, 3) to match B")):
             load_model(tmp_path)
 
     def test_composition_round_trip(self, tmp_path):
