@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .model import (
     CompositionMatrix,

@@ -9,14 +9,14 @@ records the fully resolved configuration, the SHA-256 digest of each input
 keyed by its path as given, each output's name, the solver's `results` and
 timing, so any run can be reproduced bit-for-bit from it. Each subcommand
 returns what its manifest records; `main` times it and writes the
-manifest. Flag defaults are the library's own (`PaddConfig`, `TliConfig`);
-`--threads` is the only source of the worker count and defaults to 1.
+manifest. `infer` runs each estimator at the library's own settings and
+takes no solver flag; `--threads` is the only source of the worker count
+and defaults to 1.
 Exit codes: 0 success, 1 runtime failure (an output that would overwrite
 an input or another run's file included), 2 usage error.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .estimators import TliConfig, tli_compute_inverse, tli_infer, spi_infer
+from .estimators import tli_compute_inverse, tli_infer, spi_infer
 from .metrics import (
     evaluate_compositions,
     random_baseline,
@@ -43,7 +43,7 @@ from .model import (
     write_corpus_tsv,
     write_dense_tsv,
 )
-from .padd import PaddConfig, padd_infer
+from .padd import padd_infer
 from .synth import (
     DirichletPrior,
     FixedLength,
@@ -66,17 +66,15 @@ def _positive_int(text):
     return v
 
 
-def _checked_float(check):
-    """An argparse type: a float that `check`, a library constructor, does
-    not reject with ValueError; argparse then names the flag and exits 2
-    before any file is read or written."""
-    def parse(text):
-        try:
-            check(float(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return float(text)
-    return parse
+def _alpha_scale(text):
+    """--alpha-scale value: a float that DirichletPrior accepts as a total
+    concentration; argparse then names the flag and exits 2 before any file
+    is read or written."""
+    try:
+        DirichletPrior.symmetric(1, float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(text)
 
 
 def _length(text):
@@ -210,16 +208,12 @@ def cmd_infer(args):
         if args.method == "spi":
             comp = spi_infer(model, corpus)
         elif args.method == "tli":
-            tcfg = TliConfig(threshold_divisor=args.threshold_divisor)
-            inverse = tli_compute_inverse(model, tcfg, threads=args.threads)
-            comp = tli_infer(inverse, model, corpus, tcfg)
-            resolved.update(dataclasses.asdict(tcfg))
+            inverse = tli_compute_inverse(model, threads=args.threads)
+            comp = tli_infer(inverse, model, corpus)
             results = {"inverse_magnitude": inverse.magnitude, "inverse_bias": inverse.bias}
         elif args.method == "padd":
-            pcfg = PaddConfig(master_iters=args.master_iters)
-            comp, diagnostics = padd_infer(model, corpus, pcfg, threads=args.threads)
+            comp, diagnostics = padd_infer(model, corpus, threads=args.threads)
             results = vars(diagnostics)
-            resolved.update(dataclasses.asdict(pcfg))
         else:
             comp = random_baseline(model.K, corpus.M, seed=args.seed)
     except (ValueError, RuntimeError) as exc:
@@ -261,9 +255,7 @@ def build_parser():
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--docs", type=_positive_int, required=True, help="documents to draw")
     prior = ps.add_mutually_exclusive_group()
-    prior.add_argument("--alpha-scale",
-                       type=_checked_float(lambda v: DirichletPrior.symmetric(1, v)),
-                       default=None,
+    prior.add_argument("--alpha-scale", type=_alpha_scale, default=None,
                        help="dirichlet, the default prior: total concentration, split "
                             f"evenly over topics (default {ALPHA_SCALE})")
     prior.add_argument("--logistic-normal", nargs=2, metavar=("MU", "SIGMA"),
@@ -282,11 +274,6 @@ def build_parser():
     pi.add_argument("--seed", type=int, default=0,
                     help="only the rand method consumes randomness")
     pi.add_argument("--threads", type=_positive_int, default=1)
-    pi.add_argument("--threshold-divisor", default=TliConfig.threshold_divisor,
-                    type=_checked_float(lambda v: TliConfig(threshold_divisor=v)),
-                    help="tli: scales down the worst-case noise threshold")
-    pi.add_argument("--master-iters", type=_positive_int, default=PaddConfig.master_iters,
-                    help="padd: most slave solves, rejected trials included")
     pi.set_defaults(func=cmd_infer)
 
     pe = sub.add_parser("eval", help="score predicted compositions against truth")

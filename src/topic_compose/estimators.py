@@ -11,6 +11,7 @@ Two estimators share the pattern `W = T @ Htilde` for a K x N matrix T:
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.optimize
@@ -26,17 +27,15 @@ SMALL_MATRIX_VALUE = 1e-9
 
 @dataclass(frozen=True)
 class TliConfig:
-    """Settings for the thresholded left-inverse estimator.
+    """Settings for the thresholded left-inverse estimator: it has none.
 
-    threshold_divisor scales down the worst-case noise level to reach a
-    usable threshold.
+    The class constant is not a setting: threshold_divisor scales down the
+    worst-case noise level to reach a usable threshold. `tli_compute_inverse`
+    and `tli_infer` accept a TliConfig without reading it, because
+    bench/workloads.py passes one.
     """
 
-    threshold_divisor: float = 4.5
-
-    def __post_init__(self):
-        if not (self.threshold_divisor > 0.0 and math.isfinite(self.threshold_divisor)):
-            raise ValueError(f"threshold_divisor must be > 0, got {self.threshold_divisor!r}")
+    threshold_divisor: ClassVar[float] = 4.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +119,7 @@ def tli_compute_inverse(model, config=None, threads=1):
     (N eps), 9.0e6 at N = 500; only a near-singular B needs one) raises
     RuntimeError naming the topic, the magnitude and B's smallest singular
     value. Both certificates use the full B, not the entries HiGHS keeps.
-    The inverse has no settings: `config` is not read, and stays only
-    because bench/workloads.py passes a TliConfig.
+    `config` is not read (see TliConfig).
     """
     B = model.B
     N, K = B.shape
@@ -155,16 +153,15 @@ def tli_compute_inverse(model, config=None, threads=1):
     return TliInverse(Bdagger=Bd, bias=bias)
 
 
-def tli_thresholds(inverse, lengths, config=None):
+def tli_thresholds(inverse, lengths):
     """Per-document threshold below which estimated weights are considered
     noise: a two-sigma-style bound on the worst-case frequency deviation,
-    amplified by the inverse magnitude, scaled down by the configured
-    divisor."""
-    config = config or TliConfig()
+    amplified by the inverse magnitude, scaled down by
+    TliConfig.threshold_divisor."""
     K = inverse.Bdagger.shape[0]
     n = np.asarray(lengths, dtype=np.float64)
     raw = 2.0 * inverse.magnitude * np.sqrt(math.log(K) / n)
-    return raw / config.threshold_divisor
+    return raw / TliConfig.threshold_divisor
 
 
 def tli_infer(inverse, model, corpus, config=None):
@@ -172,9 +169,8 @@ def tli_infer(inverse, model, corpus, config=None):
     the per-document threshold, and renormalize.
 
     Documents whose entries are all thresholded away fall back to the
-    uniform composition.
+    uniform composition. `config` is not read (see TliConfig).
     """
-    config = config or TliConfig()
     if corpus.N != model.N:
         raise ValueError(f"corpus vocabulary {corpus.N} != model vocabulary {model.N}")
     if inverse.Bdagger.shape != (model.K, model.N):
@@ -184,7 +180,7 @@ def tli_infer(inverse, model, corpus, config=None):
     raw = inverse.Bdagger @ normalize_corpus(corpus)
     if not np.isfinite(raw).all():
         raise RuntimeError("left-inverse estimate produced non-finite entries")
-    tau = tli_thresholds(inverse, corpus.lengths, config)
+    tau = tli_thresholds(inverse, corpus.lengths)
     W = np.where(raw < tau[None, :], 0.0, raw)
     sums = W.sum(axis=0)
     kept = sums > 0.0

@@ -146,6 +146,8 @@ class Corpus:
             raise ValueError("docs, words and counts must have equal lengths")
         if self.M < 1 or self.N < 1:
             raise ValueError(f"corpus dimensions M={self.M}, N={self.N} must be positive")
+        if int(self.M) * int(self.N) >= 2**63:  # then docs * N + words can overflow int64
+            raise ValueError(f"corpus dimensions M={self.M}, N={self.N} have M*N >= 2**63")
         if docs.size:
             if docs.min() < 0 or docs.max() >= self.M:
                 raise ValueError(f"document index out of range [0, {self.M})")
@@ -164,7 +166,8 @@ class Corpus:
                 raise ValueError(
                     f"duplicate entry for document {docs[i]}, word {words[i]}"
                 )
-        indptr = np.searchsorted(docs, np.arange(self.M + 1))
+        # with more documents than entries, one of the first docs.size + 1 is empty
+        indptr = np.searchsorted(docs, np.arange(min(self.M, docs.size + 1) + 1))
         empty = indptr[:-1] == indptr[1:]
         if empty.any():
             raise ValueError(f"document {int(np.argmax(empty))} is empty")
@@ -298,8 +301,8 @@ def from_file(source, make, *args, **kwargs):
 
 def read_dense_tsv(path):
     (rows, cols), X = _read_tsv(path, 2, np.float64)
-    if X.size == 0:
-        X = X.reshape(rows, cols) if rows * cols == 0 else X
+    if X.size == 0:  # a header size NumPy cannot make an array of is named by path
+        X = from_file(path, X.reshape, rows, cols) if rows * cols == 0 else X
     if X.shape != (rows, cols):
         raise ValueError(f"{path}: header says {rows}x{cols}, body is {X.shape}")
     return X

@@ -22,6 +22,8 @@ from topic_compose import (
     padd_infer,
     read_composition_tsv,
     read_corpus_tsv,
+    tli_compute_inverse,
+    tli_infer,
     write_corpus_tsv,
     write_dense_tsv,
 )
@@ -227,24 +229,17 @@ class TestInfer:
         # into the manifest's results, every float exactly as the library returns it
         out = tmp_path / "padd"
         assert run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", out,
-                   "--master-iters", 3) == 0
+                   "--corpus", corpus_path, "--out", out) == 0
         assert sorted(p.name for p in out.iterdir()) == ["W.tsv", "manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         _, diagnostics = padd_infer(load_model(str(model_dir)),
-                                    read_corpus_tsv(str(corpus_path)), PaddConfig(master_iters=3))
+                                    read_corpus_tsv(str(corpus_path)))
         assert manifest["results"] == vars(diagnostics)
-        assert len(manifest["results"]["rounds"]) == 3
         assert manifest["outputs"] == ["W.tsv"]
-        assert manifest["config"]["master_iters"] == 3
+        assert "master_iters" not in manifest["config"]
         assert "slave_tol" not in manifest["config"]
         assert "relaxation" not in manifest["config"]
         assert "dual_stop_tol" not in manifest["config"]
-
-    def test_padd_zero_master_iters_is_usage_error(self, model_dir, corpus_path, tmp_path):
-        assert run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", tmp_path / "o",
-                   "--master-iters", 0) == 2
 
     @pytest.mark.parametrize("flag", [("--tau-schedule", "constant"),
                                       ("--ridge-eps", "1e-8"),
@@ -253,15 +248,18 @@ class TestInfer:
                                       ("--lambda", "1.5"),
                                       ("--slave-iters", "40"),
                                       ("--diagnostics", "d.tsv"),
-                                      ("--tau0", "1.0")])
+                                      ("--tau0", "1.0"),
+                                      ("--master-iters", "3")])
     def test_padd_removed_flags_are_usage_errors(self, model_dir, corpus_path,
                                                  tmp_path, flag):
         assert run("infer", "--method", "padd", "--model", model_dir,
                    "--corpus", corpus_path, "--out", tmp_path / "o", *flag) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_tli_removed_solver_flag_is_usage_error(self, model_dir, corpus_path, tmp_path):
-        # the left inverse is always the exact LP: no solver choice, no bias budget
-        for flag in (("--tli-solver", "lp"), ("--delta", "0")):
+        # the left inverse is always the exact LP: no solver choice, no bias
+        # budget, and the threshold's divisor is a constant
+        for flag in (("--tli-solver", "lp"), ("--delta", "0"), ("--threshold-divisor", "4.5")):
             assert run("infer", "--method", "tli", "--model", model_dir, "--corpus",
                        corpus_path, "--out", tmp_path / "o", *flag) == 2
             assert not (tmp_path / "o").exists()
@@ -271,7 +269,7 @@ class TestInfer:
         out = tmp_path / "o"
         monkeypatch.setattr(padd_module, "FIRST_STEP", 500.0)
         assert run("infer", "--method", "padd", "--model", model_dir,
-                   "--corpus", corpus_path, "--out", out, "--master-iters", 6) == 0
+                   "--corpus", corpus_path, "--out", out) == 0
         results = json.loads((out / "manifest.json").read_text())["results"]
         B = load_model(model_dir).B
         lo = np.linalg.eigvalsh(B.T @ B)[0]
@@ -567,10 +565,14 @@ BAD_FIELDS = {
     "--pred": ("1_0", "2", "composition column 0 sums to"),
     "--prior": ("1_0", "nan", "--prior must be a finite 3x3 matrix"),
 }
+# every defect in every file, and one that only a corpus can have
+BAD_INPUTS = [(name, defect) for defect in ("byte-after-bad-line", "header", "field",
+                                            "record", "huge-size")
+              for name in BAD_FIELDS] + [("--corpus", "more-documents-than-entries")]
+HUGE = "99999999999999999999"  # above int64
 
 
-@pytest.mark.parametrize("defect", ["byte-after-bad-line", "header", "field", "record"])
-@pytest.mark.parametrize("name", list(BAD_FIELDS))
+@pytest.mark.parametrize("name, defect", BAD_INPUTS, ids=[f"{n}-{d}" for n, d in BAD_INPUTS])
 def test_bad_input_file_is_runtime_error_naming_it(tmp_path, capsys, name, defect):
     mdir, out = tmp_path / "model", tmp_path / "o"
     write_model(mdir, random_model(N=12, K=3, seed=11))
@@ -611,6 +613,15 @@ def test_bad_input_file_is_runtime_error_naming_it(tmp_path, capsys, name, defec
         # what a model file builds is named by the model's directory
         "record": (header + re.sub(r"^[^\t\n]*", invalid, first) + rest,
                    mdir if path.parent == mdir else path, record_error),
+        # a size no array can have: a matrix's rows, or a corpus's N, whose
+        # M * N would overflow the int64 entry keys
+        "huge-size": ((re.sub(r"\t\d+", f"\t{HUGE}", header, count=1) + first + rest, path,
+                       f"corpus dimensions M=20, N={HUGE} have M*N >= 2**63")
+                      if name == "--corpus" else
+                      (f"{HUGE}\t0\n", path, "Maximum allowed dimension exceeded")),
+        # the 20 documents leave document 20 empty, found without an array of M
+        "more-documents-than-entries": (re.sub(r"^\d+", "1000000000000000", header) + first
+                                        + rest, path, "document 20 is empty"),
     }[defect]
     path.write_bytes(text.encode("utf-8"))
     assert run(*argv[name]) == 1
@@ -708,30 +719,32 @@ class TestParser:
                                                 ("tli", TliConfig())])
     def test_flag_defaults_are_the_library_defaults(self, model_dir, corpus_path,
                                                     tmp_path, method, config):
+        # no flag sets a solver setting: infer writes the W that the library's
+        # defaults give, and records none of their fields
         out = tmp_path / method
         assert run("infer", "--method", method, "--model", model_dir,
                    "--corpus", corpus_path, "--out", out) == 0
+        model, corpus = load_model(str(model_dir)), read_corpus_tsv(str(corpus_path))
+        if method == "padd":
+            comp, _ = padd_infer(model, corpus, config)
+        else:
+            comp = tli_infer(tli_compute_inverse(model, config), model, corpus, config)
+        assert read_composition_tsv(str(out / "W.tsv")).W.tobytes() == comp.W.tobytes()
         recorded = json.loads((out / "manifest.json").read_text())["config"]
-        expected = dataclasses.asdict(config)
-        assert {k: recorded[k] for k in expected} == expected
+        assert not set(dataclasses.asdict(config)) & set(recorded)
 
-    # infer's options that are not solver settings
-    NON_SOLVER = {"subcommand", "func", "method", "model", "corpus", "out", "seed",
-                  "threads"}
-
-    def test_every_solver_setting_is_an_infer_flag(self):
+    def test_infer_flags_are_its_inputs_seed_and_threads(self):
+        # each estimator runs at the library's settings, so infer has no solver flag
         args = build_parser().parse_args(["infer", "--method", "padd", "--model", "m",
                                           "--corpus", "c", "--out", "o"])
-        flags = {k: v for k, v in vars(args).items() if k not in self.NON_SOLVER}
-        fields = {f.name: f.default for config in (PaddConfig, TliConfig)
-                  for f in dataclasses.fields(config)}
-        assert flags == fields
+        assert set(vars(args)) - {"subcommand", "func"} == {
+            "method", "model", "corpus", "out", "seed", "threads"}
 
     @pytest.mark.parametrize("argv", [
         ("synth", "--docs", 5, "--seed", "x"),
         ("synth", "--docs", 5, "--alpha-scale", "x"),
-        ("infer", "--method", "padd", "--corpus", "c.tsv", "--master-iters", "x"),
-        ("infer", "--method", "tli", "--corpus", "c.tsv", "--threshold-divisor", "x"),
+        ("infer", "--method", "padd", "--corpus", "c.tsv", "--threads", "x"),
+        ("infer", "--method", "tli", "--corpus", "c.tsv", "--seed", "x"),
     ])
     def test_non_numeric_value_is_usage_error(self, model_dir, tmp_path, argv):
         assert run(*argv, "--model", model_dir, "--out", tmp_path / "o") == 2
@@ -742,15 +755,22 @@ class TestParser:
         (("synth", "--docs", 5, "--alpha-scale", "inf"), "--alpha-scale"),
         (("infer", "--method", "tli", "--threshold-divisor", "0"), "--threshold-divisor"),
         (("infer", "--method", "tli", "--threshold-divisor", "inf"), "--threshold-divisor"),
+        (("infer", "--method", "tli", "--threads", "0"), "--threads"),
+        (("synth", "--docs", 0), "--docs"),
     ])
     def test_out_of_range_value_is_usage_error(self, model_dir, corpus_path, tmp_path,
                                                capsys, argv, flag):
-        # the library's own range check runs while the flags are parsed, so
-        # no output directory is made
+        # the range check runs while the flags are parsed, so no output
+        # directory is made
         corpus = ("--corpus", corpus_path) if argv[0] == "infer" else ()
         assert run(*argv, *corpus, "--model", model_dir, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: " in err
+        if flag == "--threshold-divisor":
+            # the divisor is the constant TliConfig.threshold_divisor, so the
+            # flag is refused whatever its value
+            assert f"unrecognized arguments: {flag}" in err
+        else:
+            assert f"argument {flag}: " in err
         if flag == "--alpha-scale":
             # the flag is one number, so the reason names it, not a vector
             assert "total concentration must be positive and finite" in err
@@ -849,8 +869,6 @@ def test_smoke_pipeline(tmp_path):
         out = tmp_path / method
         argv = ["infer", "--method", method, "--model", mdir,
                 "--corpus", synth_dir / "corpus.tsv", "--out", out]
-        if method == "padd":
-            argv += ["--master-iters", 5]
         assert run(*argv) == 0
         report = tmp_path / f"report_{method}.tsv"
         assert run("eval", "--truth", synth_dir / "Wstar.tsv",
@@ -873,9 +891,9 @@ MANIFEST_KEYS = {
                               set()),
     "infer-spi": ({"method", "model", "corpus", "threads"}, set()),
     "infer-rand": ({"method", "model", "corpus", "threads"}, set()),
-    "infer-tli": ({"method", "model", "corpus", "threads", "threshold_divisor"},
+    "infer-tli": ({"method", "model", "corpus", "threads"},
                   {"inverse_magnitude", "inverse_bias"}),
-    "infer-padd": ({"method", "model", "corpus", "threads", "master_iters"},
+    "infer-padd": ({"method", "model", "corpus", "threads"},
                    {f.name for f in dataclasses.fields(PaddDiagnostics)}),
     "eval": ({"truth", "pred", "prior"}, set()),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -222,8 +223,11 @@ class TestTliInverse:
 
 class TestTliConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="divisor"):
-            TliConfig(threshold_divisor=0.0)
+        # the divisor is a class constant, not a setting: TliConfig has none
+        assert TliConfig.threshold_divisor == 4.5
+        assert dataclasses.fields(TliConfig) == ()
+        with pytest.raises(TypeError, match="threshold_divisor"):
+            TliConfig(threshold_divisor=4.5)
         # the left inverse is always the exact LP; there is no solver to
         # pick and no bias to allow
         with pytest.raises(TypeError, match="solver"):
@@ -236,7 +240,7 @@ class TestTliInfer:
     def test_threshold_formula(self, identity_model):
         m = identity_model(2)
         inv = tli_compute_inverse(m, TliConfig())
-        tau = tli_thresholds(inv, [100], TliConfig())
+        tau = tli_thresholds(inv, [100])
         expected = 2.0 * math.sqrt(math.log(2.0) / 100.0) / 4.5
         assert tau[0] == pytest.approx(expected, abs=1e-15)
         assert tau[0] == pytest.approx(0.0370024, abs=1e-6)
@@ -256,12 +260,13 @@ class TestTliInfer:
         W = tli_infer(inv, m, c, TliConfig()).W
         npt.assert_array_equal(W[:, 0], [1.0, 0.0])
 
-    def test_uniform_fallback_when_everything_thresholded(self, identity_model):
+    def test_uniform_fallback_when_everything_thresholded(self, identity_model, monkeypatch):
         m = identity_model(4)
-        c = Corpus(docs=[0, 0, 0, 0], words=[0, 1, 2, 3], counts=[1, 1, 1, 1], M=1, N=4)
-        cfg = TliConfig(threshold_divisor=0.1)  # inflate tau way past any entry
-        inv = tli_compute_inverse(m, cfg)
-        W = tli_infer(inv, m, c, cfg).W
+        # at the divisor of 4.5, tau ~ 0.15 keeps the last three words
+        c = Corpus(docs=[0, 0, 0, 0], words=[0, 1, 2, 3], counts=[1, 2, 3, 6], M=1, N=4)
+        monkeypatch.setattr(TliConfig, "threshold_divisor", 0.1)  # tau far past any entry
+        inv = tli_compute_inverse(m)
+        W = tli_infer(inv, m, c).W
         npt.assert_array_equal(W[:, 0], [0.25, 0.25, 0.25, 0.25])
 
     def test_single_topic(self):

@@ -91,6 +91,13 @@ class TestCorpus:
         with pytest.raises(ValueError, match="empty"):
             Corpus(docs=[0], words=[0], counts=[3], M=2, N=2)
 
+    @pytest.mark.parametrize("docs, first_empty", [([], 0), ([0, 1, 2], 3), ([0, 2, 3], 1)])
+    def test_more_documents_than_entries_names_first_empty(self, docs, first_empty):
+        # found among the first len(docs) + 1 documents, without an array of M
+        with pytest.raises(ValueError, match=f"^document {first_empty} is empty$"):
+            Corpus(docs=docs, words=[0] * len(docs), counts=[1] * len(docs),
+                   M=10**15, N=2)
+
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             Corpus(docs=[0], words=[0], counts=[0], M=1, N=1)
@@ -281,6 +288,8 @@ class TestFileFormats:
         ("1\t2\n0.5\t0.5 # caf\u00e9\n", "line 2: cannot read byte 0xc3 as ASCII"),
         ("1\t2\u00e9\n0.5\t0.5\n", "line 1: cannot read byte 0xc3 as ASCII"),
         ("", "malformed header []"),
+        # an empty body: a shape NumPy cannot make
+        ("99999999999999999999\t0\n", "Maximum allowed dimension exceeded"),
     ])
     def test_dense_parse_error_names_file_and_line(self, tmp_path, text, error):
         # a header of three fields is a corpus's
@@ -440,6 +449,10 @@ INVALID_INPUTS = {
                                      "document index out of range [0, 1)"),
     "Corpus-word-out-of-range": (lambda: Corpus(docs=[0], words=[2], counts=[1], M=1, N=2),
                                  "word index out of range [0, 2)"),
+    # docs * N + words would wrap to a false duplicate
+    "Corpus-M-times-N-overflows-int64": (
+        lambda: Corpus(docs=[0, 4], words=[0, 0], counts=[1, 1], M=5, N=2**62),
+        f"corpus dimensions M=5, N={2**62} have M*N >= 2**63"),
     "TopicModel-non-finite-B": (lambda: TopicModel(B=[[np.nan], [1.0]], A=[[1.0]]),
                                 "B contains non-finite entries"),
     "TopicModel-B-not-a-matrix": (lambda: TopicModel(B=[0.5, 0.5], A=[[1.0]]),

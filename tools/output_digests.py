@@ -51,16 +51,15 @@ def batch_digests(name, data, slots, threads, work):
     work.mkdir()
     inputs.write_model(work, data)
     m = model.load_model(str(work))
-    tli_config = estimators.TliConfig()
-    inverse = estimators.tli_compute_inverse(m, tli_config, threads=threads)
+    inverse = estimators.tli_compute_inverse(m, threads=threads)
     yield name, "-", "tli.Bdagger", digest(inverse.Bdagger.tobytes())
     for slot in slots:
         b = data.batches[slot]
         corpus = model.Corpus(docs=b.docs, words=b.words, counts=b.counts, M=b.M, N=b.N)
-        comp, diagnostics = padd.padd_infer(m, corpus, padd.PaddConfig(), threads=threads)
+        comp, diagnostics = padd.padd_infer(m, corpus, threads=threads)
         yield name, slot, "spi.W", digest(estimators.spi_infer(m, corpus).W.tobytes())
         yield name, slot, "tli.W", digest(
-            estimators.tli_infer(inverse, m, corpus, tli_config).W.tobytes())
+            estimators.tli_infer(inverse, m, corpus).W.tobytes())
         yield name, slot, "padd.W", digest(comp.W.tobytes())
         yield name, slot, "padd.diagnostics", digest(
             json.dumps(vars(diagnostics), sort_keys=True).encode())
