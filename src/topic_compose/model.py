@@ -7,6 +7,7 @@ formats use 1-based document and word ids.
 """
 
 import itertools
+import numbers
 import os
 
 import numpy as np
@@ -21,7 +22,9 @@ COMP_SUM_TOL = 1e-6    # looser sum tolerance for inferred composition columns
 _FLOAT_FMT = "%.17g"   # round-trips float64 exactly
 # Rows per formatted write: one %-format over a block of rows is several
 # times faster than a write per row, and bounding the block keeps the
-# temporary tuple of Python numbers (and so peak memory) small.
+# temporary tuple of Python numbers (and so peak memory) small. Corpus's
+# sortedness check and the TSV rescan work on blocks of this many entries
+# or lines too, for the same two reasons.
 WRITE_BLOCK = 8192
 
 
@@ -144,6 +147,8 @@ class Corpus:
         counts = np.array(self.counts, dtype=np.int64).ravel()
         if not (docs.size == words.size == counts.size):
             raise ValueError("docs, words and counts must have equal lengths")
+        if not all(isinstance(v, numbers.Integral) for v in (self.M, self.N)):
+            raise ValueError(f"corpus dimensions M={self.M!r}, N={self.N!r} must be integers")
         if self.M < 1 or self.N < 1:
             raise ValueError(f"corpus dimensions M={self.M}, N={self.N} must be positive")
         if int(self.M) * int(self.N) >= 2**63:  # then docs * N + words can overflow int64
@@ -156,8 +161,8 @@ class Corpus:
             if counts.min() < 1:
                 i = int(np.argmax(counts < 1))
                 raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
-        key = docs * self.N + words
-        if not (key[1:] > key[:-1]).all():  # sorted input skips the lexsort
+        if not _strictly_sorted(docs, words, self.N):  # sorted input skips the lexsort
+            key = docs * self.N + words
             order = np.lexsort((words, docs))
             docs, words, counts = docs[order], words[order], counts[order]
             dup = np.diff(key[order]) == 0
@@ -174,6 +179,18 @@ class Corpus:
         lengths = np.add.reduceat(counts, indptr[:-1])
         freeze_fields(self, docs=docs, words=words, counts=counts, lengths=lengths,
                       indptr=indptr)
+
+
+def _strictly_sorted(docs, words, N):
+    """Whether the keys docs * N + words strictly increase, judged on blocks
+    of WRITE_BLOCK keys that overlap by one, so no key array of the full
+    length is made."""
+    for start in range(0, docs.size - 1, WRITE_BLOCK):
+        block = slice(start, start + WRITE_BLOCK + 1)
+        key = docs[block] * N + words[block]
+        if not (key[1:] > key[:-1]).all():
+            return False
+    return True
 
 
 def normalize_corpus(corpus):
@@ -247,12 +264,34 @@ def _first_bad_line(path, fields, dtype, cols):
     other than cols fields (by default the header's last size) or a field
     loadtxt cannot read as dtype, naming path and the line (the header is
     line 1); None if no line is. Bytes that are not ASCII are read as
-    surrogates, so lines split where the strict read splits them."""
+    surrogates, so lines split where the strict read splits them. One
+    loadtxt call judges the fields of a block of up to WRITE_BLOCK body
+    lines, and only a block that fails is judged field by field."""
+    block = []  # (number, line) of the body lines not yet judged
+
+    def unreadable():
+        """The first field of block that loadtxt cannot read, named as a
+        fault; None, and block emptied, if there is none."""
+        try:
+            if block:
+                np.loadtxt([line for _, line in block], dtype=dtype, delimiter="\t")
+        except ValueError:
+            for number, line in block:
+                for value in _fields(line):
+                    try:
+                        if not value:  # loadtxt warns on an empty field rather than raising
+                            raise ValueError(value)
+                        np.loadtxt([value], dtype=dtype, delimiter="\t")
+                    except ValueError:
+                        return f"{path}: line {number}: cannot read {value!r} as {np.dtype(dtype)}"
+        block.clear()
+        return None
+
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.isascii():  # byte b reads as the surrogate U+DC00 + b
                 byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
-                return f"{path}: line {number}: cannot read byte {byte:#04x} as ASCII"
+                return unreadable() or f"{path}: line {number}: cannot read byte {byte:#04x} as ASCII"
             if number == 1:
                 try:
                     cols = cols or _sizes(line, fields)[-1]
@@ -261,15 +300,12 @@ def _first_bad_line(path, fields, dtype, cols):
                 continue
             values = _fields(line)
             if values and len(values) != cols:
-                return f"{path}: line {number}: expected {cols} fields, got {len(values)}"
-            try:
-                for value in values:
-                    if not value:  # loadtxt warns on an empty field rather than raising
-                        raise ValueError(value)
-                    np.loadtxt([value], dtype=dtype, delimiter="\t")
-            except ValueError:
-                return f"{path}: line {number}: cannot read {value!r} as {np.dtype(dtype)}"
-    return None
+                return unreadable() or f"{path}: line {number}: expected {cols} fields, got {len(values)}"
+            if values:
+                block.append((number, line))
+            if len(block) == WRITE_BLOCK and (fault := unreadable()):
+                return fault
+    return unreadable()
 
 
 def _read_tsv(path, fields, dtype, cols=None):
@@ -324,17 +360,22 @@ def write_corpus_tsv(path, corpus):
     `doc<TAB>word<TAB>count` triplets sorted by document then word."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{corpus.M}\t{corpus.N}\t{corpus.docs.size}\n")
-        write_rows(fh, "%d\t%d\t%d\n", corpus.docs + 1, corpus.words + 1, corpus.counts)
+        # 1-based ids a block at a time, so no id array of the full length is made
+        for start in range(0, corpus.docs.size, WRITE_BLOCK):
+            block = slice(start, start + WRITE_BLOCK)
+            write_rows(fh, "%d\t%d\t%d\n", corpus.docs[block] + 1, corpus.words[block] + 1,
+                       corpus.counts[block])
 
 
 def read_corpus_tsv(path):
     (M, N, nnz), body = _read_tsv(path, 3, np.int64, cols=3)
     if body.shape != (nnz, 3):
         raise ValueError(f"{path}: header says {nnz} entries, body has shape {body.shape}")
-    docs, words, counts = body[:, 0], body[:, 1], body[:, 2]
-    if body.size and (docs.min() < 1 or words.min() < 1):
+    if body.size and body[:, :2].min() < 1:
         raise ValueError(f"{path}: document and word ids are 1-based")
-    return from_file(path, Corpus, docs=docs - 1, words=words - 1, counts=counts, M=M, N=N)
+    body[:, :2] -= 1  # in place: 0-based ids without another array of them
+    return from_file(path, Corpus, docs=body[:, 0], words=body[:, 1], counts=body[:, 2],
+                     M=M, N=N)
 
 
 def write_composition_tsv(path, comp):

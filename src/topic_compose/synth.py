@@ -185,6 +185,7 @@ def synthesize(model, prior, docs, doc_length, seed=0, threads=1):
 
     # blocks come in document order, each one sorted, so Corpus skips its lexsort
     distinct, words, counts = (np.concatenate(a) for a in zip(*(t for b in parts for t in b)))
+    parts.clear()  # the blocks' arrays go before Corpus makes its copies
     docs = np.repeat(np.arange(M, dtype=np.int32), distinct)
     corpus = Corpus(docs=docs, words=words, counts=counts, M=M, N=N)
     P = W @ W.T

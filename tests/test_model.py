@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -109,16 +110,48 @@ class TestCorpus:
         npt.assert_array_equal(c.lengths, [1, 6])
 
     def test_shuffled_input_matches_sorted(self):
-        ref = random_corpus(N=30, M=40, seed=3)
-        perm = np.random.default_rng(4).permutation(ref.docs.size)
-        docs, words, counts = ref.docs[perm], ref.words[perm], ref.counts[perm]
-        c = Corpus(docs=docs, words=words, counts=counts, M=ref.M, N=ref.N)
-        for name in ("docs", "words", "counts", "lengths"):
-            assert getattr(c, name).tobytes() == getattr(ref, name).tobytes()
-        # sorted input is copied, not frozen in the caller's hands
-        sorted_docs = np.array(ref.docs)
-        Corpus(docs=sorted_docs, words=ref.words, counts=ref.counts, M=ref.M, N=ref.N)
-        assert sorted_docs.flags.writeable
+        # within one block of the sortedness check, and across three
+        for N, M in ((30, 40), (200, 600)):
+            ref = random_corpus(N=N, M=M, seed=3)
+            perm = np.random.default_rng(4).permutation(ref.docs.size)
+            docs, words, counts = ref.docs[perm], ref.words[perm], ref.counts[perm]
+            c = Corpus(docs=docs, words=words, counts=counts, M=ref.M, N=ref.N)
+            for name in ("docs", "words", "counts", "lengths"):
+                assert getattr(c, name).tobytes() == getattr(ref, name).tobytes()
+            # sorted input is copied, not frozen in the caller's hands
+            sorted_docs = np.array(ref.docs)
+            Corpus(docs=sorted_docs, words=ref.words, counts=ref.counts, M=ref.M, N=ref.N)
+            assert sorted_docs.flags.writeable
+
+    # entries WRITE_BLOCK - 1 and WRITE_BLOCK end one block of the sortedness
+    # check and begin the next
+    @pytest.mark.parametrize("first", [0, WRITE_BLOCK - 2, WRITE_BLOCK - 1, 2 * WRITE_BLOCK])
+    def test_out_of_order_pair_is_sorted_in_any_block(self, first):
+        keys = np.arange(2 * WRITE_BLOCK + 4)
+        swapped = keys.copy()
+        swapped[[first, first + 1]] = keys[[first + 1, first]]
+        c = Corpus(docs=swapped // 4, words=swapped % 4, counts=swapped + 1,
+                   M=keys.size // 4, N=4)
+        for name, expected in (("docs", keys // 4), ("words", keys % 4), ("counts", keys + 1)):
+            npt.assert_array_equal(getattr(c, name), expected)
+
+    @pytest.mark.parametrize("first", [WRITE_BLOCK - 2, WRITE_BLOCK - 1, 2 * WRITE_BLOCK])
+    def test_duplicate_is_found_in_any_block(self, first):
+        keys = np.arange(2 * WRITE_BLOCK + 4)
+        keys[first + 1] = keys[first]
+        with pytest.raises(ValueError, match=f"^duplicate entry for document {keys[first] // 4}, "
+                                             f"word {keys[first] % 4}$"):
+            Corpus(docs=keys // 4, words=keys % 4, counts=np.ones_like(keys),
+                   M=keys.size // 4, N=4)
+
+    def test_one_entry(self):
+        c = Corpus(docs=[0], words=[3], counts=[2], M=1, N=5)
+        assert (c.docs.tolist(), c.words.tolist(), c.counts.tolist()) == ([0], [3], [2])
+        assert (c.lengths.tolist(), c.indptr.tolist()) == ([2], [0, 1])
+
+    def test_numpy_integer_dimensions_accepted(self):
+        c = Corpus(docs=[0, 1], words=[0, 1], counts=[1, 1], M=np.int64(2), N=np.uint8(2))
+        assert (c.M, c.N) == (2, 2)
 
     @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]])
     def test_duplicate_message_same_sorted_or_not(self, order):
@@ -268,6 +301,9 @@ class TestFileFormats:
     @pytest.mark.parametrize("text, error", [
         ("2\t2\n0.5\t0.5\n\n0.5\n", "line 4: expected 2 fields, got 1"),
         ("1\t2\n# note\n0.5\tx\n", "line 3: cannot read 'x' as float64"),
+        # a field loadtxt cannot read comes before a later line's fault
+        ("2\t2\n0.5\tx\n0.5\n", "line 2: cannot read 'x' as float64"),
+        ("2\t2\n0.5\tx\n0.5\t\u00e9\n", "line 2: cannot read 'x' as float64"),
         ("a\t2\n0.5\t0.5\n", "malformed header ['a', '2']"),
         ("2\t-1\n", "malformed header ['2', '-1']"),
         # float() and int() read digit-group underscores; the readers do not
@@ -354,6 +390,43 @@ class TestFileFormats:
         write_corpus_tsv(tmp_path / "new.tsv", c)
         savetxt_corpus_reference(tmp_path / "ref.tsv", c)
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_corpus_writer_peak_does_not_grow_with_entries(self, tmp_path):
+        # the writer holds one block's ids and strings, whatever the corpus size
+        peaks = []
+        for blocks in (4, 16):
+            keys = np.arange(blocks * WRITE_BLOCK)
+            c = Corpus(docs=keys // 8, words=keys % 8, counts=keys % 5 + 1, M=keys.size // 8, N=8)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                write_corpus_tsv(tmp_path / "corpus.tsv", c)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("bad_line", [2, WRITE_BLOCK + 1, WRITE_BLOCK + 2, 3 * WRITE_BLOCK + 1])
+    def test_rescan_reads_a_block_per_loadtxt_call(self, tmp_path, monkeypatch, bad_line):
+        # line 1 is the header, so body line WRITE_BLOCK + 1 ends the first block
+        keys = np.arange(3 * WRITE_BLOCK)
+        c = Corpus(docs=keys // 8, words=keys % 8, counts=np.ones_like(keys), M=keys.size // 8, N=8)
+        path = tmp_path / "corpus.tsv"
+        write_corpus_tsv(path, c)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[bad_line - 1] = lines[bad_line - 1].replace("\t1\n", "\tx\n")
+        path.write_text("".join(lines))
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {bad_line}: "
+                                             "cannot read 'x' as int64$"):
+            read_corpus_tsv(path)
+        # the strict read, one call per block up to the bad line's, and the
+        # fields of that block's lines up to and including the bad one
+        blocks = (bad_line - 2) // WRITE_BLOCK + 1
+        fields = 3 * ((bad_line - 2) % WRITE_BLOCK + 1)
+        assert len(calls) == 1 + blocks + fields
 
     def test_zero_based_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"
@@ -449,6 +522,11 @@ INVALID_INPUTS = {
                                      "document index out of range [0, 1)"),
     "Corpus-word-out-of-range": (lambda: Corpus(docs=[0], words=[2], counts=[1], M=1, N=2),
                                  "word index out of range [0, 2)"),
+    # np.arange would count 2.5 documents as three, and report the third empty
+    "Corpus-non-integer-M": (lambda: Corpus(docs=[0, 1], words=[0, 0], counts=[1, 1], M=2.5, N=2),
+                             "corpus dimensions M=2.5, N=2 must be integers"),
+    "Corpus-non-integer-N": (lambda: Corpus(docs=[0], words=[0], counts=[1], M=1, N=2.0),
+                             "corpus dimensions M=1, N=2.0 must be integers"),
     # docs * N + words would wrap to a false duplicate
     "Corpus-M-times-N-overflows-int64": (
         lambda: Corpus(docs=[0, 4], words=[0, 0], counts=[1, 1], M=5, N=2**62),
