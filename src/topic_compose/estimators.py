@@ -180,10 +180,10 @@ def tli_infer(inverse, model, corpus, config=None):
     raw = inverse.Bdagger @ normalize_corpus(corpus)
     if not np.isfinite(raw).all():
         raise RuntimeError("left-inverse estimate produced non-finite entries")
-    tau = tli_thresholds(inverse, corpus.lengths)
-    W = np.where(raw < tau[None, :], 0.0, raw)
-    sums = W.sum(axis=0)
+    # in place, keeping raw's F order, so each column sums in the same order
+    np.copyto(raw, 0.0, where=raw < tli_thresholds(inverse, corpus.lengths))
+    sums = raw.sum(axis=0)
     kept = sums > 0.0
-    W[:, kept] /= sums[kept]
-    W[:, ~kept] = 1.0 / model.K
-    return CompositionMatrix(W)
+    np.divide(raw, sums, out=raw, where=kept)
+    raw[:, ~kept] = 1.0 / model.K
+    return CompositionMatrix(raw)

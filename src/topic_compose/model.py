@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 import scipy.sparse as sparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NEG_TOL = 1e-12        # entries this far below zero are treated as rounding noise
 COL_SUM_TOL = 1e-8     # tolerance on stochastic column / total sums
@@ -30,7 +30,7 @@ WRITE_BLOCK = 8192
 
 def freeze_fields(record, **arrays):
     """Set each keyword array, made read-only, as that field of the frozen
-    dataclass `record`; for use in its __post_init__."""
+    dataclass `record`; for use while it is built."""
     for name, arr in arrays.items():
         arr.setflags(write=False)
         object.__setattr__(record, name, arr)
@@ -122,75 +122,105 @@ class CompositionMatrix:
         return self.W.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Corpus:
     """Sparse word counts for M documents over an N-word vocabulary.
 
-    Stored as parallel (docs, words, counts) arrays sorted by document
-    then word, with at most one entry per (document, word) pair. Every
-    document must contain at least one word. Document m's entries are
-    indptr[m]:indptr[m + 1], the CSC column pointer of the count matrix.
+    Stored as parallel (words, counts) arrays sorted by document then word,
+    with at most one entry per (document, word) pair. Every document must
+    contain at least one word. Document m's entries are indptr[m]:indptr[m + 1],
+    the CSC column pointer of the count matrix; `docs`, each entry's
+    document, is derived from it rather than stored.
     """
 
-    docs: np.ndarray
     words: np.ndarray
     counts: np.ndarray
     M: int
     N: int
-    lengths: np.ndarray = field(init=False)
-    indptr: np.ndarray = field(init=False)
+    lengths: np.ndarray
+    indptr: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, docs, words, counts, M, N):
+        docs = _integers(docs, "docs")  # a view: sorted input is read a block at a time
         # copies: the arrays are frozen below, and the caller's stay theirs
-        docs = np.array(self.docs, dtype=np.int64).ravel()
-        words = np.array(self.words, dtype=np.int64).ravel()
-        counts = np.array(self.counts, dtype=np.int64).ravel()
+        words = np.array(_integers(words, "words"), dtype=np.int64)
+        counts = np.array(_integers(counts, "counts"), dtype=np.int64)
         if not (docs.size == words.size == counts.size):
             raise ValueError("docs, words and counts must have equal lengths")
-        if not all(isinstance(v, numbers.Integral) for v in (self.M, self.N)):
-            raise ValueError(f"corpus dimensions M={self.M!r}, N={self.N!r} must be integers")
-        if self.M < 1 or self.N < 1:
-            raise ValueError(f"corpus dimensions M={self.M}, N={self.N} must be positive")
-        if int(self.M) * int(self.N) >= 2**63:  # then docs * N + words can overflow int64
-            raise ValueError(f"corpus dimensions M={self.M}, N={self.N} have M*N >= 2**63")
+        if not all(isinstance(v, numbers.Integral) for v in (M, N)):
+            raise ValueError(f"corpus dimensions M={M!r}, N={N!r} must be integers")
+        if M < 1 or N < 1:
+            raise ValueError(f"corpus dimensions M={M}, N={N} must be positive")
+        if int(M) * int(N) >= 2**63:  # so every flat index docs * N + words fits int64
+            raise ValueError(f"corpus dimensions M={M}, N={N} have M*N >= 2**63")
+        starts = _sorted_starts(docs, words)  # None for unsorted input
         if docs.size:
-            if docs.min() < 0 or docs.max() >= self.M:
-                raise ValueError(f"document index out of range [0, {self.M})")
-            if words.min() < 0 or words.max() >= self.N:
-                raise ValueError(f"word index out of range [0, {self.N})")
+            # sorted documents have their least first and their greatest last
+            lo, hi = (docs[0], docs[-1]) if starts is not None else (docs.min(), docs.max())
+            if lo < 0 or hi >= M:
+                raise ValueError(f"document index out of range [0, {M})")
+            if words.min() < 0 or words.max() >= N:
+                raise ValueError(f"word index out of range [0, {N})")
             if counts.min() < 1:
                 i = int(np.argmax(counts < 1))
                 raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
-        if not _strictly_sorted(docs, words, self.N):  # sorted input skips the lexsort
-            key = docs * self.N + words
+        if starts is None:
             order = np.lexsort((words, docs))
             docs, words, counts = docs[order], words[order], counts[order]
-            dup = np.diff(key[order]) == 0
+            dup = (docs[1:] == docs[:-1]) & (words[1:] == words[:-1])
             if dup.any():
                 i = int(np.argmax(dup))
                 raise ValueError(
                     f"duplicate entry for document {docs[i]}, word {words[i]}"
                 )
-        # with more documents than entries, one of the first docs.size + 1 is empty
-        indptr = np.searchsorted(docs, np.arange(min(self.M, docs.size + 1) + 1))
-        empty = indptr[:-1] == indptr[1:]
-        if empty.any():
-            raise ValueError(f"document {int(np.argmax(empty))} is empty")
+            starts = _sorted_starts(docs, words)
+        # the documents with entries, increasing, so present[j] >= j, and the
+        # first j where they differ has no entries
+        present = np.concatenate((docs[:1], docs[starts]))
+        gap = present != np.arange(present.size)
+        empty = int(np.argmax(gap)) if gap.any() else present.size
+        if empty < M:
+            raise ValueError(f"document {empty} is empty")
+        indptr = np.concatenate(([0], starts, [docs.size]))
         lengths = np.add.reduceat(counts, indptr[:-1])
-        freeze_fields(self, docs=docs, words=words, counts=counts, lengths=lengths,
-                      indptr=indptr)
+        freeze_fields(self, words=words, counts=counts, lengths=lengths, indptr=indptr)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "N", N)
+
+    @property
+    def docs(self):
+        """Each entry's document, a read-only int64 array made from indptr."""
+        docs = np.repeat(np.arange(self.M), np.diff(self.indptr))
+        docs.setflags(write=False)
+        return docs
 
 
-def _strictly_sorted(docs, words, N):
-    """Whether the keys docs * N + words strictly increase, judged on blocks
-    of WRITE_BLOCK keys that overlap by one, so no key array of the full
-    length is made."""
+def _integers(values, name):
+    """values as a 1-D integer array, without a copy where it is one already;
+    ValueError naming it if it holds values of another type."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        if arr.size:
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
+    return arr.reshape(-1)  # ravel() would copy a strided view such as np.nonzero's
+
+
+def _sorted_starts(docs, words):
+    """Where each document but the first begins, if the (document, word)
+    pairs strictly increase; None if they do not. Judged by comparisons
+    alone, which hold for any values, on contiguous copies of blocks of
+    WRITE_BLOCK entries that overlap by one, so no array of the full length
+    is made."""
+    starts = [np.empty(0, dtype=np.int64)]
     for start in range(0, docs.size - 1, WRITE_BLOCK):
         block = slice(start, start + WRITE_BLOCK + 1)
-        key = docs[block] * N + words[block]
-        if not (key[1:] > key[:-1]).all():
-            return False
-    return True
+        d, w = np.ascontiguousarray(docs[block]), words[block]
+        new = d[1:] != d[:-1]
+        if not ((d[1:] >= d[:-1]).all() and (new | (w[1:] > w[:-1])).all()):
+            return None
+        starts.append(np.flatnonzero(new) + (start + 1))
+    return np.concatenate(starts)
 
 
 def normalize_corpus(corpus):
@@ -358,13 +388,15 @@ def write_rows(fh, row_fmt, *columns):
 def write_corpus_tsv(path, corpus):
     """Write sparse counts: `M<TAB>N<TAB>NNZ` header, then 1-based
     `doc<TAB>word<TAB>count` triplets sorted by document then word."""
+    nnz = corpus.words.size
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{corpus.M}\t{corpus.N}\t{corpus.docs.size}\n")
-        # 1-based ids a block at a time, so no id array of the full length is made
-        for start in range(0, corpus.docs.size, WRITE_BLOCK):
-            block = slice(start, start + WRITE_BLOCK)
-            write_rows(fh, "%d\t%d\t%d\n", corpus.docs[block] + 1, corpus.words[block] + 1,
-                       corpus.counts[block])
+        fh.write(f"{corpus.M}\t{corpus.N}\t{nnz}\n")
+        # ids a block at a time, so no id array of the full length is made; entry
+        # i of document m has indptr[m] <= i < indptr[m + 1], so m + 1 is its 1-based id
+        for start in range(0, nnz, WRITE_BLOCK):
+            block = slice(start, min(start + WRITE_BLOCK, nnz))
+            docs = np.searchsorted(corpus.indptr, np.arange(block.start, block.stop), side="right")
+            write_rows(fh, "%d\t%d\t%d\n", docs, corpus.words[block] + 1, corpus.counts[block])
 
 
 def read_corpus_tsv(path):

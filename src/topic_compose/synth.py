@@ -11,6 +11,7 @@ So output is reproducible, the same for any worker count, and prefix-stable
 part of the streams' definition.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,8 @@ class FixedLength:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"document length must be an integer, got {self.n!r}")
         if not 1 <= self.n <= _MAX_LENGTH:
             raise ValueError(f"document length must be in [1, {_MAX_LENGTH}], got {self.n!r}")
 

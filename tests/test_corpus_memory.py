@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# bytes per nonzero entry; the Corpus each call returns holds 24
-PEAK_LIMITS = {"synthesize": 50, "read_corpus_tsv": 60, "Corpus": 30}
+# bytes per nonzero entry; the Corpus each call returns holds 16
+PEAK_LIMITS = {"synthesize": 42, "read_corpus_tsv": 52, "Corpus": 21}
 
 
 def test_corpus_calls_peak_within_limits():
@@ -25,4 +25,4 @@ def test_corpus_calls_peak_within_limits():
                           "Corpus"]
     assert int(rows["nonzeros"]) > 100_000
     for name, limit in PEAK_LIMITS.items():
-        assert 24 <= float(rows[name]) <= limit, (name, rows[name])
+        assert 16 <= float(rows[name]) <= limit, (name, rows[name])

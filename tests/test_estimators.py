@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -292,6 +293,28 @@ class TestTliInfer:
         c = Corpus(docs=[0, 0], words=[0, 1], counts=[999, 1], M=1, N=2)
         W = tli_infer(inv, m, c, TliConfig()).W
         assert W[1, 0] == 0.0 and W[0, 0] == 1.0
+
+    def test_peak_memory_is_three_estimate_arrays(self):
+        # a tli-k50-sized batch: the estimate is thresholded and renormalized
+        # in place, so the peak is about the estimate, the returned copy and
+        # the sparse frequencies (3.2 estimates when each step made a new one)
+        K, M, N = 50, 1024, 500
+        rng = np.random.default_rng(5)
+        B = rng.dirichlet(np.full(N, 0.01), size=K).T
+        model = TopicModel(B=B, A=np.eye(K) / K)
+        counts = rng.multinomial(1 + rng.poisson(149, size=M),
+                                 rng.dirichlet(np.full(K, 5.0 / K), size=M) @ B.T)
+        docs, words = np.nonzero(counts)
+        corpus = Corpus(docs=docs, words=words, counts=counts[docs, words], M=M, N=N)
+        inverse = TliInverse(np.linalg.pinv(B))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tli_infer(inverse, model, corpus)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * K * M * 8, peak / (K * M * 8)
 
     def test_overflowing_estimate_is_runtime_error(self, identity_model):
         # frequencies 0.4 and 0.6 weight two largest floats; their sum

@@ -153,6 +153,49 @@ class TestCorpus:
         c = Corpus(docs=[0, 1], words=[0, 1], counts=[1, 1], M=np.int64(2), N=np.uint8(2))
         assert (c.M, c.N) == (2, 2)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_dtypes_accepted(self, dtype):
+        c = Corpus(docs=np.array([1, 0, 1], dtype), words=np.array([0, 2, 2], dtype),
+                   counts=np.array([4, 1, 2], dtype), M=2, N=3)
+        assert (c.docs.tolist(), c.words.tolist(), c.counts.tolist()) == ([0, 1, 1], [2, 0, 2],
+                                                                          [1, 4, 2])
+        assert c.words.dtype == c.counts.dtype == np.int64
+
+    @staticmethod
+    def _nonzero_entries():
+        """np.nonzero's strided (docs, words) of a 1,024 x 500 count matrix
+        of 1 + Poisson(149) words per document, and their counts: how the
+        benchmark's batches come."""
+        rng = np.random.default_rng(6)
+        counts = rng.multinomial(1 + rng.poisson(149, size=1024), np.full(500, 1 / 500))
+        docs, words = np.nonzero(counts)
+        return docs, words, counts[docs, words]
+
+    def test_holds_16_bytes_per_entry(self):
+        # docs is checked where it lies, never copied; 25.5 bytes per entry
+        # when each of the three arrays was copied
+        docs, words, counts = self._nonzero_entries()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            c = Corpus(docs=docs, words=words, counts=counts, M=1024, N=500)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        held = {name: v.nbytes for name, v in vars(c).items()
+                if isinstance(v, np.ndarray) and v.size == docs.size}
+        assert held == {"words": 8 * docs.size, "counts": 8 * docs.size}
+        assert peak <= 18 * docs.size, peak / docs.size
+
+    def test_docs_derived_and_read_only(self):
+        docs, words, counts = self._nonzero_entries()
+        perm = np.random.default_rng(7).permutation(docs.size)
+        c = Corpus(docs=docs[perm], words=words[perm], counts=counts[perm], M=1024, N=500)
+        assert "docs" not in vars(c)
+        assert c.docs.tobytes() == np.sort(docs[perm]).astype(np.int64).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            c.docs[0] = 1
+
     @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]])
     def test_duplicate_message_same_sorted_or_not(self, order):
         docs, words, counts = np.array([0, 1, 1]), np.array([2, 0, 0]), np.array([1, 2, 3])
@@ -522,12 +565,22 @@ INVALID_INPUTS = {
                                      "document index out of range [0, 1)"),
     "Corpus-word-out-of-range": (lambda: Corpus(docs=[0], words=[2], counts=[1], M=1, N=2),
                                  "word index out of range [0, 2)"),
-    # np.arange would count 2.5 documents as three, and report the third empty
+    # 2.5 documents would count as more than two, and report document 2 empty
     "Corpus-non-integer-M": (lambda: Corpus(docs=[0, 1], words=[0, 0], counts=[1, 1], M=2.5, N=2),
                              "corpus dimensions M=2.5, N=2 must be integers"),
     "Corpus-non-integer-N": (lambda: Corpus(docs=[0], words=[0], counts=[1], M=1, N=2.0),
                              "corpus dimensions M=1, N=2.0 must be integers"),
-    # docs * N + words would wrap to a false duplicate
+    # NumPy's int64 copy would truncate 0.5 to 0 and 1.7 to 1
+    "Corpus-non-integer-docs": (
+        lambda: Corpus(docs=[0.5, 1], words=[0, 0], counts=[1.7, 1], M=2, N=2),
+        "docs must hold integers, got dtype float64"),
+    "Corpus-non-integer-words": (
+        lambda: Corpus(docs=[0, 1], words=[0, 0.5], counts=[1, 1], M=2, N=2),
+        "words must hold integers, got dtype float64"),
+    "Corpus-non-integer-counts": (
+        lambda: Corpus(docs=[0, 1], words=[0, 0], counts=[1.7, 1], M=2, N=2),
+        "counts must hold integers, got dtype float64"),
+    # the count matrix's flat indices docs * N + words would overflow int64
     "Corpus-M-times-N-overflows-int64": (
         lambda: Corpus(docs=[0, 4], words=[0, 0], counts=[1, 1], M=5, N=2**62),
         f"corpus dimensions M=5, N={2**62} have M*N >= 2**63"),

@@ -68,6 +68,12 @@ class TestPriors:
         with pytest.raises(ValueError):
             PoissonLength(2.0**31)
 
+    def test_non_integer_fixed_length_rejected(self):
+        # synthesize would fail casting its lengths, naming no argument
+        with pytest.raises(ValueError, match=r"^document length must be an integer, got 5\.5$"):
+            FixedLength(5.5)
+        assert FixedLength(np.int64(5)).n == 5
+
     def test_length_models_draw_rows(self):
         rng = np.random.default_rng(12)
         npt.assert_array_equal(FixedLength(7).draw(4, rng), [7, 7, 7, 7])
