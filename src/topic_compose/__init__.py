@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .model import (
     CompositionMatrix,

@@ -131,6 +131,13 @@ class Corpus:
     contain at least one word. Document m's entries are indptr[m]:indptr[m + 1],
     the CSC column pointer of the count matrix; `docs`, each entry's
     document, is derived from it rather than stored.
+
+    Entries may come in any order, and every input is checked in one
+    order: word range and counts in the caller's order, then sortedness;
+    input that is not sorted is lexsorted and judged once more, and sorted
+    pairs that still do not strictly increase hold a repeated pair, named
+    as a duplicate entry. Then the document range, from the sorted ends,
+    and the first empty document.
     """
 
     words: np.ndarray
@@ -153,27 +160,23 @@ class Corpus:
             raise ValueError(f"corpus dimensions M={M}, N={N} must be positive")
         if int(M) * int(N) >= 2**63:  # so every flat index docs * N + words fits int64
             raise ValueError(f"corpus dimensions M={M}, N={N} have M*N >= 2**63")
-        starts = _sorted_starts(docs, words)  # None for unsorted input
-        if docs.size:
-            # sorted documents have their least first and their greatest last
-            lo, hi = (docs[0], docs[-1]) if starts is not None else (docs.min(), docs.max())
-            if lo < 0 or hi >= M:
-                raise ValueError(f"document index out of range [0, {M})")
+        if docs.size:  # before any sort, so an entry's index is the caller's
             if words.min() < 0 or words.max() >= N:
                 raise ValueError(f"word index out of range [0, {N})")
             if counts.min() < 1:
                 i = int(np.argmax(counts < 1))
                 raise ValueError(f"count must be >= 1, got {counts[i]} at entry {i}")
+        starts = _sorted_starts(docs, words)
         if starts is None:
             order = np.lexsort((words, docs))
             docs, words, counts = docs[order], words[order], counts[order]
-            dup = (docs[1:] == docs[:-1]) & (words[1:] == words[:-1])
-            if dup.any():
-                i = int(np.argmax(dup))
-                raise ValueError(
-                    f"duplicate entry for document {docs[i]}, word {words[i]}"
-                )
             starts = _sorted_starts(docs, words)
+            if starts is None:  # sorted pairs fail to increase only where one repeats
+                i = int(np.argmax((docs[1:] == docs[:-1]) & (words[1:] == words[:-1])))
+                raise ValueError(f"duplicate entry for document {docs[i]}, word {words[i]}")
+        # sorted documents have their least first and their greatest last
+        if docs.size and (docs[0] < 0 or docs[-1] >= M):
+            raise ValueError(f"document index out of range [0, {M})")
         # the documents with entries, increasing, so present[j] >= j, and the
         # first j where they differ has no entries
         present = np.concatenate((docs[:1], docs[starts]))
@@ -208,7 +211,8 @@ def _integers(values, name):
 
 def _sorted_starts(docs, words):
     """Where each document but the first begins, if the (document, word)
-    pairs strictly increase; None if they do not. Judged by comparisons
+    pairs strictly increase; None if they do not, which for pairs already
+    sorted by lexsort means a pair repeats. Judged by comparisons
     alone, which hold for any values, on contiguous copies of blocks of
     WRITE_BLOCK entries that overlap by one, so no array of the full length
     is made."""

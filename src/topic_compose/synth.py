@@ -45,10 +45,11 @@ class DirichletPrior:
     @classmethod
     def symmetric(cls, K, mass):
         """Symmetric prior with total concentration `mass` split over K
-        topics; small mass per topic gives sparse compositions."""
+        topics; small mass per topic gives sparse compositions. K < 1
+        gives an empty alpha, which raises ValueError."""
         if not (mass > 0.0 and np.isfinite(mass)):
             raise ValueError(f"total concentration must be positive and finite, got {mass!r}")
-        return cls(np.full(K, mass / K))
+        return cls(np.full(K, mass) / K)  # the bytes of np.full(K, mass / K)
 
     def draw(self, rows, rng):
         """`rows` compositions, one per row, via normalized Gamma variates.
@@ -129,7 +130,7 @@ class PoissonLength:
     mean: float
 
     def __post_init__(self):
-        if not 1.0 <= self.mean <= _MAX_LENGTH / 2:
+        if not (isinstance(self.mean, numbers.Real) and 1.0 <= self.mean <= _MAX_LENGTH / 2):
             raise ValueError(f"mean length must be in [1, {_MAX_LENGTH // 2}], got {self.mean!r}")
 
     def draw(self, rows, rng):
@@ -165,8 +166,8 @@ def synthesize(model, prior, docs, doc_length, seed=0, threads=1):
     compositions drawn from `prior` and lengths from `doc_length`; the same
     for any thread count."""
     K, N, M = model.K, model.N, docs
-    if M < 1:
-        raise ValueError("need at least one document")
+    if not (isinstance(M, numbers.Integral) and M >= 1):
+        raise ValueError(f"need at least one document: docs must be an integer >= 1, got {docs!r}")
     if prior.K != K:
         raise ValueError(f"prior is over {prior.K} topics, model has {K}")
     step = max(1, _BLOCK_ENTRIES // N)  # documents per multinomial draw

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # bytes per nonzero entry; the Corpus each call returns holds 16
-PEAK_LIMITS = {"synthesize": 42, "read_corpus_tsv": 52, "Corpus": 21}
+PEAK_LIMITS = {"synthesize": 42, "read_corpus_tsv": 52, "Corpus": 21, "Corpus shuffled": 56}
 
 
 def test_corpus_calls_peak_within_limits():
@@ -22,7 +22,7 @@ def test_corpus_calls_peak_within_limits():
     assert p.returncode == 0, p.stderr
     rows = dict(line.split("\t") for line in p.stdout.splitlines())
     assert list(rows) == ["nonzeros", "synthesize", "write_corpus_tsv", "read_corpus_tsv",
-                          "Corpus"]
+                          "Corpus", "Corpus shuffled"]
     assert int(rows["nonzeros"]) > 100_000
     for name, limit in PEAK_LIMITS.items():
         assert 16 <= float(rows[name]) <= limit, (name, rows[name])

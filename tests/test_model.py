@@ -198,9 +198,25 @@ class TestCorpus:
 
     @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]])
     def test_duplicate_message_same_sorted_or_not(self, order):
-        docs, words, counts = np.array([0, 1, 1]), np.array([2, 0, 0]), np.array([1, 2, 3])
+        # each single fault, sorted and shuffled; a count's entry index is
+        # where it stands in the caller's order, here entry 2 of the sorted
+        i = order.index(2)
+        for docs, words, counts, M, message in [
+            ([0, 1, 1], [2, 0, 0], [1, 2, 3], 2, "duplicate entry for document 1, word 0"),
+            ([0, 1, 2], [2, 0, 1], [1, 2, 3], 2, r"document index out of range \[0, 2\)"),
+            ([-1, 0, 1], [2, 0, 1], [1, 2, 3], 2, r"document index out of range \[0, 2\)"),
+            ([0, 1, 1], [2, 0, 3], [1, 2, 3], 2, r"word index out of range \[0, 3\)"),
+            ([0, 1, 1], [2, 0, 1], [1, 2, 0], 2, f"count must be >= 1, got 0 at entry {i}"),
+            ([0, 2, 2], [2, 0, 1], [1, 2, 3], 3, "document 1 is empty"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Corpus(docs=np.array(docs)[order], words=np.array(words)[order],
+                       counts=np.array(counts)[order], M=M, N=3)
+
+    def test_duplicate_named_before_document_range(self):
+        # shuffled, so the duplicate shows only once the entries are sorted
         with pytest.raises(ValueError, match="^duplicate entry for document 1, word 0$"):
-            Corpus(docs=docs[order], words=words[order], counts=counts[order], M=2, N=3)
+            Corpus(docs=[3, 1, 1], words=[0, 0, 0], counts=[1, 1, 1], M=2, N=3)
 
 
 class TestNormalizeCorpus:

@@ -40,6 +40,15 @@ class TestPriors:
         with pytest.raises(ValueError, match="total concentration must be positive and finite"):
             DirichletPrior.symmetric(4, mass)
 
+    def test_symmetric_helper_rejects_no_topics(self):
+        with pytest.raises(ValueError, match="alpha must be a vector"):
+            DirichletPrior.symmetric(0, 5.0)
+        # the split is the one every synthesized stream was drawn with
+        for K in range(1, 51):
+            for mass in (0.1, 1.0, 5.0, 2.0 * K):
+                alpha = DirichletPrior.symmetric(K, mass).alpha
+                assert alpha.tobytes() == np.full(K, mass / K).tobytes()
+
     def test_logistic_normal_shape_checks(self):
         with pytest.raises(ValueError, match="sigma"):
             LogisticNormalPrior(mu=[0.0, 0.0], sigma=np.eye(3))
@@ -73,6 +82,11 @@ class TestPriors:
         with pytest.raises(ValueError, match=r"^document length must be an integer, got 5\.5$"):
             FixedLength(5.5)
         assert FixedLength(np.int64(5)).n == 5
+
+    def test_non_number_poisson_mean_rejected(self):
+        with pytest.raises(ValueError, match=r"^mean length must be in \[1, 1073741823\], got '3'$"):
+            PoissonLength("3")
+        assert PoissonLength(np.float64(3.0)).mean == 3.0
 
     def test_length_models_draw_rows(self):
         rng = np.random.default_rng(12)
@@ -274,6 +288,13 @@ class TestSynthesize:
         m = random_model(N=20, K=4, seed=31)
         with pytest.raises(ValueError, match="at least one document"):
             synthesize(m, DirichletPrior.symmetric(4, 5.0), 0, FixedLength(5))
+
+    def test_non_integer_docs_rejected(self):
+        m = random_model(N=20, K=4, seed=31)
+        prior = DirichletPrior.symmetric(4, 5.0)
+        with pytest.raises(ValueError, match=r"docs must be an integer >= 1, got 2\.5$"):
+            synthesize(m, prior, 2.5, FixedLength(3))
+        assert synthesize(m, prior, np.int64(3), FixedLength(3)).corpus.M == 3
 
 
 # SHA-256 of synthesize's corpus arrays, Wstar and Astar as versions 0.4.0

@@ -6,11 +6,13 @@ On bench/inputs.py's cli-pipeline model at seed 1, it draws the corpus one
 cli-pipeline request draws (2,000 documents of 1 + Poisson(149) words from
 the CLI's default Dirichlet prior, at the pool's first synth seed, on one
 thread), writes it to a temporary file, reads it back, and builds a Corpus
-from its int64 arrays. For each call it prints the name, tab, the peak that
-tracemalloc saw above what was allocated when the call began, divided by the
-corpus's nonzero entries. The peak counts what the call returns: a Corpus
-holds 16 bytes per nonzero, its int64 words and counts. The program is
-imported from PYTHONPATH.
+from its int64 arrays, first in their sorted order and then in one fixed
+shuffled order (`Corpus shuffled`, the route that lexsorts). For each call
+it prints the name, tab, the peak that tracemalloc saw above what was
+allocated when the call began, divided by the corpus's nonzero entries.
+The peak counts what the call returns: a Corpus holds 16 bytes per
+nonzero, its int64 words and counts. The program is imported from
+PYTHONPATH.
 """
 
 import os
@@ -18,6 +20,8 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import inputs  # noqa: E402
@@ -41,7 +45,8 @@ def traced_peak(call, *args, **kwargs):
 
 def corpus_peaks(model, seed, docs=DOCS):
     """{call name: peak bytes} for synthesize, write_corpus_tsv,
-    read_corpus_tsv and Corpus on one synthesized corpus, and its nonzeros."""
+    read_corpus_tsv, Corpus and Corpus on shuffled arrays, on one
+    synthesized corpus, and its nonzeros."""
     prior = DirichletPrior.symmetric(model.K, ALPHA_SCALE)
     tracemalloc.start()
     try:
@@ -55,6 +60,9 @@ def corpus_peaks(model, seed, docs=DOCS):
             _, peaks["read_corpus_tsv"] = traced_peak(read_corpus_tsv, path)
         _, peaks["Corpus"] = traced_peak(
             Corpus, docs=c.docs, words=c.words, counts=c.counts, M=c.M, N=c.N)
+        perm = np.random.default_rng(0).permutation(c.words.size)
+        shuffled = {name: getattr(c, name)[perm] for name in ("docs", "words", "counts")}
+        _, peaks["Corpus shuffled"] = traced_peak(Corpus, **shuffled, M=c.M, N=c.N)
     finally:
         tracemalloc.stop()
     return peaks, c.words.size
