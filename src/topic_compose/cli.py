@@ -300,7 +300,7 @@ def main(argv=None):
         return 0
     except BrokenPipeError:
         return 1
-    except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

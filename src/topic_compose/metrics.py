@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompositionMatrix, write_rows
+from .model import CompositionMatrix, write_table
 
 KL_EPS = 1e-10  # smoothing applied to predictions so KL stays finite
 PROMINENT_MASS = 0.8  # weight a document's prominent topics cover
@@ -136,17 +136,14 @@ def evaluate_compositions(truth, pred, prior=None):
 def write_report_tsv(report, path):
     """Corpus-level summary: metric, mean, std rows in METRIC_ORDER, then
     prior_dist (std column 0) when a prior was supplied."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("metric\tmean\tstd\n")
-        for name in METRIC_ORDER:
-            fh.write(f"{name}\t{report.mean(name):.17g}\t{report.std(name):.17g}\n")
-        if report.prior_dist is not None:
-            fh.write(f"prior_dist\t{float(report.prior_dist):.17g}\t0\n")
+    rows = [(name, report.mean(name), report.std(name)) for name in METRIC_ORDER]
+    if report.prior_dist is not None:
+        rows.append(("prior_dist", float(report.prior_dist), 0.0))
+    write_table(path, "metric\tmean\tstd", "%s\t%.17g\t%.17g\n", [np.array(rows, dtype=object)])
 
 
 def write_per_doc_tsv(report, path):
     """One row per document with every metric column, in corpus order."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("doc\t" + "\t".join(METRIC_ORDER) + "\n")
-        write_rows(fh, "%d" + "\t%.17g" * len(METRIC_ORDER) + "\n",
-                   np.arange(1, report.M + 1), *(report.per_doc[n] for n in METRIC_ORDER))
+    table = np.column_stack((np.arange(1, report.M + 1), *(report.per_doc[n] for n in METRIC_ORDER)))
+    write_table(path, "doc\t" + "\t".join(METRIC_ORDER),
+                "%d" + "\t%.17g" * len(METRIC_ORDER) + "\n", [table])

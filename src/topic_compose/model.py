@@ -6,7 +6,6 @@ Corpora are bags of word counts. Everything is 0-based in memory; the TSV
 formats use 1-based document and word ids.
 """
 
-import itertools
 import numbers
 import os
 
@@ -20,11 +19,12 @@ SYM_TOL = 1e-10        # tolerance on symmetry of topic-topic matrices
 COMP_SUM_TOL = 1e-6    # looser sum tolerance for inferred composition columns
 
 _FLOAT_FMT = "%.17g"   # round-trips float64 exactly
-# Rows per formatted write: one %-format over a block of rows is several
-# times faster than a write per row, and bounding the block keeps the
-# temporary tuple of Python numbers (and so peak memory) small. Corpus's
-# sortedness check and the TSV rescan work on blocks of this many entries
-# or lines too, for the same two reasons.
+# Values per formatted write: one %-format over a block of rows is several
+# times faster than a write per row, and bounding the values in the block,
+# not its rows, keeps the temporary tuple of Python numbers (and so peak
+# memory) small however wide a row is. Corpus's sortedness check and the
+# TSV rescan work on blocks of this many entries or lines too, for the same
+# two reasons.
 WRITE_BLOCK = 8192
 
 
@@ -158,7 +158,9 @@ class Corpus:
             raise ValueError(f"corpus dimensions M={M!r}, N={N!r} must be integers")
         if M < 1 or N < 1:
             raise ValueError(f"corpus dimensions M={M}, N={N} must be positive")
-        if int(M) * int(N) >= 2**63:  # so every flat index docs * N + words fits int64
+        # so M, N and the N x M count matrix's cell count fit int64; SciPy takes
+        # the shape (N, M) that normalize_corpus gives it as C longs
+        if int(M) * int(N) >= 2**63:
             raise ValueError(f"corpus dimensions M={M}, N={N} have M*N >= 2**63")
         if docs.size:  # before any sort, so an entry's index is the caller's
             if words.min() < 0 or words.max() >= N:
@@ -265,15 +267,28 @@ def word_topic_posterior(model):
 # ---------------------------------------------------------------------------
 # file formats
 
+def write_table(path, header, row_fmt, tables):
+    """Write the line `header`, then every row of each 2-D array in
+    `tables` in turn, formatted by `row_fmt` (one %-field per column,
+    newline included), with one %-format per block of about WRITE_BLOCK
+    values: max(1, WRITE_BLOCK // columns) rows."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for table in tables:
+            step = max(1, WRITE_BLOCK // max(1, table.shape[1]))
+            for start in range(0, table.shape[0], step):
+                block = table[start:start + step]
+                fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_dense_tsv(path, X):
     """Write a dense matrix: `rows<TAB>cols` header, one row per line,
     tab-separated %.17g values."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a matrix")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{X.shape[0]}\t{X.shape[1]}\n")
-        np.savetxt(fh, X, fmt=_FLOAT_FMT, delimiter="\t")
+    write_table(path, f"{X.shape[0]}\t{X.shape[1]}",
+                "\t".join([_FLOAT_FMT] * X.shape[1]) + "\n", [X])
 
 
 def _sizes(line, fields):
@@ -378,29 +393,20 @@ def read_dense_tsv(path):
     return X
 
 
-def write_rows(fh, row_fmt, *columns):
-    """Write one line per row of the equal-length 1-D `columns`, formatted
-    by `row_fmt` (one %-field per column, newline included), with one
-    %-format per block of WRITE_BLOCK rows."""
-    total = len(columns[0])
-    for start in range(0, total, WRITE_BLOCK):
-        stop = min(start + WRITE_BLOCK, total)
-        rows = zip(*(c[start:stop].tolist() for c in columns))
-        fh.write((row_fmt * (stop - start)) % tuple(itertools.chain.from_iterable(rows)))
-
-
 def write_corpus_tsv(path, corpus):
     """Write sparse counts: `M<TAB>N<TAB>NNZ` header, then 1-based
     `doc<TAB>word<TAB>count` triplets sorted by document then word."""
     nnz = corpus.words.size
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{corpus.M}\t{corpus.N}\t{nnz}\n")
+
+    def blocks():
         # ids a block at a time, so no id array of the full length is made; entry
         # i of document m has indptr[m] <= i < indptr[m + 1], so m + 1 is its 1-based id
         for start in range(0, nnz, WRITE_BLOCK):
             block = slice(start, min(start + WRITE_BLOCK, nnz))
             docs = np.searchsorted(corpus.indptr, np.arange(block.start, block.stop), side="right")
-            write_rows(fh, "%d\t%d\t%d\n", docs, corpus.words[block] + 1, corpus.counts[block])
+            yield np.column_stack((docs, corpus.words[block] + 1, corpus.counts[block]))
+
+    write_table(path, f"{corpus.M}\t{corpus.N}\t{nnz}", "%d\t%d\t%d\n", blocks())
 
 
 def read_corpus_tsv(path):

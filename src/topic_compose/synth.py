@@ -45,8 +45,10 @@ class DirichletPrior:
     @classmethod
     def symmetric(cls, K, mass):
         """Symmetric prior with total concentration `mass` split over K
-        topics; small mass per topic gives sparse compositions. K < 1
-        gives an empty alpha, which raises ValueError."""
+        topics; small mass per topic gives sparse compositions. A K that
+        is not an integer of at least 1 raises ValueError."""
+        if not (isinstance(K, numbers.Integral) and K >= 1):
+            raise ValueError(f"need at least one topic: K must be an integer >= 1, got {K!r}")
         if not (mass > 0.0 and np.isfinite(mass)):
             raise ValueError(f"total concentration must be positive and finite, got {mass!r}")
         return cls(np.full(K, mass) / K)  # the bytes of np.full(K, mass / K)

@@ -355,6 +355,23 @@ def savetxt_corpus_reference(path, corpus):
         np.savetxt(fh, body, fmt="%d", delimiter="\t")
 
 
+def savetxt_dense_reference(path, X):
+    """The dense matrix file as np.savetxt wrote it before the block writer."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{X.shape[0]}\t{X.shape[1]}\n")
+        np.savetxt(fh, X, fmt="%.17g", delimiter="\t")
+
+
+def report_format_reference(report, path):
+    """report.tsv as the line-by-line f-string writer produced it."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("metric\tmean\tstd\n")
+        for name in METRIC_ORDER:
+            fh.write(f"{name}\t{report.mean(name):.17g}\t{report.std(name):.17g}\n")
+        if report.prior_dist is not None:
+            fh.write(f"prior_dist\t{float(report.prior_dist):.17g}\t0\n")
+
+
 def per_doc_format_reference(report, path):
     """per_doc.tsv as the row-by-row f-string writer produced it."""
     with open(path, "w", encoding="ascii") as fh:

@@ -288,6 +288,19 @@ class TestInfer:
         assert code == 1
         assert "Q = B^T B is not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, error", [("spi_infer", "error: spi: singular\n"),
+                                             ("load_model", "error: singular\n")])
+    def test_linalg_error_is_runtime_error(self, model_dir, corpus_path, tmp_path,
+                                           monkeypatch, capsys, name, error):
+        # LinAlgError is a ValueError, from the estimator or from outside it
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+        monkeypatch.setattr(cli, name, singular)
+        code = run("infer", "--method", "spi", "--model", model_dir,
+                   "--corpus", corpus_path, "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == error
+
     def test_rand_is_seeded(self, model_dir, corpus_path, tmp_path):
         for name in ("a", "b"):
             assert run("infer", "--method", "rand", "--model", model_dir,
@@ -614,7 +627,7 @@ def test_bad_input_file_is_runtime_error_naming_it(tmp_path, capsys, name, defec
         "record": (header + re.sub(r"^[^\t\n]*", invalid, first) + rest,
                    mdir if path.parent == mdir else path, record_error),
         # a size no array can have: a matrix's rows, or a corpus's N, whose
-        # M * N would overflow the int64 entry keys
+        # M * N, the count matrix's cell count, does not fit int64
         "huge-size": ((re.sub(r"\t\d+", f"\t{HUGE}", header, count=1) + first + rest, path,
                        f"corpus dimensions M=20, N={HUGE} have M*N >= 2**63")
                       if name == "--corpus" else

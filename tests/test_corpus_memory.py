@@ -9,8 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# bytes per nonzero entry; the Corpus each call returns holds 16
+# bytes per nonzero entry; the Corpus each of these calls returns holds 16
 PEAK_LIMITS = {"synthesize": 42, "read_corpus_tsv": 52, "Corpus": 21, "Corpus shuffled": 56}
+# the writer returns nothing and holds one block of about WRITE_BLOCK values
+WRITE_LIMIT = 6
 
 
 def test_corpus_calls_peak_within_limits():
@@ -26,3 +28,4 @@ def test_corpus_calls_peak_within_limits():
     assert int(rows["nonzeros"]) > 100_000
     for name, limit in PEAK_LIMITS.items():
         assert 16 <= float(rows[name]) <= limit, (name, rows[name])
+    assert float(rows["write_corpus_tsv"]) <= WRITE_LIMIT, rows["write_corpus_tsv"]

@@ -23,6 +23,7 @@ from oracles import (
     per_doc_format_reference,
     prominent_prefix_oracle,
     prominent_topics,
+    report_format_reference,
     set_prf,
 )
 import topic_compose.metrics as metrics_module
@@ -308,7 +309,8 @@ class TestBatchedMatchesLoop:
                 assert report.per_doc[name].tobytes() == ref[name].tobytes(), name
 
     def test_per_doc_file_matches_row_writer(self, tmp_path):
-        # more documents than one write block, with a partial last block
+        # a row holds 9 values, so many write blocks of WRITE_BLOCK // 9 rows
+        # each, with a partial last block
         rng = np.random.default_rng(13)
         M = WRITE_BLOCK + 123
         t = CompositionMatrix(rng.dirichlet(np.full(5, 0.3), size=M).T)
@@ -316,4 +318,14 @@ class TestBatchedMatchesLoop:
         report = evaluate_compositions(t, p)
         write_per_doc_tsv(report, tmp_path / "new.tsv")
         per_doc_format_reference(report, tmp_path / "ref.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    @pytest.mark.parametrize("prior", [None, np.eye(5) / 5])
+    def test_report_file_matches_line_writer(self, tmp_path, prior):
+        rng = np.random.default_rng(14)
+        t = CompositionMatrix(rng.dirichlet(np.full(5, 0.3), size=40).T)
+        p = CompositionMatrix(rng.dirichlet(np.full(5, 0.3), size=40).T)
+        report = evaluate_compositions(t, p, prior=prior)
+        write_report_tsv(report, tmp_path / "new.tsv")
+        report_format_reference(report, tmp_path / "ref.tsv")
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()

@@ -26,7 +26,7 @@ from topic_compose import (
     write_dense_tsv,
 )
 from conftest import random_corpus, random_model, write_model
-from oracles import normalize_corpus_reference, savetxt_corpus_reference
+from oracles import normalize_corpus_reference, savetxt_corpus_reference, savetxt_dense_reference
 from topic_compose.model import WRITE_BLOCK
 
 
@@ -465,6 +465,35 @@ class TestFileFormats:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (25, 2000),
+                                       (WRITE_BLOCK + 1, 2), (2, WRITE_BLOCK + 1)])
+    def test_dense_file_matches_savetxt(self, tmp_path, shape):
+        # no rows, empty rows, several rows per block with a partial last one,
+        # and rows wider than a block; values across the exponent range and
+        # those whose text is least regular
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [-0.0, 5e-324, 1e308, np.inf, np.nan]
+        X.flat[:len(special)] = special[:X.size]
+        write_dense_tsv(tmp_path / "new.tsv", X)
+        savetxt_dense_reference(tmp_path / "ref.tsv", X)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_dense_writer_peak_does_not_grow_with_row_width(self, tmp_path):
+        # the writer formats about WRITE_BLOCK values at a time: four rows of
+        # 2,000 values, or one of 8,000, so a file with 4x the values peaks alike
+        peaks = []
+        for cols in (2000, 8000):
+            X = np.random.default_rng(3).random((25, cols))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                write_dense_tsv(tmp_path / "X.tsv", X)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     @pytest.mark.parametrize("bad_line", [2, WRITE_BLOCK + 1, WRITE_BLOCK + 2, 3 * WRITE_BLOCK + 1])
     def test_rescan_reads_a_block_per_loadtxt_call(self, tmp_path, monkeypatch, bad_line):
         # line 1 is the header, so body line WRITE_BLOCK + 1 ends the first block
@@ -596,7 +625,7 @@ INVALID_INPUTS = {
     "Corpus-non-integer-counts": (
         lambda: Corpus(docs=[0, 1], words=[0, 0], counts=[1.7, 1], M=2, N=2),
         "counts must hold integers, got dtype float64"),
-    # the count matrix's flat indices docs * N + words would overflow int64
+    # the N x M count matrix's cell count M * N does not fit int64
     "Corpus-M-times-N-overflows-int64": (
         lambda: Corpus(docs=[0, 4], words=[0, 0], counts=[1, 1], M=5, N=2**62),
         f"corpus dimensions M=5, N={2**62} have M*N >= 2**63"),

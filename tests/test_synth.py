@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -41,13 +42,22 @@ class TestPriors:
             DirichletPrior.symmetric(4, mass)
 
     def test_symmetric_helper_rejects_no_topics(self):
-        with pytest.raises(ValueError, match="alpha must be a vector"):
+        with pytest.raises(ValueError, match="K must be an integer >= 1, got 0"):
             DirichletPrior.symmetric(0, 5.0)
         # the split is the one every synthesized stream was drawn with
         for K in range(1, 51):
             for mass in (0.1, 1.0, 5.0, 2.0 * K):
                 alpha = DirichletPrior.symmetric(K, mass).alpha
                 assert alpha.tobytes() == np.full(K, mass / K).tobytes()
+
+    @pytest.mark.parametrize("K", [2.5, -1, "3"])  # 0 above
+    def test_symmetric_helper_names_a_bad_topic_count(self, K):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need at least one topic: K must be an integer >= 1, got {K!r}")):
+            DirichletPrior.symmetric(K, 5.0)
+
+    def test_symmetric_helper_takes_numpy_integers(self):
+        assert DirichletPrior.symmetric(np.int64(3), 6.0).alpha.tobytes() == np.full(3, 2.0).tobytes()
 
     def test_logistic_normal_shape_checks(self):
         with pytest.raises(ValueError, match="sigma"):
