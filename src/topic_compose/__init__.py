@@ -1,6 +1,6 @@
 """Document-specific topic composition inference for spectral topic models."""
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .model import (
     CompositionMatrix,

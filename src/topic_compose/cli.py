@@ -34,6 +34,7 @@ from .metrics import (
     write_report_tsv,
 )
 from .model import (
+    check_number,
     from_file,
     load_model,
     read_composition_tsv,
@@ -56,38 +57,38 @@ INFER_METHODS = ("spi", "tli", "padd", "rand")
 ALPHA_SCALE = 5.0  # synth's Dirichlet concentration when --alpha-scale is not given
 
 
+def _usage(parse):
+    """`parse` as an argparse type: the ValueError it raises becomes a usage
+    error that carries its message, so argparse names the flag and exits 2
+    before any file is read or written."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+@_usage
 def _positive_int(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+    return check_number(int(text), "value", 1)
 
 
+@_usage
 def _alpha_scale(text):
     """--alpha-scale value: a float that DirichletPrior accepts as a total
-    concentration; argparse then names the flag and exits 2 before any file
-    is read or written."""
-    try:
-        DirichletPrior.symmetric(1, float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    concentration."""
+    DirichletPrior.symmetric(1, float(text))
     return float(text)
 
 
+@_usage
 def _length(text):
     """--len value: an integer or poisson:<mean>; the length models own the
     range rule."""
-    try:
-        if text.startswith("poisson:"):
-            return PoissonLength(float(text[len("poisson:"):]))
-        return FixedLength(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expects an integer or poisson:<mean>, got {text!r} ({exc})"
-        ) from None
+    if text.startswith("poisson:"):
+        return PoissonLength(float(text[len("poisson:"):]))
+    return FixedLength(int(text))
 
 
 def _sha256(path):

@@ -11,7 +11,6 @@ Two estimators share the pattern `W = T @ Htilde` for a K x N matrix T:
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 import scipy.optimize
@@ -21,21 +20,19 @@ from .model import CompositionMatrix, freeze_fields, normalize_corpus, word_topi
 from .parallel import map_chunks
 
 BIAS_TOL = 1e-6  # the largest bias, and the largest rounding error, a row may carry
+# scales TLI's worst-case noise level down to a usable threshold (`tli_thresholds`)
+THRESHOLD_DIVISOR = 4.5
 # HiGHS's `small_matrix_value` default: it drops every matrix entry with |a| <= this
 SMALL_MATRIX_VALUE = 1e-9
 
 
 @dataclass(frozen=True)
 class TliConfig:
-    """Settings for the thresholded left-inverse estimator: it has none.
-
-    The class constant is not a setting: threshold_divisor scales down the
-    worst-case noise level to reach a usable threshold. `tli_compute_inverse`
-    and `tli_infer` accept a TliConfig without reading it, because
-    bench/workloads.py passes one.
+    """Settings for the thresholded left-inverse estimator: it has none, and
+    holds nothing. It stays only because bench/workloads.py builds one and
+    passes it: `tli_compute_inverse` and `tli_infer` accept it without
+    reading it.
     """
-
-    threshold_divisor: ClassVar[float] = 4.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +153,11 @@ def tli_compute_inverse(model, config=None, threads=1):
 def tli_thresholds(inverse, lengths):
     """Per-document threshold below which estimated weights are considered
     noise: a two-sigma-style bound on the worst-case frequency deviation,
-    amplified by the inverse magnitude, scaled down by
-    TliConfig.threshold_divisor."""
+    amplified by the inverse magnitude, scaled down by THRESHOLD_DIVISOR."""
     K = inverse.Bdagger.shape[0]
     n = np.asarray(lengths, dtype=np.float64)
     raw = 2.0 * inverse.magnitude * np.sqrt(math.log(K) / n)
-    return raw / TliConfig.threshold_divisor
+    return raw / THRESHOLD_DIVISOR
 
 
 def tli_infer(inverse, model, corpus, config=None):

@@ -6,6 +6,7 @@ Corpora are bags of word counts. Everything is 0-based in memory; the TSV
 formats use 1-based document and word ids.
 """
 
+import math
 import numbers
 import os
 
@@ -26,6 +27,16 @@ _FLOAT_FMT = "%.17g"   # round-trips float64 exactly
 # TSV rescan work on blocks of this many entries or lines too, for the same
 # two reasons.
 WRITE_BLOCK = 8192
+
+
+def check_number(value, name, low, high=math.inf, kind=numbers.Integral):
+    """value, if it is a `kind` number, not a bool, in [low, high]; else a
+    ValueError naming `name`, the rule and the value. NumPy scalars pass."""
+    if isinstance(value, kind) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    what = "a real number" if kind is numbers.Real else "an integer"
+    where = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be {what} {where}, got {value!r}")
 
 
 def freeze_fields(record, **arrays):
@@ -154,10 +165,8 @@ class Corpus:
         counts = np.array(_integers(counts, "counts"), dtype=np.int64)
         if not (docs.size == words.size == counts.size):
             raise ValueError("docs, words and counts must have equal lengths")
-        if not all(isinstance(v, numbers.Integral) for v in (M, N)):
-            raise ValueError(f"corpus dimensions M={M!r}, N={N!r} must be integers")
-        if M < 1 or N < 1:
-            raise ValueError(f"corpus dimensions M={M}, N={N} must be positive")
+        check_number(M, "corpus dimension M", 1)
+        check_number(N, "corpus dimension N", 1)
         # so M, N and the N x M count matrix's cell count fit int64; SciPy takes
         # the shape (N, M) that normalize_corpus gives it as C longs
         if int(M) * int(N) >= 2**63:

@@ -13,14 +13,13 @@ closed-form quadratic prox with simplex projection.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 # unused here, but bench/tracing.py patches tc_padd.word_topic_posterior
-from .model import CompositionMatrix, normalize_corpus, word_topic_posterior  # noqa: F401
+from .model import CompositionMatrix, check_number, normalize_corpus, word_topic_posterior  # noqa: F401
 from .parallel import map_chunks
 from .simplex import project_simplex_columns
 
@@ -82,8 +81,7 @@ class PaddConfig:
     slave_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
-        if not (isinstance(self.master_iters, numbers.Integral) and self.master_iters >= 1):
-            raise ValueError(f"master_iters must be an integer >= 1, got {self.master_iters!r}")
+        check_number(self.master_iters, "master_iters", 1)
 
 
 @dataclass

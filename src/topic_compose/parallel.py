@@ -7,11 +7,12 @@ value; threads only change how chunks are scheduled.
 
 from concurrent.futures import ThreadPoolExecutor
 
+from .model import check_number
+
 
 def chunk_spans(total, chunk):
     """[(start, end), ...] covering range(total) in chunks of `chunk`."""
-    if chunk < 1:
-        raise ValueError("chunk size must be >= 1")
+    check_number(chunk, "chunk size", 1)
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 

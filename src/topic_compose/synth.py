@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SYM_TOL, CompositionMatrix, Corpus, freeze_fields
+from .model import SYM_TOL, CompositionMatrix, Corpus, check_number, freeze_fields
 from .parallel import map_chunks
 
 EIG_CLAMP = -1e-10  # eigenvalues this far below zero mean a broken covariance
@@ -46,10 +46,11 @@ class DirichletPrior:
     def symmetric(cls, K, mass):
         """Symmetric prior with total concentration `mass` split over K
         topics; small mass per topic gives sparse compositions. A K that
-        is not an integer of at least 1 raises ValueError."""
-        if not (isinstance(K, numbers.Integral) and K >= 1):
-            raise ValueError(f"need at least one topic: K must be an integer >= 1, got {K!r}")
-        if not (mass > 0.0 and np.isfinite(mass)):
+        is not an integer of at least 1, or a mass that is not a positive
+        finite real number, raises ValueError."""
+        check_number(K, "need at least one topic: K", 1)
+        if not (isinstance(mass, numbers.Real) and not isinstance(mass, bool)
+                and mass > 0.0 and np.isfinite(mass)):
             raise ValueError(f"total concentration must be positive and finite, got {mass!r}")
         return cls(np.full(K, mass) / K)  # the bytes of np.full(K, mass / K)
 
@@ -115,10 +116,7 @@ class FixedLength:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"document length must be an integer, got {self.n!r}")
-        if not 1 <= self.n <= _MAX_LENGTH:
-            raise ValueError(f"document length must be in [1, {_MAX_LENGTH}], got {self.n!r}")
+        check_number(self.n, "document length", 1, _MAX_LENGTH)
 
     def draw(self, rows, rng):
         return np.full(rows, self.n)
@@ -132,8 +130,7 @@ class PoissonLength:
     mean: float
 
     def __post_init__(self):
-        if not (isinstance(self.mean, numbers.Real) and 1.0 <= self.mean <= _MAX_LENGTH / 2):
-            raise ValueError(f"mean length must be in [1, {_MAX_LENGTH // 2}], got {self.mean!r}")
+        check_number(self.mean, "mean length", 1, _MAX_LENGTH // 2, numbers.Real)
 
     def draw(self, rows, rng):
         return 1 + rng.poisson(self.mean - 1.0, size=rows)
@@ -167,9 +164,7 @@ def synthesize(model, prior, docs, doc_length, seed=0, threads=1):
     """Generate a corpus of `docs` documents from the model's topics, with
     compositions drawn from `prior` and lengths from `doc_length`; the same
     for any thread count."""
-    K, N, M = model.K, model.N, docs
-    if not (isinstance(M, numbers.Integral) and M >= 1):
-        raise ValueError(f"need at least one document: docs must be an integer >= 1, got {docs!r}")
+    K, N, M = model.K, model.N, check_number(docs, "need at least one document: docs", 1)
     if prior.K != K:
         raise ValueError(f"prior is over {prior.K} topics, model has {K}")
     step = max(1, _BLOCK_ENTRIES // N)  # documents per multinomial draw

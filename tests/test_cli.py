@@ -779,7 +779,7 @@ class TestParser:
         assert run(*argv, *corpus, "--model", model_dir, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         if flag == "--threshold-divisor":
-            # the divisor is the constant TliConfig.threshold_divisor, so the
+            # the divisor is the constant estimators.THRESHOLD_DIVISOR, so the
             # flag is refused whatever its value
             assert f"unrecognized arguments: {flag}" in err
         else:

@@ -224,9 +224,10 @@ class TestTliInverse:
 
 class TestTliConfig:
     def test_validation(self):
-        # the divisor is a class constant, not a setting: TliConfig has none
-        assert TliConfig.threshold_divisor == 4.5
+        # the divisor is a module constant, not a setting: TliConfig holds nothing
+        assert estimators.THRESHOLD_DIVISOR == 4.5
         assert dataclasses.fields(TliConfig) == ()
+        assert not hasattr(TliConfig, "threshold_divisor")
         with pytest.raises(TypeError, match="threshold_divisor"):
             TliConfig(threshold_divisor=4.5)
         # the left inverse is always the exact LP; there is no solver to
@@ -265,7 +266,7 @@ class TestTliInfer:
         m = identity_model(4)
         # at the divisor of 4.5, tau ~ 0.15 keeps the last three words
         c = Corpus(docs=[0, 0, 0, 0], words=[0, 1, 2, 3], counts=[1, 2, 3, 6], M=1, N=4)
-        monkeypatch.setattr(TliConfig, "threshold_divisor", 0.1)  # tau far past any entry
+        monkeypatch.setattr(estimators, "THRESHOLD_DIVISOR", 0.1)  # tau far past any entry
         inv = tli_compute_inverse(m)
         W = tli_infer(inv, m, c).W
         npt.assert_array_equal(W[:, 0], [0.25, 0.25, 0.25, 0.25])

@@ -10,7 +10,10 @@ from topic_compose import (
     CompositionMatrix,
     Corpus,
     DirichletPrior,
+    FixedLength,
     LogisticNormalPrior,
+    PaddConfig,
+    PoissonLength,
     SynthOutput,
     TliInverse,
     TopicModel,
@@ -20,6 +23,7 @@ from topic_compose import (
     read_composition_tsv,
     read_corpus_tsv,
     read_dense_tsv,
+    synthesize,
     topic_marginals,
     word_topic_posterior,
     write_corpus_tsv,
@@ -28,6 +32,7 @@ from topic_compose import (
 from conftest import random_corpus, random_model, write_model
 from oracles import normalize_corpus_reference, savetxt_corpus_reference, savetxt_dense_reference
 from topic_compose.model import WRITE_BLOCK
+from topic_compose.parallel import chunk_spans
 
 
 class TestTopicModel:
@@ -603,18 +608,18 @@ INVALID_INPUTS = {
     "Corpus-unequal-lengths": (lambda: Corpus(docs=[0, 0], words=[0], counts=[1, 1], M=1, N=2),
                                "docs, words and counts must have equal lengths"),
     "Corpus-no-documents": (lambda: Corpus(docs=[], words=[], counts=[], M=0, N=2),
-                            "corpus dimensions M=0, N=2 must be positive"),
+                            "corpus dimension M must be an integer >= 1, got 0"),
     "Corpus-no-words": (lambda: Corpus(docs=[], words=[], counts=[], M=1, N=0),
-                        "corpus dimensions M=1, N=0 must be positive"),
+                        "corpus dimension N must be an integer >= 1, got 0"),
     "Corpus-document-out-of-range": (lambda: Corpus(docs=[1], words=[0], counts=[1], M=1, N=2),
                                      "document index out of range [0, 1)"),
     "Corpus-word-out-of-range": (lambda: Corpus(docs=[0], words=[2], counts=[1], M=1, N=2),
                                  "word index out of range [0, 2)"),
     # 2.5 documents would count as more than two, and report document 2 empty
     "Corpus-non-integer-M": (lambda: Corpus(docs=[0, 1], words=[0, 0], counts=[1, 1], M=2.5, N=2),
-                             "corpus dimensions M=2.5, N=2 must be integers"),
+                             "corpus dimension M must be an integer >= 1, got 2.5"),
     "Corpus-non-integer-N": (lambda: Corpus(docs=[0], words=[0], counts=[1], M=1, N=2.0),
-                             "corpus dimensions M=1, N=2.0 must be integers"),
+                             "corpus dimension N must be an integer >= 1, got 2.0"),
     # NumPy's int64 copy would truncate 0.5 to 0 and 1.7 to 1
     "Corpus-non-integer-docs": (
         lambda: Corpus(docs=[0.5, 1], words=[0, 0], counts=[1.7, 1], M=2, N=2),
@@ -650,6 +655,44 @@ INVALID_INPUTS = {
     "write_dense_tsv-not-a-matrix": (lambda: write_dense_tsv(os.devnull, np.ones(3)),
                                      "expected a matrix"),
 }
+
+
+# Every count a caller passes follows model.check_number's rule: a number of
+# the site's kind, not a bool, in its range. Each site takes the value `v`.
+_TWO_TOPICS = TopicModel(B=np.eye(2), A=np.eye(2) / 2)
+NUMBER_SITES = {
+    "Corpus-M": (lambda v: Corpus(docs=[0, 1, 2], words=[0, 0, 0], counts=[1, 1, 1], M=v, N=2),
+                 "corpus dimension M must be an integer >= 1"),
+    "Corpus-N": (lambda v: Corpus(docs=[0], words=[0], counts=[1], M=1, N=v),
+                 "corpus dimension N must be an integer >= 1"),
+    "synthesize-docs": (lambda v: synthesize(_TWO_TOPICS, DirichletPrior([1.0, 1.0]), v,
+                                             FixedLength(5)),
+                        "need at least one document: docs must be an integer >= 1"),
+    "symmetric-K": (lambda v: DirichletPrior.symmetric(v, 5.0),
+                    "need at least one topic: K must be an integer >= 1"),
+    "FixedLength-n": (FixedLength, "document length must be an integer in [1, 2147483647]"),
+    "PaddConfig-master_iters": (lambda v: PaddConfig(master_iters=v),
+                                "master_iters must be an integer >= 1"),
+    "chunk_spans-chunk": (lambda v: chunk_spans(10, v), "chunk size must be an integer >= 1"),
+    "PoissonLength-mean": (PoissonLength, "mean length must be a real number in [1, 1073741823]"),
+}
+# 2.5 is a valid mean length, so only the integer sites take it as a fault
+for site, (call, rule) in NUMBER_SITES.items():
+    for value in (True, "3", None) + (() if site == "PoissonLength-mean" else (2.5,)):
+        INVALID_INPUTS[f"{site}-{value!r}"] = (
+            lambda call=call, value=value: call(value), f"{rule}, got {value!r}")
+# the total concentration keeps its own open-interval rule, and its message
+for value in (True, "5", None):
+    INVALID_INPUTS[f"symmetric-mass-{value!r}"] = (
+        lambda value=value: DirichletPrior.symmetric(3, value),
+        f"total concentration must be positive and finite, got {value!r}")
+
+
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_number_sites_take_numpy_scalars(site):
+    # NumPy scalars are numbers; a mean length is real, every other count integral
+    value = np.float64(3.0) if site == "PoissonLength-mean" else np.int64(3)
+    NUMBER_SITES[site][0](value)
 
 
 @pytest.mark.parametrize("call, message", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys())

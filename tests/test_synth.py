@@ -89,12 +89,12 @@ class TestPriors:
 
     def test_non_integer_fixed_length_rejected(self):
         # synthesize would fail casting its lengths, naming no argument
-        with pytest.raises(ValueError, match=r"^document length must be an integer, got 5\.5$"):
+        with pytest.raises(ValueError, match=r"^document length must be an integer in \[1, 2147483647\], got 5\.5$"):
             FixedLength(5.5)
         assert FixedLength(np.int64(5)).n == 5
 
     def test_non_number_poisson_mean_rejected(self):
-        with pytest.raises(ValueError, match=r"^mean length must be in \[1, 1073741823\], got '3'$"):
+        with pytest.raises(ValueError, match=r"^mean length must be a real number in \[1, 1073741823\], got '3'$"):
             PoissonLength("3")
         assert PoissonLength(np.float64(3.0)).mean == 3.0
 

@@ -43,8 +43,14 @@ def digest(data):
 
 
 def slot_range(text):
+    """--slots value: FIRST-LAST or one slot, a non-empty range of pool
+    slots, so that no run compares fewer outputs than it was asked to."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    slots = range(int(first), int(last or first) + 1)
+    if not slots or slots[0] < 0 or slots[-1] >= inputs.POOL:
+        raise argparse.ArgumentTypeError(
+            f"expects a non-empty range of slots within 0-{inputs.POOL - 1}, got {text!r}")
+    return slots
 
 
 def batch_digests(name, data, slots, threads, work):
